@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 
 from . import intpoly as ip
@@ -57,13 +58,9 @@ class JobSpec:
 
 
 def _error_code(exc):
-    name = type(exc).__name__
-    out = []
-    for ch in name:
-        if ch.isupper() and out:
-            out.append("-")
-        out.append(ch.lower())
-    return "".join(out)
+    """Kebab-case exception name; an acronym stays one word (json-decode-error)."""
+    boundary = r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])"
+    return re.sub(boundary, "-", type(exc).__name__).lower()
 
 
 def _parse_int_list(text):

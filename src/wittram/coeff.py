@@ -189,9 +189,6 @@ class LiftRing(CoeffRing):
     def _wrap(self, coords):
         return LiftRingElement(self, coords)
 
-    def residue_field(self):
-        return finite_field(self.p, self.f)
-
     def __repr__(self):
         return f"GR({self.p}^{self.m},{self.f})" if self.f > 1 else f"Z/{self.modulus}"
 

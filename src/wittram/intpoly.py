@@ -136,22 +136,6 @@ def iso_weight(a, weights):
     return w
 
 
-def max_weight(a, weights):
-    best = 0
-    for key in a:
-        total = 0
-        k = key
-        v = 0
-        while k:
-            e = k & MASK
-            if e:
-                total += e * weights[v]
-            k >>= SHIFT
-            v += 1
-        best = max(best, total)
-    return best
-
-
 def degree_in(a, v):
     sh = SHIFT * v
     d = 0

@@ -19,8 +19,7 @@ import math
 
 import numpy as np
 
-from .coeff import CoeffRing
-from .errors import InsufficientPrecision
+from .errors import ConsistencyFailure, InsufficientPrecision
 
 INF = math.inf
 
@@ -28,7 +27,10 @@ _COMPOSE_FAST_MIN = 24
 
 
 class TruncatedLaurentSeries:
-    __slots__ = ("ring", "v", "coeffs", "prec")
+    """A series never changes after construction (nothing writes to its
+    `coeffs`), so its full-window inverse is computed once and kept."""
+
+    __slots__ = ("ring", "v", "coeffs", "prec", "_inv")
 
     def __init__(self, ring, v, coeffs, prec=INF, normalize=True):
         coeffs = np.asarray(coeffs, dtype=np.int64)
@@ -54,6 +56,7 @@ class TruncatedLaurentSeries:
         self.v = v
         self.coeffs = coeffs
         self.prec = prec
+        self._inv = None
 
     # ---------- state queries ----------
 
@@ -169,10 +172,6 @@ class TruncatedLaurentSeries:
             arr = np.vstack([arr, pad])
         return TruncatedLaurentSeries(self.ring, self.v, arr, new_prec)
 
-    def _as_exact(self):
-        """Reinterpret the stored window as an exact polynomial (internal)."""
-        return TruncatedLaurentSeries(self.ring, self.v, self.coeffs, INF)
-
     def shift(self, k):
         """Multiply by t^k."""
         p = self.prec if self.prec == INF else self.prec + k
@@ -232,15 +231,7 @@ class TruncatedLaurentSeries:
             )
         if not len(self.coeffs):
             return self
-        if ring.f == 1:
-            arr = (self.coeffs * c.coords[0]) % ring.modulus
-        else:
-            W = len(self.coeffs)
-            full = np.zeros((W, 2 * ring.f - 1), dtype=np.int64)
-            for j, cj in enumerate(c.coords):
-                if cj:
-                    full[:, j : j + ring.f] += self.coeffs * cj
-            arr = (full % ring.modulus) @ ring.reduction_rows % ring.modulus
+        arr = _scale(ring, self.coeffs, c.coords)
         return TruncatedLaurentSeries(ring, self.v, arr, self.prec)
 
     def __mul__(self, other):
@@ -281,7 +272,12 @@ class TruncatedLaurentSeries:
     def __pow__(self, e):
         ring = self.ring
         if e < 0:
-            return (self ** (-e)).inv()
+            # s.inv()**k has the precision of (s**k).inv(), prec - (k+1)v,
+            # and reuses the cached inverse; an exact non-monomial s would
+            # lose terms that way, so it keeps the old route
+            if self.prec == INF and len(self.coeffs) > 1:
+                return (self ** (-e)).inv()
+            return self.inv() ** (-e)
         if e == 0:
             return TruncatedLaurentSeries.monomial(ring, 0, 1)
         r, k = e, 0
@@ -302,7 +298,17 @@ class TruncatedLaurentSeries:
         return result
 
     def inv(self, n_terms=None):
-        """Multiplicative inverse by window-doubling Newton iteration."""
+        """Multiplicative inverse by window-doubling Newton iteration.
+
+        Without n_terms the inverse is computed once and cached."""
+        if n_terms is None and self._inv is not None:
+            return self._inv
+        x = self._inverse(n_terms)
+        if n_terms is None:
+            self._inv = x
+        return x
+
+    def _inverse(self, n_terms):
         ring = self.ring
         if self.is_exact_zero():
             raise ZeroDivisionError("division by exact zero")
@@ -332,7 +338,8 @@ class TruncatedLaurentSeries:
             x = _trunc_exact(x * (two - e), known)
         x = _with_prec(x, n)
         check = u * x - TruncatedLaurentSeries.monomial(ring, 0, 1)
-        assert not len(check.coeffs), "Newton inversion failed to converge"
+        if len(check.coeffs):
+            raise ConsistencyFailure("Newton inversion failed to converge")
         x = TruncatedLaurentSeries(ring, x.v - v, x.coeffs, x.prec - v, normalize=False)
         return x.truncate(out_prec)
 
@@ -377,10 +384,15 @@ class TruncatedLaurentSeries:
             return True
         if hi == INF:
             hi = max(self.end, other.end)
-        for e in range(lo, hi):
-            if self.coeff(e) != other.coeff(e):
-                return False
-        return True
+        if hi <= lo:
+            return True
+        # every known coefficient outside a stored window is zero
+        diff = np.zeros((hi - lo, self.ring.f), dtype=np.int64)
+        for s, sign in ((self, 1), (other, -1)):
+            a, b = max(s.v, lo), min(s.end, hi)
+            if a < b:
+                diff[a - lo : b - lo] += sign * s.coeffs[a - s.v : b - s.v]
+        return not (diff % self.ring.modulus).any()
 
 
 def _int_conv(a, b):
@@ -400,9 +412,18 @@ def _int_conv(a, b):
 
 
 def _conv(ring, A, B):
-    """Exact convolution of coefficient windows over the ring."""
+    """Exact convolution of coefficient windows over the ring.
+
+    Every int64 sum below adds at most min(len) products of reduced
+    coordinates (the convolution), or f - 1 of them and one coordinate (the
+    reduction by the defining polynomial); each product is at most
+    (mod - 1)^2."""
     mod = ring.modulus
-    assert (mod - 1) ** 2 * min(len(A), len(B)) < 2**63
+    if (mod - 1) ** 2 * max(min(len(A), len(B)), ring.f - 1) + mod - 1 >= 2**63:
+        raise ValueError(
+            f"int64 convolution would overflow: modulus {mod}, "
+            f"windows {len(A)} x {len(B)}"
+        )
     if ring.f == 1:
         arr = _int_conv(A[:, 0], B[:, 0]) % mod
         return arr.reshape(-1, 1)
@@ -412,6 +433,42 @@ def _conv(ring, A, B):
         for j in range(ring.f):
             full[:, i + j] += _int_conv(A[:, i], B[:, j]) % mod
     return (full % mod) @ ring.reduction_rows % mod
+
+
+def _scale(ring, A, c):
+    """A window times the ring element with coordinates c."""
+    mod = ring.modulus
+    if ring.f == 1:
+        return (A * c[0]) % mod
+    full = np.zeros((len(A), 2 * ring.f - 1), dtype=np.int64)
+    for j, cj in enumerate(c):
+        if cj:
+            full[:, j : j + ring.f] += A * cj
+    return (full % mod) @ ring.reduction_rows % mod
+
+
+def _one(ring):
+    """The window of the constant 1."""
+    arr = np.zeros((1, ring.f), dtype=np.int64)
+    arr[0, 0] = 1
+    return arr
+
+
+def _mul_trunc(ring, A, B, n):
+    """Product of two windows that start at t^0, cut to its first n rows."""
+    return _conv(ring, A[:n], B[:n])[:n]
+
+
+def _pow_trunc(ring, A, k, n):
+    """A^k for a window A that starts at t^0, cut to n rows; k >= 0."""
+    out = None
+    while k:
+        if k & 1:
+            out = A[:n] if out is None else _mul_trunc(ring, out, A, n)
+        k >>= 1
+        if k:
+            A = _mul_trunc(ring, A, A, n)
+    return _one(ring) if out is None else out
 
 
 # ---------- module-level operations (the public contract) ----------
@@ -460,7 +517,10 @@ def compose(f, g):
     else:
         result = _compose_horner(f, g, cap)
     if len(f.coeffs) and vf != 0 and f.leading_coeff().is_unit() and g.leading_coeff().is_unit():
-        assert result.valuation() == vf * vg
+        if result.valuation() != vf * vg:
+            raise ConsistencyFailure(
+                f"composite has valuation {result.valuation()}, expected {vf * vg}"
+            )
     return result
 
 
@@ -489,42 +549,48 @@ def _compose_fast(f, g, cap):
     if n0 <= 0:
         return TruncatedLaurentSeries.zero_to(ring, cap)
     # inside the recursion g's stored window is treated as exact; the
-    # honest precision cap was computed by the caller
-    g_exact = TruncatedLaurentSeries(ring, g.v, g.coeffs, INF, normalize=False)
-    gpow = [TruncatedLaurentSeries.monomial(ring, 0, 1)]
-    for _ in range(1, p):
-        gpow.append(_trunc_exact(gpow[-1] * g_exact, n0))
-
-    root_mat = ring.pth_root_matrix
+    # honest precision cap was computed by the caller.  Windows are raw
+    # (rows, f) arrays starting at t^0; series are built only on exit.
+    G = np.zeros((min(g.end, n0), ring.f), dtype=np.int64)
+    G[g.v :] = g.coeffs[: max(0, len(G) - g.v)]
+    gpow = [None, G]  # gpow[j] = g^j for 1 <= j < p
+    for _ in range(2, p):
+        gpow.append(_mul_trunc(ring, gpow[-1], G, n0))
+    root_mat, frob = ring.pth_root_matrix, ring.frobenius_matrix
 
     def rec(arr, n):
-        # arr: coefficient rows at exponents 0..len-1; returns
-        # sum_k arr[k] * g^k correct modulo t^n, exact-tagged
+        # arr: coefficient rows at exponents 0..len-1; returns the rows of
+        # sum_k arr[k] * g^k modulo t^n, or None when that is zero
         if n <= 0 or not arr.any():
-            return TruncatedLaurentSeries.zero(ring)
+            return None
         if len(arr) <= max(4, p):
-            acc = TruncatedLaurentSeries.zero(ring)
-            for row in arr[::-1]:
-                acc = _trunc_exact(acc * g_exact, n)
-                if row.any():
-                    acc = acc + TruncatedLaurentSeries.monomial(
-                        ring, 0, ring.from_coords(tuple(row))
-                    )
-            return acc
+            acc = arr[-1:]
+            for row in arr[-2::-1]:
+                acc = _mul_trunc(ring, acc, G, n)
+                acc[0] = (acc[0] + row) % p
+            return acc[:n]
         m = -(-n // p)
-        total = TruncatedLaurentSeries.zero(ring)
+        total = np.zeros((n, ring.f), dtype=np.int64)
         for j in range(p):
             piece = arr[j::p]
             if not piece.any():
                 continue
             rj = rec((piece @ root_mat) % p, m)
-            term = _trunc_exact(rj.pth_power(), n)
+            if rj is None:
+                continue
+            # the p-th power of rj: Frobenius on coefficients, exponents * p
+            term = np.zeros(((len(rj) - 1) * p + 1, ring.f), dtype=np.int64)
+            term[::p] = (rj @ frob) % p
             if j:
-                term = _trunc_exact(term * gpow[j], n)
-            total = total + term
-        return total
+                term = _mul_trunc(ring, term, gpow[j], n)
+            total[: len(term)] += term
+        return total % p
 
-    unit = _with_prec(rec(f.coeffs, n0), n0)
+    unit = np.zeros((n0, ring.f), dtype=np.int64)
+    rows = rec(f.coeffs, n0)
+    if rows is not None:
+        unit[: len(rows)] = rows
+    unit = TruncatedLaurentSeries(ring, 0, unit, n0)
     out = unit * (g**f.v) if f.v else unit
     return out.truncate(cap)
 
@@ -557,7 +623,12 @@ def residue(f):
 
 
 def nth_root(f, r, leading_root=None):
-    """r-th root with gcd(r, p) = 1, by Newton iteration from the leading root."""
+    """r-th root with gcd(r, p) = 1, by inverse-root Newton iteration.
+
+    With u = f / (c t^v) = 1 + O(t), w <- w + w (1 - u w^r) / r doubles the
+    correct window of w = u^(-1/r) each round using products only; then
+    u w^(r-1) = u^(1/r).  The result is certified by comparing its r-th
+    power with f."""
     ring = f.ring
     p = ring.p
     if math.gcd(r, p) != 1:
@@ -572,29 +643,28 @@ def nth_root(f, r, leading_root=None):
     c = f.leading_coeff()
     if leading_root is not None:
         c0 = leading_root
-        assert c0**r == c
+        if c0**r != c:
+            raise ConsistencyFailure(f"leading root {c0} is not an {r}-th root of {c}")
     else:
         c0 = _find_root(c, r)
         if c0 is None:
             raise ValueError(f"leading coefficient has no {r}-th root in {ring}")
     W = len(f.coeffs)
-    # normalize to 1 + eps and Newton-iterate z <- z - (z^r - u)/(r z^(r-1))
-    u = TruncatedLaurentSeries(ring, 0, f.coeffs, W, normalize=False).scalar_mul(
-        (c0**r).inv()
-    )
-    z = TruncatedLaurentSeries.monomial(ring, 0, 1, 1)
-    known = 1
-    rinv = ring.from_int(r).inv()
+    mod = ring.modulus
+    u = _scale(ring, f.coeffs, c.inv().coords)
+    w = _one(ring)
+    rinv = pow(r, -1, mod)
+    known = 1 if r > 1 else W  # the 1st root of u is u itself
     while known < W:
-        known = min(2 * known, W)
-        uk = u.truncate(known)
-        zx = z._as_exact()
-        err = (zx**r - uk).truncate(known)
-        corr = (err * (zx ** (r - 1)).inv(n_terms=known)).truncate(known).scalar_mul(rinv)
-        z = (zx - corr).truncate(known)
-    out = z.shift(v // r).scalar_mul(c0)
-    out = out.truncate(v // r + W)
-    assert (out**r).agrees_with(f)
+        old, known = known, min(2 * known, W)
+        # 1 - u w^r vanishes below t^old, so only its rows old..known-1 act
+        err = -_mul_trunc(ring, u, _pow_trunc(ring, w, r, known), known)[old:] % mod
+        step = _mul_trunc(ring, w, err, known - old)
+        w = np.vstack([w, step * rinv % mod])
+    z = _mul_trunc(ring, u, _pow_trunc(ring, w, r - 1, W), W)
+    out = TruncatedLaurentSeries(ring, v // r, _scale(ring, z, c0.coords), v // r + W)
+    if not (out**r).agrees_with(f):
+        raise ConsistencyFailure(f"{r}-th root does not reproduce the series")
     return out
 
 
@@ -641,7 +711,8 @@ def pth_power_decompose(f):
             if f.prec == INF
             else TruncatedLaurentSeries.zero_to(ring, -(-f.prec // p))
         )
-    assert (g.pth_power() + h).agrees_with(f)
+    if not (g.pth_power() + h).agrees_with(f):
+        raise ConsistencyFailure("g^p + h does not reconstruct f")
     return g, h
 
 

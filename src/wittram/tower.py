@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
+from functools import lru_cache
 
 from . import intpoly as ip
 from .coeff import finite_field, pth_root
@@ -64,8 +65,10 @@ class CoverDatum:
     """
 
     def __init__(self, p, n, ring, entries):
+        if n < 1:
+            raise ValueError(f"tower height n must be at least 1, got {n}")
         if len(entries) != n:
-            raise ValueError(f"expected {n} entries, got {len(entries)}")
+            raise ValueError(f"expected {n} generator entries, got {len(entries)}")
         self.p = p
         self.n = n
         self.ring = ring
@@ -86,8 +89,6 @@ class CoverDatum:
     def from_orders(cls, p, n, f, nu):
         """Shorthand datum u_i = s^(-nu_i) over the field with p^f elements."""
         ring = finite_field(p, f)
-        if len(nu) != n:
-            raise ValueError(f"expected {n} pole orders, got {len(nu)}")
         entries = [TruncatedLaurentSeries.monomial(ring, -v) for v in nu]
         return cls(p, n, ring, entries)
 
@@ -249,9 +250,6 @@ class TowerStage:
     @property
     def p(self):
         return self.datum.p
-
-    def uniformizer(self):
-        return TruncatedLaurentSeries.monomial(self.ring, 1)
 
     def check_relations(self):
         """Re-verify every solved level's defining relation in t_i terms."""
@@ -577,6 +575,7 @@ def analyze_tower(datum, factor=None, retries=3, mode=None):
     `retries` attempts in all; each attempt calls `build_tower` once.
     """
     fac = budget_factor(factor)
+    causes = []
     last_exc = None
     for _attempt in range(retries):
         try:
@@ -585,16 +584,18 @@ def analyze_tower(datum, factor=None, retries=3, mode=None):
             report = tower_invariants(tower, filtration)
             return tower, filtration, report
         except InsufficientPrecision as exc:
+            causes.append(f"factor {fac}: {exc}")
             last_exc = exc
             fac *= 2
     raise InsufficientPrecision(
-        f"tower analysis failed after {retries} attempts: {last_exc}"
-    )
+        f"tower analysis failed after {retries} attempts: " + "; ".join(causes)
+    ) from last_exc
 
 
 # ---------- Galois conjugates ----------
 
 
+@lru_cache(maxsize=None)
 def group_element_coordinates(p, n, g):
     """Coordinates over F_p of the residue class g in the length-n vectors."""
     fp = finite_field(p, 1)

@@ -503,15 +503,6 @@ class ChowClass:
     def is_zero(self):
         return not self.coeffs
 
-    def graded_parts(self):
-        """Split by codimension (monomial length)."""
-        parts = {}
-        for m, c in self.coeffs.items():
-            parts.setdefault(len(m), {})[m] = c
-        return {
-            k: ChowClass(self.p, self.n, v) for k, v in sorted(parts.items())
-        }
-
     def __repr__(self):
         if not self.coeffs:
             return "0"

@@ -238,10 +238,6 @@ def witt_neg(a, table):
     return _eval_components(table.I, vals, a.n, a.entries[0])
 
 
-def witt_sub(a, b, table):
-    return witt_add(a, witt_neg(b, table), table)
-
-
 def witt_smul(k, a, table):
     """Integer multiple of a Witt vector by double-and-add."""
     if k < 0:

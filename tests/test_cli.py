@@ -1,6 +1,9 @@
 """Command-line surface: parsing, subcommand reports, exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +15,8 @@ from wittram.cli import (
     parse_datum,
     run,
 )
+
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 
 def _run(capsys, *argv):
@@ -50,6 +55,38 @@ def test_budget_factor_must_be_positive(capsys):
     assert code == 2
     assert "error [value-error]" in err
     assert "positive" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--p", "2", "--n", "0", "--nu", ""],
+        ["--p", "2", "--n", "-1", "--nu", "1"],
+        ["--p", "2", "--n", "1", "--nu", ""],
+        ["--p", "3", "--n", "2", "--nu", "3,1"],
+        ["--p", "2", "--n", "1", "--nu", "0"],
+        ["--p", "11", "--n", "1", "--nu", "1"],
+    ],
+    ids=["n=0", "n=-1", "empty-nu", "p-divisible-nu", "nu=0", "prime-11"],
+)
+def test_tower_malformed_datum_is_usage_error(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "wittram.cli", "tower", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error [value-error]: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_error_code_keeps_acronyms_whole(capsys):
+    code, _out, err = _run(
+        capsys, "local-symbol", "--p", "3", "--n", "1", "--nu", "2", "--alpha", "[[0,1],"
+    )
+    assert code == 2
+    assert err.startswith("error [json-decode-error]: ")
 
 
 def test_conductor_json_report(capsys):

@@ -1,14 +1,21 @@
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
+import numpy as np
 import pytest
 
+from wittram import series as series_mod
 from wittram.coeff import finite_field, lift_ring
-from wittram.errors import InsufficientPrecision
+from wittram.errors import ConsistencyFailure, InsufficientPrecision
 from wittram.series import (
     INF,
     TruncatedLaurentSeries as TLS,
     _compose_horner,
+    _conv,
     compose,
     derivative,
     ls_arith,
@@ -23,6 +30,8 @@ F3 = finite_field(3)
 F4 = finite_field(2, 2)
 F7 = finite_field(7)
 F9 = finite_field(3, 2)
+F25 = finite_field(5, 2)
+F49 = finite_field(7, 2)
 
 
 def ser(ring, terms, prec=INF):
@@ -246,3 +255,199 @@ def test_pth_power_fast_path():
                 slow = slow * f
             assert f.pth_power().agrees_with(slow)
             assert (f**F.p).agrees_with(slow)
+
+
+def test_agrees_with_detects_one_coefficient():
+    # at the last exponent below the shorter prec
+    a = ser(F3, [(0, 1), (4, 2)], prec=10)
+    for e, want in ((9, False), (10, True), (11, True)):
+        b = ser(F3, [(0, 1), (4, 2), (e, 1)], prec=12)
+        assert a.agrees_with(b) is want and b.agrees_with(a) is want
+    # inside one operand's prec but below its stored window, where the
+    # coefficients are known zeros
+    a = ser(F9, [(3, F9.gen())], prec=8)
+    assert a.v == 3
+    b = ser(F9, [(1, 1), (3, F9.gen())], prec=8)
+    assert not a.agrees_with(b) and not b.agrees_with(a)
+    assert a.agrees_with(ser(F9, [(3, F9.gen())], prec=6))
+    # an exact series is known to vanish past its last term
+    exact = ser(F2, [(0, 1), (1, 1)])
+    assert exact.agrees_with(ser(F2, [(0, 1), (1, 1)], prec=6))
+    finite = ser(F2, [(0, 1), (1, 1), (5, 1)], prec=6)
+    assert not exact.agrees_with(finite) and not finite.agrees_with(exact)
+    # differences are read modulo the ring modulus
+    Z8 = lift_ring(2, 3)
+    assert not ser(Z8, [(0, 1)], prec=4).agrees_with(ser(Z8, [(0, 5)], prec=4))
+
+
+def _agrees_by_loop(a, b):
+    """Reference: compare coefficient by coefficient over the known overlap."""
+    lo = min(a.val_lower_bound(), b.val_lower_bound())
+    hi = min(a.prec, b.prec)
+    if lo == INF:
+        return True
+    if hi == INF:
+        hi = max(a.end, b.end)
+    return all(a.coeff(e) == b.coeff(e) for e in range(lo, hi))
+
+
+def test_agrees_with_matches_coefficient_loop():
+    rng = random.Random(59)
+    for R in (F2, F9, lift_ring(3, 2)):
+        for _ in range(60):
+            a = random_series(R, rng.randrange(-3, 3), rng.randrange(1, 12), rng)
+            b = a.truncate(a.prec - rng.randrange(0, 4))
+            if rng.random() < 0.3:  # the same window read as exact
+                b = TLS(R, b.v, b.coeffs, INF)
+            if rng.random() < 0.7:  # one coefficient moved, maybe past the overlap
+                e = rng.randrange(-5, b.prec if b.prec != INF else a.prec + 2)
+                b = b + TLS.monomial(R, e, R.random_unit(rng), b.prec)
+            assert a.agrees_with(b) == _agrees_by_loop(a, b)
+            assert b.agrees_with(a) == _agrees_by_loop(b, a)
+
+
+@pytest.mark.parametrize("R", [F2, F9, lift_ring(2, 5, 2)], ids=repr)
+def test_negative_power_is_inverse_of_power(R):
+    rng = random.Random(37)
+    for _ in range(4):
+        s = random_series(R, rng.randrange(-3, 4), 14, rng)
+        for k in range(1, 7):
+            fast, slow = s ** (-k), (s**k).inv()
+            assert (fast.v, fast.prec) == (slow.v, slow.prec)
+            assert np.array_equal(fast.coeffs, slow.coeffs)
+    mono = TLS.monomial(R, 2, R.one())
+    assert (mono ** (-3)).terms() == (mono**3).inv().terms()
+    assert (mono ** (-3)).prec == INF
+
+
+def test_inv_is_computed_once():
+    s = random_series(F9, -2, 12, random.Random(41))
+    first = s.inv()
+    assert s.inv() is first
+    assert s.inv(n_terms=5) is not first
+    assert s.inv() is first
+
+
+@pytest.mark.parametrize("F", [F4, F25, F49], ids=repr)
+def test_nth_root_orders_prime_to_p(F):
+    rng = random.Random(43)
+    for r in (2, 3, 4, 6):
+        if math.gcd(r, F.p) != 1:
+            continue
+        for _ in range(3):
+            g = random_series(F, rng.randrange(-2, 3), rng.randrange(1, 30), rng)
+            f = g**r
+            root = nth_root(f, r)
+            assert (root**r).agrees_with(f)
+            assert root.valuation() == g.valuation()
+            assert root.prec == f.v // r + len(f.coeffs) == g.prec
+            # the root is g up to an r-th root of unity
+            zeta = root.leading_coeff() / g.leading_coeff()
+            assert zeta**r == F.one()
+            assert root.agrees_with(g.scalar_mul(zeta))
+            forced = nth_root(f, r, leading_root=g.leading_coeff())
+            assert forced.agrees_with(g)
+
+
+def test_broken_certificates_raise(monkeypatch):
+    f = random_series(F7, 1, 20, random.Random(47)) ** 3
+    wrong = next(x for x in map(F7.from_int, range(1, 7)) if x**3 != f.leading_coeff())
+    with pytest.raises(ConsistencyFailure):
+        nth_root(f, 3, leading_root=wrong)
+    with monkeypatch.context() as m:
+        m.setattr(series_mod, "_pow_trunc", lambda ring, A, k, n: series_mod._one(ring))
+        with pytest.raises(ConsistencyFailure):
+            nth_root(f, 3)
+
+    with monkeypatch.context() as m:
+        with_prec = series_mod._with_prec
+        m.setattr(
+            series_mod,
+            "_with_prec",
+            lambda s, n: with_prec(s, n) + TLS.monomial(s.ring, n - 1, 1, n),
+        )
+        with pytest.raises(ConsistencyFailure):
+            random_series(F9, 0, 10, random.Random(53)).inv()
+
+    horner = series_mod._compose_horner
+    with monkeypatch.context() as m:
+        m.setattr(series_mod, "_compose_horner", lambda f, g, cap: horner(f, g, cap).shift(1))
+        with pytest.raises(ConsistencyFailure):
+            compose(TLS.monomial(F2, -3), ser(F2, [(1, 1), (2, 1)], prec=10))
+
+    pth_power = TLS.pth_power
+    with monkeypatch.context() as m:
+        m.setattr(TLS, "pth_power", lambda self: pth_power(self).shift(self.ring.p))
+        with pytest.raises(ConsistencyFailure):
+            pth_power_decompose(ser(F3, [(0, 1), (2, 1), (3, 1)], prec=12))
+
+
+@pytest.mark.parametrize("p, m, f, edge", [(3, 19, 1, 6), (3, 19, 2, 6), (2, 31, 1, 2)])
+def test_conv_int64_guard_edge(p, m, f, edge):
+    # (mod - 1)^2 * edge < 2^63 <= (mod - 1)^2 * (edge + 1): the edge is
+    # exact with every coordinate at its maximum, one row more is refused
+    R = lift_ring(p, m, f)
+    top = R.modulus - 1
+    assert top**2 * edge + top < 2**63 <= top**2 * (edge + 1)
+    A = np.full((edge, f), top, dtype=np.int64)
+    B = np.full((edge + 3, f), top, dtype=np.int64)
+    got = _conv(R, A, B)
+    x = [R.from_coords([top] * f)] * edge
+    y = [R.from_coords([top] * f)] * (edge + 3)
+    for k in range(2 * edge + 2):
+        want = R.zero()
+        for i in range(max(0, k - edge - 2), min(k, edge - 1) + 1):
+            want = want + x[i] * y[k - i]
+        assert tuple(int(c) for c in got[k]) == want.coords
+    with pytest.raises(ValueError, match="overflow"):
+        _conv(R, np.vstack([A, A[:1]]), B)
+
+
+def test_conv_int64_guard_counts_reduction():
+    # over GR(2^31, 4) a product of single rows convolves within int64, but
+    # reducing it by the quartic adds three products of up to (2^31 - 1)^2
+    R = lift_ring(2, 31, 4)
+    top = R.modulus - 1
+    assert top**2 < 2**63 <= 3 * top**2
+    one_row = np.full((1, 4), top, dtype=np.int64)
+    with pytest.raises(ValueError, match="overflow"):
+        _conv(R, one_row, one_row)
+    _conv(lift_ring(2, 31, 2), one_row[:, :2], one_row[:, :2])
+
+
+def test_certificates_survive_optimized_python():
+    # python -O strips assert statements; the certificates must still run
+    script = textwrap.dedent(
+        """
+        import sys
+        if __debug__:
+            sys.exit("not running under -O")
+        from wittram import series
+        from wittram.coeff import finite_field
+        from wittram.errors import ConsistencyFailure
+        from wittram.series import TruncatedLaurentSeries as TLS, nth_root
+        from wittram.tower import CoverDatum, analyze_tower
+
+        _tw, filt, rep = analyze_tower(CoverDatum.from_orders(3, 2, 1, (2, 1)))
+        print(rep["e"], rep["different"], rep["conductor"], filt.breaks)
+        F = finite_field(5, 2)
+        f = TLS.from_terms(F, [(2, 1), (3, 2), (5, 3)], prec=30)
+        print((nth_root(f, 2) ** 2).agrees_with(f))
+        series._pow_trunc = lambda ring, A, k, n: series._one(ring)
+        try:
+            nth_root(f, 2)
+        except ConsistencyFailure:
+            print("broken root refused")
+        """
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:3] == [
+        "(2, 14) 48 7 (2, 14)",
+        "True",
+        "broken root refused",
+    ]

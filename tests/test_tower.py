@@ -380,8 +380,24 @@ def test_solver_budget_failure_recovers(monkeypatch):
 
 def test_retry_budget_exhausted(monkeypatch):
     monkeypatch.setattr(tower_mod, "_stage_budgets", lambda datum, factor: [3] * datum.n)
-    with pytest.raises(InsufficientPrecision, match="after 2 attempts"):
+    with pytest.raises(InsufficientPrecision, match="after 2 attempts") as info:
         analyze_tower(CoverDatum.from_orders(2, 2, 1, (3, 1)), retries=2)
+    # every attempt's factor and cause is kept, the last one as __cause__
+    message = str(info.value)
+    first = message.index(f"factor {DEFAULT_BUDGET_FACTOR}: ")
+    second = message.index(f"factor {2 * DEFAULT_BUDGET_FACTOR}: ")
+    assert first < second
+    cause = info.value.__cause__
+    assert isinstance(cause, InsufficientPrecision)
+    assert message.endswith(f"factor {2 * DEFAULT_BUDGET_FACTOR}: {cause}")
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_datum_rejects_nonpositive_height(n):
+    with pytest.raises(ValueError, match="at least 1"):
+        CoverDatum.from_orders(2, n, 1, ())
+    with pytest.raises(ValueError, match="at least 1"):
+        CoverDatum(2, n, F2, [])
 
 
 @pytest.mark.parametrize("nu", [(3, 1), (6, 9)])
