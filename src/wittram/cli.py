@@ -46,17 +46,6 @@ from .wbar import (
 from .witt import WittVector, build_table, witt_add, witt_mul, witt_neg
 
 
-class JobSpec:
-    """One parsed invocation: subcommand, parameters, budget, format."""
-
-    def __init__(self, command, params, budget=None, fmt="human", seed=0):
-        self.command = command
-        self.params = params
-        self.budget = budget
-        self.fmt = fmt
-        self.seed = seed
-
-
 def _error_code(exc):
     """Kebab-case exception name; an acronym stays one word (json-decode-error)."""
     boundary = r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])"
@@ -450,7 +439,7 @@ def build_parser():
         type=int,
         default=None,
         help="positive multiplier on the slack of the series window plan "
-        "(default: WITTRAM_BUDGET_FACTOR or 4)",
+        "(default 4)",
     )
     parser = argparse.ArgumentParser(
         prog="wittram",
@@ -516,30 +505,17 @@ COMMANDS = {
 }
 
 
-def run(job):
-    """Execute a parsed job; returns (report, ok)."""
-    return COMMANDS[job.command](job.params)
-
-
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    job = JobSpec(
-        args.command,
-        args,
-        budget=args.budget_factor,
-        fmt="json" if args.json else "human",
-        seed=args.seed,
-    )
+    args = build_parser().parse_args(argv)
     try:
-        report, ok = run(job)
+        report, ok = COMMANDS[args.command](args)
     except WittramError as exc:
         print(f"error [{_error_code(exc)}]: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error [{_error_code(exc)}]: {exc}", file=sys.stderr)
         return 2
-    _emit(report, job.fmt)
+    _emit(report, "json" if args.json else "human")
     return 0 if ok else 1
 
 

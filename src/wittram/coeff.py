@@ -12,6 +12,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import ConsistencyFailure
+
 SUPPORTED_PRIMES = (2, 3, 5, 7)
 
 # (p, f) -> monic defining polynomial, coefficients low to high.
@@ -133,7 +135,8 @@ class CoeffRing:
             two_minus = (two_minus[0] + 2,) + two_minus[1:]
             x = self.cmul(x, tuple(c % self.modulus for c in two_minus))
             known *= 2
-        assert self.cmul(a, x) == (1,) + (0,) * (self.f - 1)
+        if self.cmul(a, x) != (1,) + (0,) * (self.f - 1):
+            raise ConsistencyFailure(f"Hensel lift {x} does not invert {a} in {self}")
         return x
 
     def _cpow(self, a, e):
@@ -331,7 +334,8 @@ def pth_root(a):
     ring = a.ring
     assert ring.is_field
     root = a ** (ring.p ** (ring.f - 1))
-    assert root**ring.p == a
+    if root**ring.p != a:
+        raise ConsistencyFailure(f"{root} is not a p-th root of {a}")
     return root
 
 

@@ -244,7 +244,8 @@ def p_eval_batch_mod(a, vals, mod):
     Intermediate products are reduced mod `mod` at every step, so int64
     never overflows as long as mod**2 < 2**63.
     """
-    assert mod * mod < 2**63
+    if mod * mod >= 2**63:
+        raise ValueError(f"int64 evaluation would overflow: modulus {mod}")
     vals = np.asarray(vals, dtype=np.int64) % mod
     nv, B = vals.shape
     caches = [dict() for _ in range(nv)]

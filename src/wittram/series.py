@@ -23,8 +23,6 @@ from .errors import ConsistencyFailure, InsufficientPrecision
 
 INF = math.inf
 
-_COMPOSE_FAST_MIN = 24
-
 
 class TruncatedLaurentSeries:
     """A series never changes after construction (nothing writes to its
@@ -298,17 +296,16 @@ class TruncatedLaurentSeries:
         return result
 
     def inv(self, n_terms=None):
-        """Multiplicative inverse by window-doubling Newton iteration.
+        """Multiplicative inverse to n_terms rows (default: the stored width).
 
-        Without n_terms the inverse is computed once and cached."""
+        The lead-normalised window runs through `_inv_root` with r = 1, and
+        the residual of self * inverse = 1 on the returned rows certifies it.
+        A finite window determines only its own width of the inverse; an
+        exact one is zero past its stored rows, so it is padded with zero
+        rows up to n_terms.  Without n_terms the inverse is computed once
+        and cached."""
         if n_terms is None and self._inv is not None:
             return self._inv
-        x = self._inverse(n_terms)
-        if n_terms is None:
-            self._inv = x
-        return x
-
-    def _inverse(self, n_terms):
         ring = self.ring
         if self.is_exact_zero():
             raise ZeroDivisionError("division by exact zero")
@@ -317,31 +314,27 @@ class TruncatedLaurentSeries:
         lead = self.leading_coeff()
         if not lead.is_unit():
             raise ZeroDivisionError("leading coefficient is not a unit")
-        W = len(self.coeffs)
-        n = n_terms if n_terms is not None else W
-        v = self.v
-        out_prec = self.prec - 2 * v if self.prec != INF else -v + n
+        W, v = len(self.coeffs), self.v
+        n = W if n_terms is None else n_terms
+        if self.prec != INF:
+            n = min(n, W)
         if W == 1 and self.prec == INF:
-            return TruncatedLaurentSeries.monomial(ring, -v, lead.inv(), INF)
-        # invert the unit part u = self * t^(-v), then shift; the iterates
-        # are exact-tagged because Newton doubles the correct window each
-        # round faster than interval tracking can see, and the residual
-        # check below certifies the claimed window
-        u = TruncatedLaurentSeries(ring, 0, self.coeffs, INF, normalize=False)
-        x = TruncatedLaurentSeries.monomial(ring, 0, lead.inv())
-        two = TruncatedLaurentSeries.monomial(ring, 0, 2)
-        known = 1
-        while known < n:
-            known = min(2 * known, n)
-            uk = _trunc_exact(u, known)
-            e = _trunc_exact(uk * x, known)
-            x = _trunc_exact(x * (two - e), known)
-        x = _with_prec(x, n)
-        check = u * x - TruncatedLaurentSeries.monomial(ring, 0, 1)
-        if len(check.coeffs):
-            raise ConsistencyFailure("Newton inversion failed to converge")
-        x = TruncatedLaurentSeries(ring, x.v - v, x.coeffs, x.prec - v, normalize=False)
-        return x.truncate(out_prec)
+            x = TruncatedLaurentSeries.monomial(ring, -v, lead.inv(), INF)
+        elif n < 1:
+            x = TruncatedLaurentSeries.zero_to(ring, n - v)
+        else:
+            c = lead.inv().coords
+            u = np.zeros((n, ring.f), dtype=np.int64)
+            u[: min(n, W)] = _scale(ring, self.coeffs[:n], c)
+            w = _scale(ring, _inv_root(ring, u, 1, n), c)
+            residual = _mul_trunc(ring, self.coeffs, w, n)
+            residual[0, 0] -= 1
+            if (residual % ring.modulus).any():
+                raise ConsistencyFailure("Newton inversion failed to converge")
+            x = TruncatedLaurentSeries(ring, -v, w, n - v, normalize=False)
+        if n_terms is None:
+            self._inv = x
+        return x
 
     def __truediv__(self, other):
         if isinstance(other, int):
@@ -471,6 +464,25 @@ def _pow_trunc(ring, A, k, n):
     return _one(ring) if out is None else out
 
 
+def _inv_root(ring, U, r, n):
+    """Rows 0..n-1 of U^(-1/r) for a window U = 1 + O(t) of at least n rows,
+    with r a unit of the ring.
+
+    w <- w + w (1 - U w^r) / r doubles the correct window of w each round
+    using products only (Brent-Kung 1978)."""
+    mod = ring.modulus
+    rinv = pow(r, -1, mod)
+    w = _one(ring)
+    known = 1
+    while known < n:
+        old, known = known, min(2 * known, n)
+        # 1 - U w^r vanishes below t^old, so only its rows old..known-1 act
+        err = -_mul_trunc(ring, U, _pow_trunc(ring, w, r, known), known)[old:] % mod
+        step = _mul_trunc(ring, w, err, known - old)
+        w = np.vstack([w, step * rinv % mod])
+    return w
+
+
 # ---------- module-level operations (the public contract) ----------
 
 
@@ -508,14 +520,7 @@ def compose(f, g):
         cap = min(cap, g.prec + (vf - 1) * vg)
     if vf < 0 and g.prec == INF and len(g.coeffs) > 1:
         raise ValueError("composing a pole into an exact series: truncate g first")
-    if (
-        cap != INF
-        and ring.is_field
-        and len(f.coeffs) >= _COMPOSE_FAST_MIN
-    ):
-        result = _compose_fast(f, g, cap)
-    else:
-        result = _compose_horner(f, g, cap)
+    result = _compose_fast(f, g, cap)
     if len(f.coeffs) and vf != 0 and f.leading_coeff().is_unit() and g.leading_coeff().is_unit():
         if result.valuation() != vf * vg:
             raise ConsistencyFailure(
@@ -524,28 +529,23 @@ def compose(f, g):
     return result
 
 
-def _compose_horner(f, g, cap):
-    ring = f.ring
-    acc = TruncatedLaurentSeries.zero(ring)
-    for row in f.coeffs[::-1]:
-        acc = acc * g + TruncatedLaurentSeries.monomial(ring, 0, ring.from_coords(tuple(row)))
-    if f.v:
-        acc = acc * (g**f.v)
-    return acc.truncate(cap)
-
-
 def _compose_fast(f, g, cap):
-    """Divide-and-conquer composition over F_q using x -> x^p linearity.
+    """The composite f(g) cut at cap, built on raw windows.
 
-    Writing F = sum_j t^j F_j(t^p) and taking p-th roots of the F_j
-    coefficients turns one composition at window N into p compositions at
-    window ~N/p followed by free p-th powers, so the total cost stays at a
-    small constant times one full-window multiplication.
+    Over F_q a long f is split by x -> x^p linearity: writing
+    F = sum_j t^j F_j(t^p) and taking p-th roots of the F_j coefficients
+    turns one composition at window N into p compositions at window ~N/p
+    followed by free p-th powers, so the total cost stays at a small
+    constant times one full-window multiplication.  Short pieces, and every
+    f over a Galois ring, run Horner's rule on rows.
     """
     ring = f.ring
-    p = ring.p
+    p, mod = ring.p, ring.modulus
     vg = g.valuation()
-    n0 = cap - f.v * vg  # window needed for the unit-part composition
+    if cap == INF:  # f and g exact: the unit part is a polynomial in t
+        n0 = (len(f.coeffs) - 1) * (g.end - 1) + 1
+    else:
+        n0 = cap - f.v * vg  # window needed for the unit-part composition
     if n0 <= 0:
         return TruncatedLaurentSeries.zero_to(ring, cap)
     # inside the recursion g's stored window is treated as exact; the
@@ -553,21 +553,21 @@ def _compose_fast(f, g, cap):
     # (rows, f) arrays starting at t^0; series are built only on exit.
     G = np.zeros((min(g.end, n0), ring.f), dtype=np.int64)
     G[g.v :] = g.coeffs[: max(0, len(G) - g.v)]
-    gpow = [None, G]  # gpow[j] = g^j for 1 <= j < p
-    for _ in range(2, p):
-        gpow.append(_mul_trunc(ring, gpow[-1], G, n0))
-    root_mat, frob = ring.pth_root_matrix, ring.frobenius_matrix
+    gpow = [None, G]  # gpow[j] = g^j for 1 <= j < p, read once f is split
+    if ring.is_field and len(f.coeffs) > max(4, p):
+        for _ in range(2, p):
+            gpow.append(_mul_trunc(ring, gpow[-1], G, n0))
 
     def rec(arr, n):
         # arr: coefficient rows at exponents 0..len-1; returns the rows of
         # sum_k arr[k] * g^k modulo t^n, or None when that is zero
         if n <= 0 or not arr.any():
             return None
-        if len(arr) <= max(4, p):
+        if not ring.is_field or len(arr) <= max(4, p):
             acc = arr[-1:]
             for row in arr[-2::-1]:
                 acc = _mul_trunc(ring, acc, G, n)
-                acc[0] = (acc[0] + row) % p
+                acc[0] = (acc[0] + row) % mod
             return acc[:n]
         m = -(-n // p)
         total = np.zeros((n, ring.f), dtype=np.int64)
@@ -575,12 +575,12 @@ def _compose_fast(f, g, cap):
             piece = arr[j::p]
             if not piece.any():
                 continue
-            rj = rec((piece @ root_mat) % p, m)
+            rj = rec((piece @ ring.pth_root_matrix) % p, m)
             if rj is None:
                 continue
             # the p-th power of rj: Frobenius on coefficients, exponents * p
             term = np.zeros(((len(rj) - 1) * p + 1, ring.f), dtype=np.int64)
-            term[::p] = (rj @ frob) % p
+            term[::p] = (rj @ ring.frobenius_matrix) % p
             if j:
                 term = _mul_trunc(ring, term, gpow[j], n)
             total[: len(term)] += term
@@ -590,28 +590,9 @@ def _compose_fast(f, g, cap):
     rows = rec(f.coeffs, n0)
     if rows is not None:
         unit[: len(rows)] = rows
-    unit = TruncatedLaurentSeries(ring, 0, unit, n0)
+    unit = TruncatedLaurentSeries(ring, 0, unit, INF if cap == INF else n0)
     out = unit * (g**f.v) if f.v else unit
     return out.truncate(cap)
-
-
-def _trunc_exact(s, n):
-    """Truncate an exact-tagged intermediate, keeping the exact tag."""
-    if s.end <= n:
-        return s
-    arr = s.coeffs[: max(0, n - s.v)]
-    return TruncatedLaurentSeries(s.ring, s.v, arr, INF)
-
-
-def _with_prec(s, n):
-    """Convert an exact-tagged window into an honest O(t^n) series."""
-    if not len(s.coeffs) or s.v >= n:
-        return TruncatedLaurentSeries.zero_to(s.ring, n)
-    arr = s.coeffs[: n - s.v]
-    if len(arr) < n - s.v:
-        pad = np.zeros((n - s.v - len(arr), s.ring.f), dtype=np.int64)
-        arr = np.vstack([arr, pad])
-    return TruncatedLaurentSeries(s.ring, s.v, arr, n, normalize=False)
 
 
 def derivative(f):
@@ -650,18 +631,11 @@ def nth_root(f, r, leading_root=None):
         if c0 is None:
             raise ValueError(f"leading coefficient has no {r}-th root in {ring}")
     W = len(f.coeffs)
-    mod = ring.modulus
     u = _scale(ring, f.coeffs, c.inv().coords)
-    w = _one(ring)
-    rinv = pow(r, -1, mod)
-    known = 1 if r > 1 else W  # the 1st root of u is u itself
-    while known < W:
-        old, known = known, min(2 * known, W)
-        # 1 - u w^r vanishes below t^old, so only its rows old..known-1 act
-        err = -_mul_trunc(ring, u, _pow_trunc(ring, w, r, known), known)[old:] % mod
-        step = _mul_trunc(ring, w, err, known - old)
-        w = np.vstack([w, step * rinv % mod])
-    z = _mul_trunc(ring, u, _pow_trunc(ring, w, r - 1, W), W)
+    if r == 1:  # the 1st root of u is u itself
+        z = u
+    else:
+        z = _mul_trunc(ring, u, _pow_trunc(ring, _inv_root(ring, u, r, W), r - 1, W), W)
     out = TruncatedLaurentSeries(ring, v // r, _scale(ring, z, c0.coords), v // r + W)
     if not (out**r).agrees_with(f):
         raise ConsistencyFailure(f"{r}-th root does not reproduce the series")

@@ -16,7 +16,6 @@ cross-checked invariant families (m_i, e_i, mu_i).
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 from functools import lru_cache
 
@@ -39,18 +38,13 @@ from .witt import WittVector, asw_correction_poly, build_table, witt_smul, xvar,
 INF = math.inf
 
 DEFAULT_BUDGET_FACTOR = 4
-BUDGET_ENV = "WITTRAM_BUDGET_FACTOR"
 FULL_ORBIT_MAX = 27  # largest group order for which every conjugate is built
 
 
 def budget_factor(override=None):
-    """Slack multiplier of the window plan: argument, else environment,
-    else default.  Must be a positive integer."""
-    if override is not None:
-        fac = int(override)
-    else:
-        env = os.environ.get(BUDGET_ENV)
-        fac = int(env) if env else DEFAULT_BUDGET_FACTOR
+    """Slack multiplier of the window plan: the argument, else the default.
+    Must be a positive integer."""
+    fac = DEFAULT_BUDGET_FACTOR if override is None else int(override)
     if fac <= 0:
         raise ValueError(f"budget factor must be a positive integer, got {fac}")
     return fac
@@ -186,7 +180,11 @@ def _solve_stage(z_std, ring, window):
     res2 = Y**a * T**b - tau
     if len(res2.coeffs):
         raise ConsistencyFailure("stage relation Y^a T^b = tau fails on window")
-    assert T.valuation() == p and Y.valuation() == -e
+    if (T.valuation(), Y.valuation()) != (p, -e):
+        raise ConsistencyFailure(
+            f"stage solution has v(T) = {T.valuation()} and v(Y) = {Y.valuation()}, "
+            f"expected {p} and {-e}"
+        )
     return T, Y, a, b
 
 
@@ -207,15 +205,6 @@ def _eval_poly_on_series(poly, ring, vals):
     zero = TruncatedLaurentSeries.zero(ring)
     one = TruncatedLaurentSeries.monomial(ring, 0)
     return ip.p_eval(poly, vals, zero, one)
-
-
-def _compose_or_zero(f, g):
-    """f(g) that tolerates exact-zero and empty-window f."""
-    if f.is_exact_zero():
-        return f
-    if not len(f.coeffs):
-        return TruncatedLaurentSeries.zero_to(f.ring, int(f.prec) * g.valuation())
-    return compose(f, g)
 
 
 class TowerStage:
@@ -312,8 +301,7 @@ def extend_stage(stage, budget):
     new.t_embs.append(TruncatedLaurentSeries.monomial(ring, 1))
     new.y = [compose(yj, T) for yj in stage.y]
     new.ytilde = [compose(yj, T) for yj in stage.ytilde]
-    h_pulled = _compose_or_zero(h, T)
-    new.y.append(Y + h_pulled)
+    new.y.append(Y + compose(h, T))
     new.ytilde.append(Y)
     new.z_std = stage.z_std + [z_std]
     new.h_adj = stage.h_adj + [h]
@@ -645,7 +633,7 @@ def galois_conjugate(tower, g):
         poly = _delta_poly(p, j, gbar)
         vals = {xvar(l): stages[j].y[l] for l in range(j)}
         delta_j = _eval_poly_on_series(poly, tower.ring, vals)
-        delta_top = _compose_or_zero(delta_j, top.t_embs[j])
+        delta_top = compose(delta_j, top.t_embs[j])
         sig_y = top.y[j] + delta_top
         h = top.h_adj[j]
         sig_ytilde = sig_y - compose(h, sig_t) if len(h.coeffs) else sig_y

@@ -310,8 +310,10 @@ def witt_batch_op(table, op, A, B, mod):
 
 
 def ghost_batch(X, p, j, mod):
-    """j-th ghost component of (n, B) entry arrays, vectorized mod `mod`."""
-    assert mod * mod < 2**63
+    """j-th ghost component of (n, B) entry arrays, vectorized mod `mod`;
+    every product of two residues fits int64 while mod**2 < 2**63."""
+    if mod * mod >= 2**63:
+        raise ValueError(f"int64 ghost components would overflow: modulus {mod}")
     out = np.zeros(X.shape[1], dtype=np.int64)
     for i in range(j + 1):
         t = X[i] % mod

@@ -8,12 +8,10 @@ import sys
 import pytest
 
 from wittram.cli import (
-    JobSpec,
     build_parser,
     format_packed_poly,
     main,
     parse_datum,
-    run,
 )
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
@@ -224,15 +222,6 @@ def test_grid_summary(capsys):
     assert "all 12 cases: formula = brute force" in out
     header = out.splitlines()[0].split()
     assert header[:3] == ["p", "n", "nu"]
-
-
-def test_job_spec_dispatch(capsys):
-    parser = build_parser()
-    args = parser.parse_args(["conductor", "--p", "2", "--n", "2", "--nu", "3,1"])
-    job = JobSpec(args.command, args, fmt="human", seed=0)
-    report, ok = run(job)
-    assert ok
-    assert report["conductor_closed_form"] == 7
 
 
 def test_format_packed_poly_constant_and_signs():

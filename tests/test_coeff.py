@@ -4,6 +4,8 @@ import pytest
 
 from wittram.coeff import (
     DEFINING_POLYS,
+    FiniteField,
+    FiniteFieldElement,
     field_arith,
     finite_field,
     lift,
@@ -11,6 +13,7 @@ from wittram.coeff import (
     pth_root,
     reduce_mod_p,
 )
+from wittram.errors import ConsistencyFailure
 
 
 def test_char_two_addition():
@@ -171,3 +174,25 @@ def test_lift_ring_axioms_and_units():
         pe = R.from_int(p)
         assert pe**m == R.zero()
         assert pe ** (m - 1) != R.zero()
+
+
+def test_hensel_inverse_check_raises(monkeypatch):
+    R = lift_ring(3, 4)
+    assert R.cmul((2,), R.cinv((2,))) == (1,)
+    # a wrong inverse mod p cannot be lifted into an inverse mod 3^4
+    monkeypatch.setattr(FiniteField, "_cpow", lambda self, a, e: (1,))
+    with pytest.raises(ConsistencyFailure, match="Hensel"):
+        R.cinv((2,))
+
+
+def test_pth_root_check_raises(monkeypatch):
+    F8 = finite_field(2, 3)
+    g = F8.gen()
+    assert pth_root(g) ** 2 == g
+    # the root is g^(2^2); a power map that is off at that exponent only
+    power = FiniteFieldElement.__pow__
+    monkeypatch.setattr(
+        FiniteFieldElement, "__pow__", lambda self, e: power(self, e + (e == 4))
+    )
+    with pytest.raises(ConsistencyFailure, match="p-th root"):
+        pth_root(g)

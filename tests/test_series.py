@@ -14,7 +14,6 @@ from wittram.errors import ConsistencyFailure, InsufficientPrecision
 from wittram.series import (
     INF,
     TruncatedLaurentSeries as TLS,
-    _compose_horner,
     _conv,
     compose,
     derivative,
@@ -218,17 +217,37 @@ def test_inverse_roundtrip_randomized():
             assert all(c == R.zero() for e, c in prod.terms() if e != 0)
 
 
+def _compose_by_horner(f, g):
+    """Reference: f(g) by Horner's rule in series arithmetic, cut at the
+    precision `compose` promises, g.prec + (v(f) - 1) v(g) and f.prec v(g)."""
+    acc = TLS.zero(f.ring)
+    for row in f.coeffs[::-1]:
+        acc = acc * g + TLS.monomial(f.ring, 0, f.ring.from_coords(tuple(row)))
+    if f.v:
+        acc = acc * g**f.v
+    cap = f.prec * g.v if f.prec != INF else INF
+    if g.prec != INF:
+        cap = min(cap, g.prec + (f.v - 1) * g.v)
+    return acc.truncate(cap)
+
+
 def test_compose_fast_matches_horner():
     rng = random.Random(23)
-    for F in (F2, F3, F4, F7):
-        for _ in range(6):
-            f = random_series(F, rng.randrange(-3, 2), 40, rng)
-            g = random_series(F, rng.randrange(1, 3), 30, rng)
-            fast = compose(f, g)
-            slow = _compose_horner(f, g, fast.prec)
-            assert fast.valuation() == slow.valuation()
-            assert fast.agrees_with(slow)
-            assert fast.prec == slow.truncate(fast.prec).prec
+    for R in (F2, F3, F4, F7, lift_ring(3, 3), lift_ring(2, 4, 2)):
+        for k in range(16):
+            width = rng.choice([1, 3, 7, 23, 40])  # most below 24 rows
+            f = random_series(R, rng.randrange(-3, 2), width, rng)  # poles included
+            g = random_series(R, rng.randrange(1, 3), rng.choice([2, 5, 30]), rng)
+            if k % 4 == 1:  # exact f
+                f = TLS(R, f.v, f.coeffs, INF)
+            elif k % 4 == 2:  # exact f and g; a pole needs a monomial g
+                f = TLS(R, max(f.v, 0), f.coeffs, INF)
+                g = TLS(R, g.v, g.coeffs[:3], INF)
+            elif k % 4 == 3 and f.v >= 0:  # exact g
+                g = TLS(R, g.v, g.coeffs[:2], INF)
+            got, want = compose(f, g), _compose_by_horner(f, g)
+            assert (got.v, got.prec) == (want.v, want.prec)
+            assert np.array_equal(got.coeffs, want.coeffs)
 
 
 def test_precision_soundness_refinement():
@@ -320,6 +339,26 @@ def test_negative_power_is_inverse_of_power(R):
     assert (mono ** (-3)).prec == INF
 
 
+def test_inv_past_the_stored_width():
+    # an exact series is zero past its stored rows, so its inverse goes on;
+    # a finite one determines only its own width of the inverse
+    R = lift_ring(2, 5, 2)
+    rng = random.Random(61)
+    base = random_series(R, -2, 6, rng)
+    exact = TLS(R, base.v, base.coeffs, INF)
+    for k in (7, 13, 30):
+        got = exact.inv(n_terms=k)
+        padded = exact.truncate(exact.v + k)  # the same rows, zeros up to k
+        want = padded.inv()
+        assert len(padded.coeffs) == k
+        assert (got.v, got.prec) == (want.v, want.prec) == (2, k + 2)
+        assert np.array_equal(got.coeffs, want.coeffs)
+        assert (exact * got).agrees_with(TLS.monomial(R, 0, 1))
+        short = base.inv(n_terms=k)
+        assert (short.v, short.prec) == (2, 6 + 2)
+        assert np.array_equal(short.coeffs, base.inv().coeffs)
+
+
 def test_inv_is_computed_once():
     s = random_series(F9, -2, 12, random.Random(41))
     first = s.inv()
@@ -359,19 +398,23 @@ def test_broken_certificates_raise(monkeypatch):
         with pytest.raises(ConsistencyFailure):
             nth_root(f, 3)
 
+    kernel = series_mod._inv_root
+
+    def off_in_last_row(ring, U, r, n):
+        w = kernel(ring, U, r, n).copy()
+        w[-1, 0] = (w[-1, 0] + 1) % ring.modulus
+        return w
+
     with monkeypatch.context() as m:
-        with_prec = series_mod._with_prec
-        m.setattr(
-            series_mod,
-            "_with_prec",
-            lambda s, n: with_prec(s, n) + TLS.monomial(s.ring, n - 1, 1, n),
-        )
+        m.setattr(series_mod, "_inv_root", off_in_last_row)
         with pytest.raises(ConsistencyFailure):
             random_series(F9, 0, 10, random.Random(53)).inv()
+        with pytest.raises(ConsistencyFailure):
+            nth_root(f, 3)
 
-    horner = series_mod._compose_horner
+    composite = series_mod._compose_fast
     with monkeypatch.context() as m:
-        m.setattr(series_mod, "_compose_horner", lambda f, g, cap: horner(f, g, cap).shift(1))
+        m.setattr(series_mod, "_compose_fast", lambda f, g, cap: composite(f, g, cap).shift(1))
         with pytest.raises(ConsistencyFailure):
             compose(TLS.monomial(F2, -3), ser(F2, [(1, 1), (2, 1)], prec=10))
 
@@ -438,6 +481,11 @@ def test_certificates_survive_optimized_python():
             nth_root(f, 2)
         except ConsistencyFailure:
             print("broken root refused")
+        from wittram.intpoly import p_eval_batch_mod
+        try:
+            p_eval_batch_mod({0: 1}, [[1]], 3037000500)
+        except ValueError:
+            print("int64 guard refused")
         """
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -446,8 +494,9 @@ def test_certificates_survive_optimized_python():
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:3] == [
+    assert proc.stdout.split("\n")[:4] == [
         "(2, 14) 48 7 (2, 14)",
         "True",
         "broken root refused",
+        "int64 guard refused",
     ]

@@ -1,6 +1,7 @@
 """Tower construction: stage solving, conjugates, filtration, invariants."""
 
 import random
+import sys
 
 import pytest
 
@@ -425,16 +426,28 @@ def test_plan_reads_and_factor_monotone():
         assert all(b >= a for a, b in zip(plan, wider)) and wider[-1] > plan[-1]
 
 
-def test_budget_factor_rejects_nonpositive(monkeypatch):
+def test_budget_factor_rejects_nonpositive():
     for bad in (0, -3):
         with pytest.raises(ValueError, match="positive"):
             budget_factor(bad)
-    monkeypatch.setenv(tower_mod.BUDGET_ENV, "0")
-    with pytest.raises(ValueError, match="positive"):
-        budget_factor()
-    monkeypatch.setenv(tower_mod.BUDGET_ENV, "3")
-    assert budget_factor() == 3
     assert budget_factor(5) == 5
+
+
+def test_stage_valuation_check_raises(monkeypatch):
+    # the relations imply v(T) = p and v(Y) = -e; make the solver's own
+    # final reading of v(T) disagree and the stage must be refused
+    valuation = TLS.valuation
+
+    def misread_T(self):
+        caller = sys._getframe(1)
+        v = valuation(self)
+        if caller.f_code is tower_mod._solve_stage.__code__ and self is caller.f_locals.get("T"):
+            return v + 1
+        return v
+
+    monkeypatch.setattr(TLS, "valuation", misread_T)
+    with pytest.raises(ConsistencyFailure, match="stage solution"):
+        build_tower(CoverDatum.from_orders(2, 1, 1, [3]))
 
 
 def test_extend_past_end_rejected():

@@ -330,3 +330,21 @@ def test_table_errors():
         t.S[2]
     with pytest.raises(ValueError):
         witt_add(wvec(finite_field(2), 1, 0), wvec(finite_field(3), 1, 0), t)
+
+
+def test_int64_guards_at_their_edge():
+    # 3037000499^2 < 2^63 <= 3037000500^2: the edge modulus is exact with
+    # every residue at its maximum, one more is refused
+    edge = 3037000499
+    assert edge**2 < 2**63 <= (edge + 1) ** 2
+    top = np.full((2, 3), edge - 1, dtype=np.int64)
+    poly = {ip.mono(1, 1): 1, 0: edge - 1}  # x0 x1 + (edge - 1)
+    want = ((edge - 1) ** 2 + edge - 1) % edge
+    assert ip.p_eval_batch_mod(poly, top, edge).tolist() == [want] * 3
+    for p, j in ((2, 1), (3, 1)):
+        want = sum(p**i * (edge - 1) ** (p ** (j - i)) for i in range(j + 1)) % edge
+        assert ghost_batch(top, p, j, edge).tolist() == [want] * 3
+    with pytest.raises(ValueError, match="overflow"):
+        ip.p_eval_batch_mod(poly, top, edge + 1)
+    with pytest.raises(ValueError, match="overflow"):
+        ghost_batch(top, 2, 1, edge + 1)
