@@ -29,12 +29,7 @@ from .conductor import (
 from .errors import WittramError
 from .localsym import LocalSymbolInput, modulus_vanishing_test, residue_vector
 from .series import TruncatedLaurentSeries
-from .tower import (
-    CoverDatum,
-    analyze_tower,
-    conductor_exponent,
-    predicted_invariants,
-)
+from .tower import CoverDatum, analyze_tower, predicted_invariants
 from .wbar import (
     divisor_ledger,
     psi_on_sections,
@@ -43,7 +38,7 @@ from .wbar import (
     section_dim,
     ChowClass,
 )
-from .witt import WittVector, build_table, witt_add, witt_mul, witt_neg
+from .witt import WittVector, build_table, ghost_eval, witt_add, witt_mul, witt_neg
 
 
 def _error_code(exc):
@@ -54,6 +49,20 @@ def _error_code(exc):
 
 def _parse_int_list(text):
     return [int(x) for x in text.split(",") if x.strip()]
+
+
+def _parse_series(ring, literal):
+    """A series from a JSON literal [[exponent, coefficient], ...]; a
+    coefficient is an integer or a list of coordinates."""
+    try:
+        terms = [(int(e), c) for e, c in literal]
+        if not all(isinstance(c, (int, list)) for _e, c in terms):
+            raise TypeError
+        return TruncatedLaurentSeries.from_terms(ring, terms)
+    except TypeError as exc:
+        raise ValueError(
+            f"series literal {literal!r} is not a list of [exponent, coefficient] pairs"
+        ) from exc
 
 
 def parse_datum(source):
@@ -72,27 +81,12 @@ def parse_datum(source):
         raise ValueError(f"datum document lacks required key {missing}")
     f = int(doc.get("field", 1))
     if "nu" in doc:
-        nu = [int(v) for v in doc["nu"]]
-        for v in nu:
-            if v % p == 0:
-                raise ValueError(
-                    f"pole order {v} is divisible by p={p}; "
-                    "the wild-cover hypothesis needs orders prime to p"
-                )
-        return CoverDatum.from_orders(p, n, f, nu)
+        return CoverDatum.from_orders(p, n, f, [int(v) for v in doc["nu"]])
     if "u" in doc:
         ring = finite_field(p, f)
-        entries = []
-        for literal in doc["u"]:
-            terms = []
-            for pair in literal:
-                e, c = pair[0], pair[1]
-                coeff = (
-                    ring.from_coords(tuple(c)) if isinstance(c, list) else ring.from_int(c)
-                )
-                terms.append((int(e), coeff))
-            entries.append(TruncatedLaurentSeries.from_terms(ring, terms))
-        return CoverDatum(p, n, ring, entries)
+        if not isinstance(doc["u"], list):
+            raise ValueError("`u` must be a list of series literals")
+        return CoverDatum(p, n, ring, [_parse_series(ring, lit) for lit in doc["u"]])
     raise ValueError("datum document needs either `nu` or `u`")
 
 
@@ -221,7 +215,7 @@ def _cmd_tower(args):
         {"from": lo, "to": hi if hi is not None else "inf", "group_order": order}
         for (lo, hi, order) in filtration.segments()
     ]
-    report["conductor_brute_force"] = conductor_exponent(filtration)
+    report["conductor_brute_force"] = report["conductor_filtration"]
     closed = theorem_conductor(datum.p, datum.n, datum.nu)
     report["conductor_closed_form"] = closed["conductor"]
     ok = report["conductor_brute_force"] == closed["conductor"]
@@ -246,13 +240,7 @@ def _cmd_local_symbol(args):
     }
     ok = True
     if args.alpha:
-        terms = []
-        for e, c in json.loads(args.alpha):
-            coeff = (
-                field.from_coords(tuple(c)) if isinstance(c, list) else field.from_int(c)
-            )
-            terms.append((int(e), coeff))
-        alpha = TruncatedLaurentSeries.from_terms(field, terms)
+        alpha = _parse_series(field, json.loads(args.alpha))
         symbol = residue_vector(LocalSymbolInput(u, alpha))
         report["alpha"] = args.alpha
         report["symbol"] = [list(map(int, c.coords)) for c in symbol]
@@ -289,53 +277,33 @@ def _cmd_witt(args):
     # evaluate: vectors over Z/p^m, checked through the ghost map
     m = args.mod_digits
     ring = lift_ring(p, m)
-    x = WittVector(tuple(ring.from_int(v) for v in _parse_int_list(args.x)))
-    ops = {
-        "add": lambda: witt_add(x, _second(args, ring), table),
-        "mul": lambda: witt_mul(x, _second(args, ring), table),
-        "neg": lambda: witt_neg(x, table),
-    }
-    result = ops[args.action]()
-    report = {
-        "p": p,
-        "n": n,
-        "mod": p**m,
-        "op": args.action,
-        "x": _parse_int_list(args.x),
-        "result": [int(c.coords[0]) for c in result],
-    }
-    ok = _ghost_check(args, table, ring, x, result)
-    report["ghost_check"] = ok
-    if args.action in ("add", "mul"):
-        report["y"] = _parse_int_list(args.y)
-    return report, ok
+    report = {"p": p, "n": n, "mod": p**m, "op": args.action}
+    names = ["x"] if args.action == "neg" else ["x", "y"]
+    vecs = []
+    for name in names:
+        text = getattr(args, name)
+        if text is None:
+            raise ValueError(f"--{name} is required for {args.action}")
+        report[name] = _parse_int_list(text)
+        if len(report[name]) != n:
+            raise ValueError(f"--{name} needs {n} entries, got {len(report[name])}")
+        vecs.append(WittVector(ring.from_int(v) for v in report[name]))
+    op = {"add": witt_add, "mul": witt_mul, "neg": witt_neg}[args.action]
+    result = op(*vecs, table)
+    report["result"] = [int(c.coords[0]) for c in result]
+    report["ghost_check"] = _ghost_check(args.action, vecs, result)
+    return report, report["ghost_check"]
 
 
-def _second(args, ring):
-    if args.y is None:
-        raise ValueError(f"--y is required for {args.action}")
-    return WittVector(tuple(ring.from_int(v) for v in _parse_int_list(args.y)))
-
-
-def _ghost_of(table, vec, j):
-    p = table.p
-    total = vec.ring.zero()
-    for i in range(j + 1):
-        total = total + (p**i) * vec[i] ** (p ** (j - i))
-    return total
-
-
-def _ghost_check(args, table, ring, x, result):
+def _ghost_check(action, vecs, result):
     """Ghost components of the result must match the ghost-side operation."""
-    for j in range(table.n):
-        got = _ghost_of(table, result, j)
-        if args.action == "neg":
-            want = -_ghost_of(table, x, j)
+    for j in range(result.n):
+        g = [ghost_eval(v, j) for v in vecs]
+        if action == "neg":
+            want = -g[0]
         else:
-            y = _second(args, ring)
-            gx, gy = _ghost_of(table, x, j), _ghost_of(table, y, j)
-            want = gx + gy if args.action == "add" else gx * gy
-        if got != want:
+            want = g[0] + g[1] if action == "add" else g[0] * g[1]
+        if ghost_eval(result, j) != want:
             return False
     return True
 
@@ -382,10 +350,10 @@ def _cmd_grid(args):
         for n in ns:
             for nu in _nu_tuples(p, n, args.nu_max):
                 datum = CoverDatum.from_orders(p, n, 1, list(nu))
-                _tower, filtration, invariants = analyze_tower(
+                _tower, _filtration, invariants = analyze_tower(
                     datum, factor=args.budget_factor
                 )
-                brute = conductor_exponent(filtration)
+                brute = invariants["conductor_filtration"]
                 closed = theorem_conductor(p, n, nu)["conductor"]
                 oracle = section_degree_oracle(p, n, nu)["M"] + 1
                 match = brute == closed == oracle
@@ -422,7 +390,7 @@ def _nu_tuples(p, n, nu_max):
 # ---------- argument parsing and dispatch ----------
 
 
-def _add_common(sub, nu_required=True):
+def _add_common(sub):
     sub.add_argument("--p", type=int, help="prime")
     sub.add_argument("--n", type=int, help="vector length / tower height")
     sub.add_argument("--nu", type=str, default=None, help="pole orders, comma-separated")
@@ -433,8 +401,8 @@ def _add_common(sub, nu_required=True):
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="structured output")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized trials")
-    common.add_argument(
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument(
         "--budget-factor",
         type=int,
         default=None,
@@ -453,7 +421,7 @@ def build_parser():
     _add_common(sc)
 
     st = subs.add_parser(
-        "tower", parents=[common], help="build the tower and all invariants"
+        "tower", parents=[common, budget], help="build the tower and all invariants"
     )
     _add_common(st)
     st.add_argument("--deep", action="store_true", help="also run pole/sort checks")
@@ -465,6 +433,7 @@ def build_parser():
     sl.add_argument("--alpha", type=str, default=None, help="unit series as JSON [[e,c],...]")
     sl.add_argument("--probe", action="store_true", help="vanishing probe at the bound")
     sl.add_argument("--trials", type=int, default=25)
+    sl.add_argument("--seed", type=int, default=0, help="seed for the probe's trials")
 
     sw = subs.add_parser(
         "witt", parents=[common], help="polynomial tables and vector arithmetic"
@@ -486,7 +455,7 @@ def build_parser():
     sb.add_argument("--psi", action="store_true", help="print the level-n section map")
 
     sg = subs.add_parser(
-        "grid", parents=[common], help="batch cross-validation over parameter ranges"
+        "grid", parents=[common, budget], help="batch cross-validation over parameter ranges"
     )
     sg.add_argument("--p", type=str, required=True, help="primes, comma-separated")
     sg.add_argument("--n", type=str, required=True, help="heights, comma-separated")

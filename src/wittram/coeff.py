@@ -16,6 +16,11 @@ from .errors import ConsistencyFailure
 
 SUPPORTED_PRIMES = (2, 3, 5, 7)
 
+
+def is_prime(p):
+    return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+
+
 # (p, f) -> monic defining polynomial, coefficients low to high.
 DEFINING_POLYS = {
     (2, 1): (1, 1),
@@ -74,7 +79,8 @@ class CoeffRing:
 
     def from_coords(self, coords):
         coords = tuple(int(c) % self.modulus for c in coords)
-        assert len(coords) == self.f
+        if len(coords) != self.f:
+            raise ValueError(f"an element of {self} has {self.f} coordinates, got {len(coords)}")
         return self._wrap(coords)
 
     def from_int(self, n):

@@ -9,15 +9,16 @@ exact enumeration; no floating-point optimizer is ever consulted.
 
 from __future__ import annotations
 
-import itertools
-
 from . import intpoly as ip
+from .coeff import is_prime
 from .errors import ConsistencyFailure, InfeasibleProblem
 from .series import TruncatedLaurentSeries
 from .witt import build_table, xvar, yvar
 
 
 def _validate_orders(p, n, nu):
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
     if n < 1:
         raise ValueError("need n >= 1")
     if len(nu) != n:
@@ -54,26 +55,20 @@ def theorem_conductor(p, n, nu):
 
 
 def section_degree_oracle(p, n, nu):
-    """Brute-force twin of theorem_conductor.
+    """Lattice twin of theorem_conductor.
 
-    Enumerates every integer point with 0 <= i_h <= p^(n-1-h) and
-    sum_h p^h i_h = p^(n-1), and maximizes sum_h i_h nu_h.  The box has at
-    most a few hundred points at the sizes used here.
+    Maximizes sum_h i_h nu_h over the integer points with
+    0 <= i_h <= p^(n-1-h) and sum_h p^h i_h = p^(n-1), by exact enumeration
+    (lp_minimize); the witnesses are every maximizing point, in
+    lexicographic order.
     """
     _validate_orders(p, n, nu)
-    best = None
-    witnesses = []
-    ranges = [range(p ** (n - 1 - h) + 1) for h in range(n)]
-    for point in itertools.product(*ranges):
-        if sum(p**h * i_h for h, i_h in enumerate(point)) != p ** (n - 1):
-            continue
-        val = sum(i_h * nu[h] for h, i_h in enumerate(point))
-        if best is None or val > best:
-            best, witnesses = val, [point]
-        elif val == best:
-            witnesses.append(point)
-    assert best is not None  # (p^(n-1), 0, ..., 0) is always feasible
-    return {"M": best, "witnesses": tuple(witnesses)}
+    prob = LatticeProblem(
+        nu, [p**h for h in range(n)], p ** (n - 1), [0] * n,
+        [p ** (n - 1 - h) for h in range(n)], sense="max",
+    )
+    best, witnesses = lp_minimize(prob)
+    return {"M": best, "witnesses": witnesses}
 
 
 class LatticeProblem:
@@ -273,9 +268,7 @@ def sort_bound_check(tower, carry_cost_limit=4000):
     for i in range(n):
         vals[xvar(i)] = top.ytilde[i].pth_power()
         vals[yvar(i)] = -top.ytilde[i]
-    zero = TruncatedLaurentSeries.zero(ring)
-    one = TruncatedLaurentSeries.monomial(ring, 0)
-    series = ip.p_eval(ip.p_mod(cn, p), vals, zero, one)
+    series = ip.p_eval(ip.p_mod(cn, p), vals, TruncatedLaurentSeries.monomial(ring, 0))
     bound = -(p ** (n + 1) - p + 1) * top.m[n]
     v_c = bound if series.is_exact_zero() else series.val_lower_bound()
     report["carry_bound"] = {

@@ -20,9 +20,9 @@ MASK = (1 << SHIFT) - 1
 Poly = dict
 
 
-def var(v):
-    """The monomial key for variable number v (exponent 1)."""
-    return 1 << (SHIFT * v)
+def var(v, e=1):
+    """The monomial key of (variable number v)**e."""
+    return e << (SHIFT * v)
 
 
 def mono(*exps):
@@ -35,6 +35,10 @@ def mono(*exps):
 
 
 def unpack(key, nvars):
+    """The exponent tuple of a key in variables 0..nvars-1; a key that uses
+    a later variable raises ValueError."""
+    if key >> (SHIFT * nvars):
+        raise ValueError(f"monomial uses a variable beyond number {nvars - 1}")
     return tuple((key >> (SHIFT * v)) & MASK for v in range(nvars))
 
 
@@ -199,8 +203,11 @@ def p_subst(a, subs):
     return total
 
 
-def p_eval(a, vals, zero, one):
-    """Evaluate over any ring whose elements support + and * (and int*x)."""
+def p_eval(a, vals, one):
+    """Evaluate over any ring whose elements support + and * (and int*x).
+
+    one is the ring's unit; the empty sum is 0 * one, which is an exact
+    zero whenever one is exact."""
     pow_cache = {v: {} for v in vals}
 
     def pw(v, e):
@@ -217,7 +224,7 @@ def p_eval(a, vals, zero, one):
             cache[e] = r
         return r
 
-    total = zero
+    total = 0 * one
     for key, c in a.items():
         term = None
         k = key

@@ -18,8 +18,8 @@ import numpy as np
 
 from .coeff import lift_ring, reduce_mod_p
 from .errors import GhostInversionFailure, VanishingFailure
-from .series import INF, TruncatedLaurentSeries
-from .witt import WittVector
+from .series import TruncatedLaurentSeries
+from .witt import WittVector, ghost_eval
 
 DEFAULT_GUARD = 2
 
@@ -48,8 +48,9 @@ def pole_depth(u):
 class LocalSymbolInput:
     """A symbol datum: series vector u, unit series alpha, lift depth m.
 
-    Exact alphas are truncated to the window pole_depth(u) + 2, which loses
-    nothing: deeper coefficients cannot reach the residue."""
+    alpha is truncated to the window pole_depth(u) + 2, which loses nothing:
+    the residue reads dlog(alpha) up to exponent pole_depth(u) - 1, and those
+    rows depend only on alpha below exponent pole_depth(u) + 1."""
 
     def __init__(self, u, alpha, m=None):
         if not isinstance(u, WittVector):
@@ -63,10 +64,8 @@ class LocalSymbolInput:
             raise ValueError("inputs live over a finite field, not a lift ring")
         if alpha.is_exact_zero() or alpha.valuation() != 0:
             raise ValueError("alpha must be a unit power series")
-        if alpha.prec == INF:
-            alpha = alpha.truncate(pole_depth(u) + DEFAULT_GUARD)
         self.u = u
-        self.alpha = alpha
+        self.alpha = alpha.truncate(pole_depth(u) + DEFAULT_GUARD)
         self.n = u.n
         self.m = default_lift_precision(self.n) if m is None else m
         if self.m < self.n + 1:
@@ -100,13 +99,9 @@ def perturbed_lift(s, lift, rng):
 
 
 def ghost_series(u_lifts, j):
-    """Phi_j of the lifted vector: sum over i <= j of p^i u_i^(p^(j-i))."""
-    p = u_lifts[0].ring.p
-    total = None
-    for i in range(j + 1):
-        term = (u_lifts[i] ** (p ** (j - i))).scalar_mul(p**i)
-        total = term if total is None else total + term
-    return total
+    """Phi_j of the lifted vector (witt.ghost_eval); bench/tracer.py times
+    the ghost components of a symbol under this name."""
+    return ghost_eval(WittVector(u_lifts), j)
 
 
 def _exact_p_division(x, k, lift):
@@ -163,7 +158,7 @@ def nonzero_elements(field):
     return out
 
 
-def modulus_vanishing_test(u, bound, trials=50, rng=None, witness_budget=None):
+def modulus_vanishing_test(u, bound, trials=50, rng=None):
     """Certify symbol vanishing above a conductor bound, and probe below it.
 
     Every alpha with 1 - alpha vanishing to order at least bound + 1 must
@@ -198,10 +193,9 @@ def modulus_vanishing_test(u, bound, trials=50, rng=None, witness_budget=None):
     candidates += [
         [(bound, c), (bound + 1, c2)] for c in units for c2 in units
     ]
-    budget = len(candidates) if witness_budget is None else witness_budget
     witness = None
     tried = 0
-    for terms in candidates[:budget]:
+    for terms in candidates:
         tried += 1
         alpha = one + TruncatedLaurentSeries.from_terms(field, terms, prec=window)
         symbol = residue_vector(LocalSymbolInput(u, alpha))

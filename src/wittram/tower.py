@@ -200,13 +200,6 @@ def _correction_poly(p, i):
     return _CORR_POLY_CACHE[key]
 
 
-def _eval_poly_on_series(poly, ring, vals):
-    """Evaluate a packed integer polynomial on series values."""
-    zero = TruncatedLaurentSeries.zero(ring)
-    one = TruncatedLaurentSeries.monomial(ring, 0)
-    return ip.p_eval(poly, vals, zero, one)
-
-
 class TowerStage:
     """Stage i of the tower: the field k((t_i)) with everything re-expanded.
 
@@ -217,15 +210,13 @@ class TowerStage:
     are kept in the coordinates of their own level for cheap re-use.
     """
 
-    def __init__(self, datum, window):
+    def __init__(self, datum):
         ring = datum.ring
         self.datum = datum
         self.level = 0
         self.ring = ring
-        self.window = window
-        ident = TruncatedLaurentSeries.monomial(ring, 1)
-        self.s = ident  # exact at the base: maximises downstream precision
-        self.t_embs = [ident]
+        # exact at the base: maximises downstream precision
+        self.t_embs = [TruncatedLaurentSeries.monomial(ring, 1)]
         self.y = []
         self.ytilde = []
         self.z_std = []
@@ -239,6 +230,11 @@ class TowerStage:
     @property
     def p(self):
         return self.datum.p
+
+    @property
+    def s(self):
+        """The base uniformizer s = t_0 as a series in t_i."""
+        return self.t_embs[0]
 
     def check_relations(self):
         """Re-verify every solved level's defining relation in t_i terms."""
@@ -276,7 +272,7 @@ def extend_stage(stage, budget):
     else:
         poly = _correction_poly(p, i)
         vals = {yvar(j): stage.y[j] for j in range(i)}
-        corr_series = _eval_poly_on_series(poly, ring, vals)
+        corr_series = ip.p_eval(poly, vals, TruncatedLaurentSeries.monomial(ring, 0))
     z = u_i - corr_series
     z_std, h = standard_form_reduce(z)
 
@@ -295,8 +291,6 @@ def extend_stage(stage, budget):
     new.datum = datum
     new.level = i + 1
     new.ring = ring
-    new.window = budget
-    new.s = compose(stage.s, T) if i else T
     new.t_embs = [compose(emb, T) for emb in stage.t_embs]
     new.t_embs.append(TruncatedLaurentSeries.monomial(ring, 1))
     new.y = [compose(yj, T) for yj in stage.y]
@@ -437,8 +431,12 @@ def _conjugate_poly_monomials(p, j):
     if j == 0:
         return {0}
     table = build_table(p, j + 1)
-    mask = sum(ip.MASK << (ip.SHIFT * xvar(l)) for l in range(j))
-    return {key & mask for key, c in table.c[j].items() if c % p}
+    out = set()
+    for key, c in table.c[j].items():
+        if c % p:
+            exps = ip.unpack(key, 2 * j)  # the carry lives in the slots below j
+            out.add(sum(ip.var(xvar(l), exps[xvar(l)]) for l in range(j)))
+    return out
 
 
 def _stage_budgets(datum, factor):
@@ -474,7 +472,6 @@ def _stage_budgets(datum, factor):
         return -(-factor * (e[i + 1] + p ** (i + 1)) // 8)
 
     # level state: (node, valuation bound); node None is an exact series
-    s = (None, 1)
     t_embs = [(None, 1)]
     y, ytilde = [], []
     y_by_level = [y]
@@ -482,7 +479,7 @@ def _stage_budgets(datum, factor):
         e_new = e[i + 1]
         z = None  # the base datum entry: no window changes it
         if i:
-            u = net.node([(s[0], 1, (-datum.nu[i] - 1) * p**i)])
+            u = net.node([(t_embs[0][0], 1, (-datum.nu[i] - 1) * p**i)])
             corr_terms, _v = _product_terms(
                 _correction_poly(p, i), {yvar(j): y[j] for j in range(i)}
             )
@@ -498,7 +495,6 @@ def _stage_budgets(datum, factor):
             node, v = series
             return net.compose(node, v, T, p), p * v
 
-        s = lift(s)
         t_embs = [lift(t) for t in t_embs] + [(None, 1)]
         Y = net.node([(T, 1, -p - e_new)])
         y_new = Y
@@ -546,13 +542,13 @@ def build_tower(datum, factor=None):
     """
     fac = budget_factor(factor)
     budgets = _stage_budgets(datum, fac)
-    stages = [TowerStage(datum, budgets[-1])]
+    stages = [TowerStage(datum)]
     for budget in budgets:
         stages.append(extend_stage(stages[-1], budget))
     return Tower(datum, stages, fac)
 
 
-def analyze_tower(datum, factor=None, retries=3, mode=None):
+def analyze_tower(datum, factor=None, retries=3):
     """Build, filter and cross-check in one call.  Returns
     (tower, filtration, report).
 
@@ -568,7 +564,7 @@ def analyze_tower(datum, factor=None, retries=3, mode=None):
     for _attempt in range(retries):
         try:
             tower = build_tower(datum, factor=fac)
-            filtration = ramification_filtration(tower, mode=mode)
+            filtration = ramification_filtration(tower)
             report = tower_invariants(tower, filtration)
             return tower, filtration, report
         except InsufficientPrecision as exc:
@@ -632,7 +628,7 @@ def galois_conjugate(tower, g):
     for j in range(n):
         poly = _delta_poly(p, j, gbar)
         vals = {xvar(l): stages[j].y[l] for l in range(j)}
-        delta_j = _eval_poly_on_series(poly, tower.ring, vals)
+        delta_j = ip.p_eval(poly, vals, TruncatedLaurentSeries.monomial(tower.ring, 0))
         delta_top = compose(delta_j, top.t_embs[j])
         sig_y = top.y[j] + delta_top
         h = top.h_adj[j]

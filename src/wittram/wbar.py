@@ -29,7 +29,6 @@ from .witt import (
     build_table,
     nth_component_identity_check,
     witt_smul,
-    xvar,
     yvar,
 )
 
@@ -183,9 +182,7 @@ class GradedPolynomial:
             raise ValueError("dehomogenization target is a prime-field table")
         out = {}
         for key, c in self.terms.items():
-            packed = 0
-            for i, e in enumerate(key[1:]):
-                packed += e << (ip.SHIFT * yvar(i))
+            packed = sum(ip.var(yvar(i), e) for i, e in enumerate(key[1:]))
             out[packed] = (out.get(packed, 0) + c.coords[0]) % self.field.p
         return {k: v for k, v in out.items() if v}
 
@@ -214,21 +211,14 @@ def homogenize_component(field, nvars, poly, weight):
     p = field.p
     terms = {}
     for packed, c in poly.items():
-        exps = [0] * nvars
-        k = packed
-        v = 0
-        while k:
-            e = k & ip.MASK
-            if e:
-                if v % 2 == 0 or v // 2 >= nvars:
-                    raise ValueError(f"unexpected variable slot {v}")
-                exps[v // 2] = e
-            k >>= ip.SHIFT
-            v += 1
+        slots = ip.unpack(packed, 2 * nvars)
+        if any(slots[0::2]):
+            raise ValueError(f"X-slot in a Y-slot polynomial: {slots}")
+        exps = slots[1::2]
         w = sum(e * p**i for i, e in enumerate(exps))
         if w > weight:
             raise ConsistencyFailure(f"monomial weight {w} exceeds target {weight}")
-        key = (weight - w,) + tuple(exps)
+        key = (weight - w,) + exps
         terms[key] = field.from_int(c)
     return GradedPolynomial(field, nvars, weight, terms)
 
@@ -318,20 +308,13 @@ def _variable_image(table, field, nvars, j, a):
     if not a[j].is_zero():
         terms[key_t] = a[j]
     for packed, c in ip.p_mod(table.c[j], p).items():
-        yexps = [0] * nvars
+        slots = ip.unpack(packed, 2 * nvars)
+        # X-slot: the live coordinate Y_i / T^(p^i); Y-slot: the constant a_i
+        yexps = slots[0::2]
         coeff = field.from_int(c)
-        k = packed
-        v = 0
-        while k:
-            e = k & ip.MASK
+        for i, e in enumerate(slots[1::2]):
             if e:
-                i = v // 2
-                if v % 2 == 0:  # X-slot: the live coordinate Y_i / T^(p^i)
-                    yexps[i] = e
-                else:  # Y-slot: the constant a_i
-                    coeff = coeff * a[i] ** e
-            k >>= ip.SHIFT
-            v += 1
+                coeff = coeff * a[i] ** e
         if coeff.is_zero():
             continue
         t_exp = p**j - sum(e * p**i for i, e in enumerate(yexps))
@@ -408,21 +391,10 @@ def psi_literal_form(p, n):
         (p**n * (p - 1),) + (0,) * n + (1,): -field.one(),
     }
     for packed, c in ip.p_mod(table.c[n], p).items():
-        yexps = [0] * nvars
-        coeff = field.from_int(c)
-        k = packed
-        v = 0
-        while k:
-            e = k & ip.MASK
-            if e:
-                i = v // 2
-                if v % 2 == 0:  # X-slot: Y_i^p / T^(p^(i+1))
-                    yexps[i] += p * e
-                else:  # Y-slot: -Y_i / T^(p^i)
-                    yexps[i] += e
-                    coeff = coeff * (-field.one()) ** e
-            k >>= ip.SHIFT
-            v += 1
+        slots = ip.unpack(packed, 2 * nvars)
+        # X-slot: Y_i^p / T^(p^(i+1)); Y-slot: -Y_i / T^(p^i)
+        yexps = [p * x + y for x, y in zip(slots[0::2], slots[1::2])]
+        coeff = field.from_int(c) * (-field.one()) ** sum(slots[1::2])
         w = sum(e * p**i for i, e in enumerate(yexps))
         key = (p ** (n + 1) - w,) + tuple(yexps)
         s = terms.get(key)

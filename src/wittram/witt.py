@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import intpoly as ip
+from .coeff import is_prime
 from .errors import ConsistencyFailure, WittTableError
 from .series import TruncatedLaurentSeries
 
@@ -28,7 +29,7 @@ def yvar(i):
 
 def _ghost_poly(p, j, side):
     # Phi_j = sum_{i<=j} p^i Z_i^(p^(j-i)) in the X-block (side 0) or Y-block
-    return {(p ** (j - i)) << (ip.SHIFT * (2 * i + side)): p**i for i in range(j + 1)}
+    return {ip.var(2 * i + side, p ** (j - i)): p**i for i in range(j + 1)}
 
 
 def _weights(p, upto):
@@ -79,7 +80,7 @@ def _extend_family(p, name, j):
             raise WittTableError(f"{name}_{l} for p={p} not isobaric: {wt} != {want}")
         fam.append(comp)
         if name == "S":
-            carry = ip.p_sub(comp, {1 << (ip.SHIFT * xvar(l)): 1, 1 << (ip.SHIFT * yvar(l)): 1})
+            carry = ip.p_sub(comp, {ip.var(xvar(l)): 1, ip.var(yvar(l)): 1})
             if ip.involves(carry, xvar(l)) or ip.involves(carry, yvar(l)):
                 raise WittTableError(f"c_{l} for p={p} involves its own slot")
             st["c"].append(carry)
@@ -115,7 +116,7 @@ class WittPolynomialTable:
     def __init__(self, p, n):
         if n < 1:
             raise WittTableError("table length must be >= 1")
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if not is_prime(p):
             raise WittTableError(f"{p} is not prime")
         self.p = p
         self.n = n
@@ -140,12 +141,11 @@ def build_table(p, n):
 # ---------- Witt vectors ----------
 
 
-def _zero_one(entry):
+def _one(entry):
+    """The unit of the ring an entry lives in: series or coefficients."""
     if isinstance(entry, TruncatedLaurentSeries):
-        return TruncatedLaurentSeries.zero(entry.ring), TruncatedLaurentSeries.monomial(
-            entry.ring, 0, 1
-        )
-    return entry.ring.zero(), entry.ring.one()
+        return TruncatedLaurentSeries.monomial(entry.ring, 0, 1)
+    return entry.ring.one()
 
 
 def _entry_is_zero(entry):
@@ -209,26 +209,25 @@ def _compat(a, b, table):
 
 
 def _eval_components(polys, vals, count, sample):
-    zero, one = _zero_one(sample)
-    return WittVector(tuple(ip.p_eval(polys[i], vals, zero, one) for i in range(count)))
+    one = _one(sample)
+    return WittVector(tuple(ip.p_eval(polys[i], vals, one) for i in range(count)))
+
+
+def _binary_op(polys, a, b, table):
+    n = _compat(a, b, table)
+    vals = {}
+    for i in range(n):
+        vals[xvar(i)] = a.entries[i]
+        vals[yvar(i)] = b.entries[i]
+    return _eval_components(polys, vals, n, a.entries[0])
 
 
 def witt_add(a, b, table):
-    n = _compat(a, b, table)
-    vals = {}
-    for i in range(n):
-        vals[xvar(i)] = a.entries[i]
-        vals[yvar(i)] = b.entries[i]
-    return _eval_components(table.S, vals, n, a.entries[0])
+    return _binary_op(table.S, a, b, table)
 
 
 def witt_mul(a, b, table):
-    n = _compat(a, b, table)
-    vals = {}
-    for i in range(n):
-        vals[xvar(i)] = a.entries[i]
-        vals[yvar(i)] = b.entries[i]
-    return _eval_components(table.P, vals, n, a.entries[0])
+    return _binary_op(table.P, a, b, table)
 
 
 def witt_neg(a, table):
@@ -242,8 +241,7 @@ def witt_smul(k, a, table):
     """Integer multiple of a Witt vector by double-and-add."""
     if k < 0:
         return witt_smul(-k, witt_neg(a, table), table)
-    zero, _one = _zero_one(a.entries[0])
-    acc = WittVector((zero,) * a.n) if k == 0 else None
+    acc = WittVector((0 * _one(a.entries[0]),) * a.n) if k == 0 else None
     base = a
     while k:
         if k & 1:
@@ -271,8 +269,7 @@ def frobenius(a):
 
 def verschiebung(a):
     """Shift into length n+1 with a leading zero."""
-    zero, _one = _zero_one(a.entries[0])
-    return WittVector((zero,) + a.entries)
+    return WittVector((0 * _one(a.entries[0]),) + a.entries)
 
 
 def asw_map(a, table):
@@ -347,11 +344,16 @@ def asw_component_poly(table, n):
     if key not in _ASW_POLY_CACHE:
         subs = {}
         for i in range(n + 1):
-            subs[xvar(i)] = {p << (ip.SHIFT * yvar(i)): 1}  # Y_i^p
+            subs[xvar(i)] = {ip.var(yvar(i), p): 1}  # Y_i^p
             subs[yvar(i)] = ip.p_mod(table.I[i], p)
         comp = ip.p_mod(ip.p_subst(ip.p_mod(table.S[n], p), subs), p)
         _ASW_POLY_CACHE[key] = comp
     return _ASW_POLY_CACHE[key]
+
+
+def _principal_part(p, n):
+    """Y_n^p - Y_n mod p."""
+    return {ip.var(yvar(n), p): 1, ip.var(yvar(n)): p - 1}
 
 
 def asw_correction_poly(table, n):
@@ -360,11 +362,7 @@ def asw_correction_poly(table, n):
     Free of Y_n; this is the inhomogeneous tail that couples equation n of
     a length-(n+1) generator datum to the solutions below it."""
     p = table.p
-    comp = asw_component_poly(table, n)
-    yn_p_yn = ip.p_mod(
-        ip.p_sub({p << (ip.SHIFT * yvar(n)): 1}, {1 << (ip.SHIFT * yvar(n)): 1}), p
-    )
-    corr = ip.p_mod(ip.p_sub(comp, yn_p_yn), p)
+    corr = ip.p_mod(ip.p_sub(asw_component_poly(table, n), _principal_part(p, n)), p)
     if ip.involves(corr, yvar(n)):
         raise ConsistencyFailure(f"correction at component {n} involves its own slot")
     return corr
@@ -394,8 +392,8 @@ def nth_component_identity_check(table, n):
                 w,
                 ip.p_scale(
                     ip.p_sub(
-                        {(p ** (l - i) * p) << (ip.SHIFT * yvar(i)): 1},
-                        {(p ** (l - i)) << (ip.SHIFT * yvar(i)): 1},
+                        {ip.var(yvar(i), p ** (l - i) * p): 1},
+                        {ip.var(yvar(i), p ** (l - i)): 1},
                     ),
                     p**i,
                 ),
@@ -419,17 +417,15 @@ def nth_component_identity_check(table, n):
             f"table route and ghost route disagree at component {n}, p={p}"
         )
 
-    yn_p_yn = ip.p_mod(
-        ip.p_sub({p << (ip.SHIFT * yvar(n)): 1}, {1 << (ip.SHIFT * yvar(n)): 1}), p
-    )
+    yn_p_yn = _principal_part(p, n)
     correction = ip.p_mod(ip.p_sub(comp_a, yn_p_yn), p)
     correction_free = not ip.involves(correction, yvar(n))
 
     # literal closed form: carry_n evaluated at (Y^p, -Y)
     lit_subs = {}
     for i in range(n + 1):
-        lit_subs[xvar(i)] = {p << (ip.SHIFT * yvar(i)): 1}
-        lit_subs[yvar(i)] = {1 << (ip.SHIFT * yvar(i)): p - 1}  # -Y_i mod p
+        lit_subs[xvar(i)] = {ip.var(yvar(i), p): 1}
+        lit_subs[yvar(i)] = {ip.var(yvar(i)): p - 1}  # -Y_i mod p
     literal = ip.p_mod(
         ip.p_add(yn_p_yn, ip.p_subst(ip.p_mod(table.c[n], p), lit_subs)), p
     )
@@ -457,8 +453,8 @@ def cn_leading_term_check(table, n, i):
     e = p ** (n - i) - 1
     cn = table.c[n]
     lead = ip.coeff_of(cn, xvar(i), e)
-    expected = ip.p_neg(ip.p_add({1 << (ip.SHIFT * yvar(i)): 1}, table.c[i]))
-    top = {(e << (ip.SHIFT * xvar(i))): 1}
+    expected = ip.p_neg(ip.p_add({ip.var(yvar(i)): 1}, table.c[i]))
+    top = {ip.var(xvar(i), e): 1}
     rest = ip.p_sub(cn, ip.p_mul(top, lead))
     rest_deg = ip.degree_in(rest, xvar(i))
     return {

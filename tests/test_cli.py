@@ -23,6 +23,19 @@ def _run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _assert_usage_error(argv, flags=()):
+    """The CLI in a fresh interpreter exits 2 with a value-error line."""
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "wittram.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error [value-error]: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_tower_frozen_example(capsys):
     code, out, _ = _run(capsys, "tower", "--p", "2", "--n", "2", "--nu", "3,1")
     assert code == 0
@@ -68,15 +81,43 @@ def test_budget_factor_must_be_positive(capsys):
     ids=["n=0", "n=-1", "empty-nu", "p-divisible-nu", "nu=0", "prime-11"],
 )
 def test_tower_malformed_datum_is_usage_error(argv):
-    proc = subprocess.run(
-        [sys.executable, "-m", "wittram.cli", "tower", *argv],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=SRC),
-    )
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error [value-error]: ")
-    assert "Traceback" not in proc.stderr
+    _assert_usage_error(["tower", *argv])
+
+
+@pytest.mark.parametrize(
+    "flags, argv",
+    [
+        ((), ["local-symbol", "--p", "2", "--n", "1", "--nu", "1", "--alpha", "[[0,[1,1,1]]]"]),
+        (
+            ("-O",),
+            ["local-symbol", "--p", "2", "--n", "1", "--nu", "1", "--field", "2",
+             "--alpha", "[[0,[1]]]"],
+        ),
+        ((), ["local-symbol", "--p", "2", "--n", "1", "--nu", "1", "--alpha", "5"]),
+        ((), ["witt", "add", "--p", "3", "--n", "2", "--x", "1", "--y", "1"]),
+        ((), ["witt", "neg", "--p", "3", "--n", "2"]),
+        ((), ["conductor", "--p", "4", "--n", "1", "--nu", "1"]),
+    ],
+    ids=["alpha-coords", "alpha-coords-optimized", "alpha-not-a-list", "witt-short-vector",
+         "witt-missing-x", "p-not-prime"],
+)
+def test_malformed_input_is_usage_error(flags, argv):
+    _assert_usage_error(argv, flags)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["conductor", "--p", "2", "--n", "1", "--nu", "1", "--budget-factor", "4"],
+        ["tower", "--p", "2", "--n", "1", "--nu", "1", "--seed", "3"],
+    ],
+    ids=["conductor-budget-factor", "tower-seed"],
+)
+def test_option_outside_its_subcommand_is_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_error_code_keeps_acronyms_whole(capsys):

@@ -1,5 +1,6 @@
 """Conductor closed form, lattice oracles, and pole-bound checks."""
 
+import itertools
 import random
 
 import pytest
@@ -68,6 +69,42 @@ def test_section_oracle_frozen():
 def test_section_oracle_depth_one():
     assert section_degree_oracle(5, 1, (7,))["M"] == 7
     assert section_degree_oracle(5, 1, (7,))["witnesses"] == ((1,),)
+
+
+def _full_box_oracle(p, n, nu):
+    """Reference: scan the whole box 0 <= i_h <= p^(n-1-h) point by point."""
+    best, witnesses = None, []
+    for point in itertools.product(*[range(p ** (n - 1 - h) + 1) for h in range(n)]):
+        if sum(p**h * i_h for h, i_h in enumerate(point)) != p ** (n - 1):
+            continue
+        val = sum(i_h * nu[h] for h, i_h in enumerate(point))
+        if best is None or val > best:
+            best, witnesses = val, [point]
+        elif val == best:
+            witnesses.append(point)
+    return {"M": best, "witnesses": tuple(witnesses)}
+
+
+def test_oracle_matches_full_box_scan():
+    # the pruned enumeration finds the same optimum and every witness, in
+    # the same order, as the plain scan of the box
+    cases = 0
+    for p in (2, 3, 5, 7):
+        orders = [v for v in range(1, 10) if v % p]
+        for n in (1, 2, 3):
+            for nu in itertools.product(orders, repeat=n):
+                assert section_degree_oracle(p, n, nu) == _full_box_oracle(p, n, nu), (p, nu)
+                cases += 1
+    assert cases == 1581
+
+
+def test_orders_need_a_prime():
+    for bad in (4, 1, 0, -3):
+        with pytest.raises(ValueError, match="not prime"):
+            theorem_conductor(bad, 1, (1,))
+        with pytest.raises(ValueError, match="not prime"):
+            section_degree_oracle(bad, 1, (1,))
+    assert theorem_conductor(11, 2, (1, 1))["M"] == section_degree_oracle(11, 2, (1, 1))["M"] == 11
 
 
 def test_oracle_matches_closed_form():

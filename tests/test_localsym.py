@@ -9,7 +9,6 @@ from wittram.errors import GhostInversionFailure, VanishingFailure
 from wittram.localsym import (
     LocalSymbolInput,
     canonical_lift,
-    ghost_series,
     modulus_vanishing_test,
     nonzero_elements,
     perturbed_lift,
@@ -18,7 +17,7 @@ from wittram.localsym import (
     symbol_from_lifts,
 )
 from wittram.series import TruncatedLaurentSeries as TLS
-from wittram.witt import WittVector, build_table, witt_add
+from wittram.witt import WittVector, build_table, ghost_eval, witt_add
 
 F2 = finite_field(2, 1)
 F3 = finite_field(3, 1)
@@ -141,6 +140,27 @@ def test_lift_independence():
             assert other == base, (field.p, field.f, n)
 
 
+def test_finite_alpha_truncated_without_loss():
+    # the residue reads alpha only below exponent pole_depth(u) + 1, so a
+    # finite alpha with extra rows gives the symbol and certificate of its
+    # truncation, and of the untruncated lift
+    rng = random.Random(23)
+    for field, n in [(F2, 3), (F3, 2), (F4, 2), (F5, 2)]:
+        u = _random_pole_vector(field, n, 3, rng)
+        depth = pole_depth(u)
+        alpha = _random_unit_series(field, depth + 9, rng)
+        inp = LocalSymbolInput(u, alpha)
+        assert inp.alpha.prec == depth + 2
+        sym, cert = residue_vector(inp, with_certificate=True)
+        short = LocalSymbolInput(u, alpha.truncate(depth + 2))
+        assert residue_vector(short, with_certificate=True) == (sym, cert)
+        lift = cert["lift"]
+        full, full_cert = symbol_from_lifts(
+            [canonical_lift(s, lift) for s in u], canonical_lift(alpha, lift), field
+        )
+        assert (full, full_cert) == (sym, cert), (field.p, field.f, n)
+
+
 def test_certificate_ghost_consistency():
     # the inverted digits reproduce every residue exactly in the lift ring
     rng = random.Random(19)
@@ -220,6 +240,6 @@ def test_ghost_series_matches_hand_expansion():
     lift = lift_ring(2, 4)
     u0 = TLS.monomial(lift, -1, 1)
     u1 = TLS.monomial(lift, -2, 1)
-    g1 = ghost_series([u0, u1], 1)
+    g1 = ghost_eval(WittVector((u0, u1)), 1)
     # u_0^2 + 2 u_1 = s^-2 + 2 s^-2 = 3 s^-2
     assert (g1 - TLS.monomial(lift, -2, 3)).is_exact_zero()

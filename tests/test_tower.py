@@ -426,6 +426,21 @@ def test_plan_reads_and_factor_monotone():
         assert all(b >= a for a, b in zip(plan, wider)) and wider[-1] > plan[-1]
 
 
+@pytest.mark.parametrize(
+    "p, n, nu, windows",
+    [
+        (2, 2, (3, 1), [12, 22]),
+        (5, 3, (2, 1, 1), [229, 1124, 4758]),
+        (7, 2, (3, 1), [131, 871]),
+    ],
+)
+def test_plan_windows_pinned(p, n, nu, windows):
+    # the plan at the default factor, as recorded before the stage record
+    # dropped its separate base-uniformizer series
+    d = CoverDatum.from_orders(p, n, 1, nu)
+    assert tower_mod._stage_budgets(d, DEFAULT_BUDGET_FACTOR) == windows
+
+
 def test_budget_factor_rejects_nonpositive():
     for bad in (0, -3):
         with pytest.raises(ValueError, match="positive"):
@@ -458,9 +473,11 @@ def test_extend_past_end_rejected():
 
 def test_stage_zero_state():
     d = CoverDatum.from_orders(2, 2, 1, (3, 1))
-    st = TowerStage(d, 64)
+    st = TowerStage(d)
     assert st.level == 0
-    assert st.s.valuation() == 1
+    assert st.s is st.t_embs[0] and st.s.valuation() == 1
+    with pytest.raises(AttributeError):
+        st.s = st.t_embs[0]  # read-only: s is the first embedding
     assert st.m == [0] and st.e == [0] and st.mu == [0]
     st.check_relations()  # vacuous at the base
 

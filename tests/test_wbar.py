@@ -97,6 +97,14 @@ def test_homogenize_component_guard():
         homogenize_component(F2, 2, comp, 2)  # true weight is 4
     lifted = homogenize_component(F2, 2, comp, 4)
     assert lifted.set_t_one() == comp
+    # only Y-slots of the first nvars coordinates lift
+    from wittram import intpoly as ip
+    from wittram.witt import xvar, yvar
+
+    with pytest.raises(ValueError, match="X-slot"):
+        homogenize_component(F2, 2, {ip.var(xvar(0)): 1}, 4)
+    with pytest.raises(ValueError, match="beyond"):
+        homogenize_component(F2, 2, {ip.var(yvar(2)): 1}, 4)
 
 
 # ---------- translation action ----------

@@ -28,11 +28,11 @@ from wittram.witt import (
 
 
 def X(i, e=1):
-    return {e << (ip.SHIFT * xvar(i)): 1}
+    return {ip.var(xvar(i), e): 1}
 
 
 def Y(i, e=1):
-    return {e << (ip.SHIFT * yvar(i)): 1}
+    return {ip.var(yvar(i), e): 1}
 
 
 def wvec(ring, *ints):
