@@ -315,26 +315,6 @@ class LiftRingElement(_Element):
     pass
 
 
-def field_arith(a, b, op):
-    """Dispatch {add, sub, mul, div, inv, pow} on field/lift-ring elements.
-
-    For "inv" pass b = None; for "pow" b is an integer exponent."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "inv":
-        assert b is None
-        return a.inv()
-    if op == "pow":
-        return a**b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def pth_root(a):
     """The unique p-th root in F_q: the inverse of Frobenius, a^(p^(f-1))."""
     ring = a.ring

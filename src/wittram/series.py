@@ -393,7 +393,11 @@ def _int_conv(a, b):
 
     Large windows go through a real FFT when the worst-case rounding error
     provably stays below 1/4, which covers field-sized coefficients; lift
-    rings with big moduli fall back to the quadratic direct method."""
+    rings with big moduli fall back to the quadratic direct method.  The
+    guard is the floating-point FFT convolution bound of Percival (Math.
+    Comp. 72, 2003), with the complex-product constant of Brent, Percival
+    and Zimmermann (Math. Comp. 76, 2007): every output errs by at most a
+    small multiple of eps log2(N) |a|_2 |b|_2, and |a|_2 |b|_2 <= N amax bmax."""
     N = len(a) + len(b) - 1
     if min(len(a), len(b)) >= 64 and N >= 1024:
         amax, bmax = int(np.abs(a).max()), int(np.abs(b).max())
@@ -484,18 +488,6 @@ def _inv_root(ring, U, r, n):
 
 
 # ---------- module-level operations (the public contract) ----------
-
-
-def ls_arith(a, b, op):
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
 
 
 def compose(f, g):

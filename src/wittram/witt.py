@@ -159,9 +159,10 @@ class WittVector:
 
     def __init__(self, entries):
         entries = tuple(entries)
-        assert entries, "empty Witt vector"
-        ring = entries[0].ring
-        assert all(e.ring == ring for e in entries), "mixed entry rings"
+        if not entries:
+            raise ValueError("empty Witt vector")
+        if any(e.ring != entries[0].ring for e in entries):
+            raise ValueError("mixed entry rings")
         self.entries = entries
 
     @property
@@ -191,7 +192,8 @@ class WittVector:
         return all(_entry_is_zero(e) for e in self.entries)
 
     def truncated(self, m):
-        assert 1 <= m <= self.n
+        if not 1 <= m <= self.n:
+            raise ValueError(f"cannot truncate a length-{self.n} vector to {m}")
         return WittVector(self.entries[:m])
 
     def __repr__(self):
@@ -300,7 +302,8 @@ def witt_batch_op(table, op, A, B, mod):
     if op == "neg":
         vals[1::2, :] = A
     else:
-        assert B is not None and B.shape == A.shape
+        if B is None or B.shape != A.shape:
+            raise ValueError(f"{op} needs a second operand shaped like A {A.shape}")
         vals[0::2, :] = A
         vals[1::2, :] = B
     return np.stack([ip.p_eval_batch_mod(polys[i], vals, mod) for i in range(n)])

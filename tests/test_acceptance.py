@@ -1,9 +1,9 @@
 """End-to-end acceptance: one test per advertised guarantee.
 
 Each test prints one PASSED/FAILED line under pytest -v.  The shared grid
-(62 parameter sets over p in {2,3,5}, heights 1..3, pole orders 1..9 prime
-to p, both growth regimes) is built once and reused; the per-case and total
-wall-clock budgets are asserted, not just hoped for.
+(76 parameter sets over p in {2,3,5,7}, heights 1..3, pole orders 1..9
+prime to p, both growth regimes) is built once and reused; the per-case and
+total wall-clock budgets are asserted, not just hoped for.
 """
 
 import random
@@ -59,7 +59,7 @@ from wittram.witt import (
     yvar,
 )
 
-# ---------- the acceptance grid: 62 cases, both regimes ----------
+# ---------- the acceptance grid: 76 cases, both regimes ----------
 
 CASES = []
 for _nu in (1, 3, 5, 7, 9):
@@ -77,6 +77,9 @@ CASES += [
 ]
 CASES += [(3, 3, t) for t in [(1, 1, 1), (2, 4, 5), (8, 8, 7), (1, 5, 2), (4, 1, 8), (2, 2, 2)]]
 CASES += [(5, 3, t) for t in [(1, 1, 1), (1, 2, 4), (1, 3, 2), (1, 4, 3), (2, 1, 1)]]
+CASES += [(7, 1, (_nu,)) for _nu in (1, 2, 3, 4, 5, 6, 8, 9)]
+CASES += [(7, 2, t) for t in [(1, 1), (2, 3), (3, 1), (1, 6), (6, 9)]]
+CASES += [(7, 3, (1, 1, 1))]
 
 
 def _top_regime(p, n, nu):

@@ -97,9 +97,11 @@ def test_tower_malformed_datum_is_usage_error(argv):
         ((), ["witt", "add", "--p", "3", "--n", "2", "--x", "1", "--y", "1"]),
         ((), ["witt", "neg", "--p", "3", "--n", "2"]),
         ((), ["conductor", "--p", "4", "--n", "1", "--nu", "1"]),
+        ((), ["local-symbol", "--p", "2", "--n", "1", "--nu", "3", "--probe", "--trials", "0"]),
+        ((), ["local-symbol", "--p", "2", "--n", "1", "--nu", "3", "--probe", "--trials", "-5"]),
     ],
     ids=["alpha-coords", "alpha-coords-optimized", "alpha-not-a-list", "witt-short-vector",
-         "witt-missing-x", "p-not-prime"],
+         "witt-missing-x", "p-not-prime", "probe-no-trials", "probe-negative-trials"],
 )
 def test_malformed_input_is_usage_error(flags, argv):
     _assert_usage_error(argv, flags)

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from wittram import localsym
 from wittram.coeff import finite_field, lift_ring
+from wittram.conductor import theorem_conductor
 from wittram.errors import GhostInversionFailure, VanishingFailure
 from wittram.localsym import (
     LocalSymbolInput,
@@ -17,6 +19,7 @@ from wittram.localsym import (
     symbol_from_lifts,
 )
 from wittram.series import TruncatedLaurentSeries as TLS
+from wittram.tower import CoverDatum
 from wittram.witt import WittVector, build_table, ghost_eval, witt_add
 
 F2 = finite_field(2, 1)
@@ -212,6 +215,79 @@ def test_vanishing_failure_below_true_bound():
     u = WittVector((_mono(F3, -2, F3.one()),))
     with pytest.raises(VanishingFailure):
         modulus_vanishing_test(u, 1, trials=40, rng=random.Random(31))
+
+
+def _genuine_pole_vector(field, n, rng):
+    """A random pole vector whose first entry surely has a pole: the s^-4
+    term sits below every term _random_pole_vector draws."""
+    u = _random_pole_vector(field, n, 3, rng)
+    return WittVector((u[0] + _mono(field, -4, 1),) + u.entries[1:])
+
+
+def test_probe_needs_a_trial_and_a_positive_bound():
+    u = WittVector((_mono(F2, -3, 1),))
+    for trials, bound in ((0, 3), (-5, 3), (5, 0)):
+        with pytest.raises(ValueError):
+            modulus_vanishing_test(u, bound, trials=trials)
+
+
+def test_two_term_alpha_pairs_like_its_first_term():
+    # 1 + c s^M + c2 s^(M+1) is (1 + c s^M) times a unit of U^(M+1), which
+    # pairs to zero at M = pole_depth(u); this is why the probe's witness
+    # search needs only single-term candidates
+    rng = random.Random(37)
+    for field in (F2, F3, F4, F5):
+        one = _mono(field, 0, 1)
+        for n in (1, 2):
+            for _ in range(3):
+                u = _genuine_pole_vector(field, n, rng)
+                M = pole_depth(u)
+                c, c2 = field.random_unit(rng), field.random_unit(rng)
+                single = one + _mono(field, M, c)
+                pair = single + _mono(field, M + 1, c2)
+                assert residue_vector(LocalSymbolInput(u, pair)) == residue_vector(
+                    LocalSymbolInput(u, single)
+                ), (field.p, field.f, n)
+
+
+@pytest.mark.parametrize("field, q", [(F2, 2), (F4, 4)])
+def test_probe_without_witness_tries_each_unit_once(field, q):
+    # u = 1/s pairs to zero with every 1 + c s^3, so the search tries the
+    # q - 1 single-term candidates and stops
+    u = WittVector((_mono(field, -1, 1),))
+    report = modulus_vanishing_test(u, 3, trials=5, rng=random.Random(43))
+    assert not report["witness_found"] and report["witness"] is None
+    assert report["witness_attempts"] == q - 1
+
+
+def test_probe_forms_ghost_components_once(monkeypatch):
+    calls = []
+    ghost_series = localsym.ghost_series
+
+    def counted(u_lifts, j):
+        calls.append(j)
+        return ghost_series(u_lifts, j)
+
+    monkeypatch.setattr(localsym, "ghost_series", counted)
+    rng = random.Random(47)
+    for field, n in [(F2, 1), (F3, 2), (F4, 2), (F2, 3)]:
+        calls.clear()
+        u = _genuine_pole_vector(field, n, rng)
+        modulus_vanishing_test(u, pole_depth(u), trials=10, rng=rng)
+        assert calls == list(range(n)), (field.p, field.f, n)
+
+
+@pytest.mark.parametrize(
+    "p, f, nu", [(2, 1, (3,)), (2, 2, (3, 1)), (3, 1, (2, 1)), (3, 2, (4,)), (5, 1, (1, 2))]
+)
+def test_probe_witness_symbol_is_its_residue_vector(p, f, nu):
+    datum = CoverDatum.from_orders(p, len(nu), f, list(nu))
+    u = WittVector(datum.entries)
+    bound = theorem_conductor(p, len(nu), nu)["M"]
+    report = modulus_vanishing_test(u, bound, trials=5, rng=random.Random(53))
+    assert report["witness_found"]
+    alpha, sym = report["witness"]
+    assert sym == residue_vector(LocalSymbolInput(u, alpha))
 
 
 def test_extension_field_symbols_use_full_field():

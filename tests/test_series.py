@@ -1,4 +1,5 @@
 import math
+import operator
 import os
 import random
 import subprocess
@@ -15,9 +16,9 @@ from wittram.series import (
     INF,
     TruncatedLaurentSeries as TLS,
     _conv,
+    _int_conv,
     compose,
     derivative,
-    ls_arith,
     nth_root,
     pth_power_decompose,
     random_series,
@@ -40,7 +41,7 @@ def ser(ring, terms, prec=INF):
 def test_pole_times_t():
     a = ser(F3, [(-1, 1), (0, 1)])
     t = TLS.monomial(F3, 1)
-    prod = ls_arith(a, t, "mul")
+    prod = a * t
     assert prod.terms() == [(0, F3.one()), (1, F3.one())]
     assert math.isinf(prod.prec)
 
@@ -257,9 +258,9 @@ def test_precision_soundness_refinement():
             base_f = random_series(F, -2, 40, rng)
             base_g = random_series(F, 1, 40, rng)
             f_lo, g_lo = base_f.truncate(10), base_g.truncate(12)
-            for op in ("add", "mul", "div"):
-                lo = ls_arith(f_lo, g_lo, op)
-                hi = ls_arith(base_f, base_g, op)
+            for op in (operator.add, operator.mul, operator.truediv):
+                lo = op(f_lo, g_lo)
+                hi = op(base_f, base_g)
                 assert lo.agrees_with(hi)
             assert compose(f_lo, g_lo).agrees_with(compose(base_f, base_g))
 
@@ -456,6 +457,39 @@ def test_conv_int64_guard_counts_reduction():
     with pytest.raises(ValueError, match="overflow"):
         _conv(R, one_row, one_row)
     _conv(lift_ring(2, 31, 2), one_row[:, :2], one_row[:, :2])
+
+
+def _edge_inputs(rng, length, top):
+    """All-max and random signed int64 inputs whose largest magnitude is top."""
+    signed = rng.integers(-top, top + 1, size=length)
+    signed[rng.integers(length)] = rng.choice([-top, top])
+    return np.full(length, top, dtype=np.int64), signed
+
+
+@pytest.mark.parametrize(
+    "la, lb, top", [(64, 961, 81450), (2048, 2049, 37177), (512, 3585, 37177)]
+)
+def test_fft_guard_edge(la, lb, top, monkeypatch):
+    # top is the largest amax = bmax the rounding guard admits for a product
+    # of N = la + lb - 1 terms (N = 1024 or 4096): there the FFT path must be
+    # exact, and one step past it the direct path must run
+    rng = np.random.default_rng(la * lb)
+    rfft, calls = np.fft.rfft, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return rfft(*args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise RuntimeError("FFT path taken past the rounding guard")
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    for a, b in zip(_edge_inputs(rng, la, top), _edge_inputs(rng, lb, top)):
+        assert np.array_equal(_int_conv(a, b), np.convolve(a, b)), (la, lb)
+    assert len(calls) == 4
+    monkeypatch.setattr(np.fft, "rfft", refused)
+    for a, b in zip(_edge_inputs(rng, la, top + 1), _edge_inputs(rng, lb, top + 1)):
+        assert np.array_equal(_int_conv(a, b), np.convolve(a, b)), (la, lb)
 
 
 def test_certificates_survive_optimized_python():

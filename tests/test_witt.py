@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -330,6 +333,50 @@ def test_table_errors():
         t.S[2]
     with pytest.raises(ValueError):
         witt_add(wvec(finite_field(2), 1, 0), wvec(finite_field(3), 1, 0), t)
+
+
+# public preconditions, as expressions over this prelude; each must raise
+# ValueError, also under python -O, which strips asserts
+PRECONDITION_PRELUDE = (
+    "import numpy as np\n"
+    "from wittram.coeff import finite_field\n"
+    "from wittram.witt import WittVector, build_table, witt_batch_op\n"
+    "pair = WittVector((finite_field(3).one(), finite_field(3).zero()))\n"
+    "A = np.ones((2, 4), dtype=np.int64)\n"
+)
+PRECONDITIONS = {
+    "empty-vector": "WittVector(())",
+    "mixed-rings": "WittVector((finite_field(2).one(), finite_field(3).one()))",
+    "truncate-to-zero": "pair.truncated(0)",
+    "truncate-past-length": "pair.truncated(3)",
+    "batch-missing-operand": "witt_batch_op(build_table(3, 2), 'add', A, None, 27)",
+    "batch-shape-mismatch": "witt_batch_op(build_table(3, 2), 'mul', A, A[:, :3], 27)",
+}
+
+
+@pytest.mark.parametrize("expr", PRECONDITIONS.values(), ids=PRECONDITIONS.keys())
+def test_precondition_raises_value_error(expr):
+    scope = {}
+    exec(PRECONDITION_PRELUDE, scope)
+    assert scope["pair"].truncated(2) == scope["pair"]
+    with pytest.raises(ValueError):
+        eval(expr, scope)
+
+
+def test_preconditions_survive_optimized_python():
+    checks = "".join(
+        f"try:\n    {expr}\nexcept ValueError:\n    print({name!r})\n"
+        for name, expr in PRECONDITIONS.items()
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", PRECONDITION_PRELUDE + checks],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == list(PRECONDITIONS)
 
 
 def test_int64_guards_at_their_edge():
