@@ -100,12 +100,6 @@ class CoeffRing:
     def random(self, rng):
         return self._wrap(tuple(rng.randrange(self.modulus) for _ in range(self.f)))
 
-    def random_unit(self, rng):
-        while True:
-            a = self.random(rng)
-            if a.is_unit():
-                return a
-
     # -- raw coordinate arithmetic (shared with the series backend) --
 
     def cmul(self, a, b):

@@ -8,6 +8,18 @@ the whole trick: the universal Witt addition law for p=5 at length 4 has
 
 Exponents must stay below 2**SHIFT; every use in this package is bounded by
 a small multiple of p^4 < 10^4, far under the cap.
+
+Batched evaluation mod m (p_eval_batch_mod) is one graded bilinear block
+kernel.  Each monomial splits into its even-variable part X and its
+odd-variable part Y, the two operand slots of the Witt polynomials, and the
+terms fall into blocks, the connected components of the X/Y incidence.  The
+Witt polynomials are isobaric, so a block is a weight class and nearly dense:
+S_3 for p=5 is 37,760 terms in 126 blocks.  A block is a coefficient matrix
+C, and its value at the points is the column sum of (C @ MY) * MX over the
+values MX, MY of its distinct X and Y monomials: one int64 matmul per block
+shape.  It is exact: every entry is a residue below m and m**2 < 2**63, so
+each product fits int64, and every sum of products runs in chunks of c terms
+with c*(m-1)**2 + m-1 < 2**63, reduced after each chunk.
 """
 
 from __future__ import annotations
@@ -29,7 +41,8 @@ def mono(*exps):
     """Pack an exponent tuple into a key."""
     key = 0
     for v, e in enumerate(exps):
-        assert 0 <= e <= MASK
+        if not 0 <= e <= MASK:
+            raise ValueError(f"exponent {e} of variable {v} outside 0..{MASK}")
         key |= e << (SHIFT * v)
     return key
 
@@ -88,7 +101,8 @@ def p_mul(a, b):
 
 
 def p_pow(a, e):
-    assert e >= 0
+    if e < 0:
+        raise ValueError(f"negative exponent {e}")
     result = {0: 1}
     base = a
     while e:
@@ -244,43 +258,218 @@ def p_eval(a, vals, one):
     return total
 
 
+# ---------- batched evaluation over Z/mod: the graded bilinear block kernel ----------
+
+# points per column block: bounds the (monomials x points) arrays of one pass
+_COLS = 128
+
+
+def _components(u, v, n):
+    """Root of every node of the graph on nodes 0..n-1 with edges u[i]--v[i].
+
+    Each round hooks every root onto the smallest root it touches and then
+    points every node straight at its root; parent[x] <= x keeps it a forest.
+    """
+    parent = np.arange(n)
+    while True:
+        pu, pv = parent[u], parent[v]
+        if np.array_equal(pu, pv):
+            return parent
+        np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+
+
+def _trie(exps):
+    """A plan to evaluate the distinct monomials whose exponent rows are exps:
+    every prefix is formed once, as its parent prefix times one power, with
+    the variables taking the fewest distinct exponents first.
+
+    Returns (steps, rows): per level, (j, parent, e), where prefix i of the
+    level is prefix parent[i] of the level before times x_j**e[i]; and the
+    prefix of every monomial in the last level.  When no variable occurs,
+    the monomial 1 is a level of one prefix with exponent 0."""
+    cols = [j for j in range(exps.shape[1]) if exps[:, j].any()]
+    cols.sort(key=lambda j: len(np.unique(exps[:, j])))
+    steps, rows = [], np.zeros(len(exps), dtype=np.intp)
+    for j in cols:
+        prefixes, rows = np.unique(rows * (MASK + 1) + exps[:, j], return_inverse=True)
+        steps.append((j, prefixes >> SHIFT, prefixes & MASK))
+    return steps or [(0, np.zeros(1, np.intp), np.zeros(1, np.intp))], rows
+
+
+def _block_plan(a, nv, mod):
+    """Split every term into its even-variable part (X) and its odd-variable
+    part (Y), and group the terms into blocks, the connected components of
+    the X-part/Y-part incidence; blocks of one shape (r, k) are stacked.
+
+    Returns (xsteps, ysteps, groups): the _trie steps of the distinct X and
+    Y monomials, over variables 0, 2, 4, ... and 1, 3, 5, ...; and per
+    block shape the triple (xrows, yrows, C): the last trie level's rows of
+    each block's X and Y monomials, shapes (nb, r) and (nb, k), and its
+    coefficients mod `mod`, shape (nb, r, k)."""
+    if max(a) >> (SHIFT * nv):
+        raise ValueError(f"monomial uses a variable beyond number {nv - 1}")
+    even = sum(MASK << (SHIFT * v) for v in range(0, nv, 2))
+
+    def split(part, first):
+        # the distinct parts and each term's part number, then the parts' trie
+        parts = list(map(part.__and__, a))
+        keys = {k: i for i, k in enumerate(dict.fromkeys(parts))}
+        vs = range(first, nv, 2)
+        exps = np.zeros((len(keys), len(vs)), dtype=np.intp)
+        for j, v in enumerate(vs):
+            exps[:, j] = np.fromiter(((k >> (SHIFT * v)) & MASK for k in keys), np.intp)
+        steps, rows = _trie(exps)
+        steps = [(first + 2 * j, parent, e) for j, parent, e in steps]
+        return np.fromiter(map(keys.__getitem__, parts), np.intp, len(a)), steps, rows
+
+    xi, xsteps, xrow = split(even, 0)
+    yi, ysteps, yrow = split(~even, 1)
+    nx, ny = len(xrow), len(yrow)
+
+    # blocks, numbered in order of their shape (rows, cols)
+    _, block = np.unique(_components(xi, yi + nx, nx + ny), return_inverse=True)
+    rows, cols = np.bincount(block[:nx]), np.bincount(block[nx:])
+    order = np.lexsort((cols, rows))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    rows, cols = rows[order], cols[order]
+    bx, by = rank[block[:nx]], rank[block[nx:]]
+
+    def lay_out(b, sizes, trie_rows):
+        # the monomials block after block, and each one's place in its block
+        order = np.argsort(b, kind="stable")
+        start = np.cumsum(sizes) - sizes
+        place = np.empty_like(order)
+        place[order] = np.arange(len(b)) - start[b[order]]
+        return trie_rows[order], start, place
+
+    xflat, xstart, lx = lay_out(bx, rows, xrow)
+    yflat, ystart, ly = lay_out(by, cols, yrow)
+    bt = bx[xi]
+    sizes = rows * cols
+    cstart = np.cumsum(sizes) - sizes
+    cflat = np.zeros(sizes.sum(), dtype=np.int64)
+    cflat[cstart[bt] + lx[xi] * cols[bt] + ly[yi]] = np.fromiter(
+        map(mod.__rmod__, a.values()), np.int64, len(a)
+    )
+    edges = [0, *(np.flatnonzero(np.diff(rows) | np.diff(cols)) + 1).tolist(), len(rows)]
+    groups = []
+    for b0, b1 in zip(edges, edges[1:]):
+        nb, r, k = b1 - b0, int(rows[b0]), int(cols[b0])
+        x0, y0, c0 = xstart[b0], ystart[b0], cstart[b0]
+        groups.append(
+            (
+                xflat[x0 : x0 + nb * r].reshape(nb, r),
+                yflat[y0 : y0 + nb * k].reshape(nb, k),
+                cflat[c0 : c0 + nb * r * k].reshape(nb, r, k),
+            )
+        )
+    return xsteps, ysteps, groups
+
+
+def _rem(x, mod):
+    """x %= mod in place.  numpy divides by a scalar through a precomputed
+    multiplier, which is about twice as fast as its remainder."""
+    q = x // mod
+    q *= mod
+    x -= q
+
+
+def _powers(x, e, mod):
+    """The rows x**e[i] mod `mod`, by binary powering over all of e at once."""
+    out = np.ones((len(e), len(x)), dtype=np.int64)
+    e = e.copy()
+    while e.any():
+        odd = np.flatnonzero(e & 1)
+        t = out[odd] * x
+        _rem(t, mod)
+        out[odd] = t
+        e >>= 1
+        x = x * x
+        _rem(x, mod)
+    return out
+
+
 def p_eval_batch_mod(a, vals, mod):
     """Vectorized evaluation at many points of Z/mod at once.
 
-    vals is an int64 array of shape (nvars, B); returns shape (B,).
-    Intermediate products are reduced mod `mod` at every step, so int64
-    never overflows as long as mod**2 < 2**63.
+    vals is an int64 array of shape (nvars, B), one column per point;
+    returns shape (B,).
+
+    The kernel is bilinear and graded.  Each monomial is (X-part)(Y-part),
+    its even and its odd variables, and the terms fall into blocks, the
+    connected components of the X/Y incidence; for the Witt polynomials
+    these are the weight classes, and they are nearly dense.  Per block, with
+    C its coefficient matrix and MX, MY the values of its distinct X and Y
+    monomials at the points, the block's value is the column sum of
+    (C @ MY) * MX.  Blocks of one shape run as one stacked int64 matmul, and
+    the points run in column blocks of _COLS.
+
+    Exactness: every entry is reduced into 0..mod-1, so a product of two is
+    at most (mod-1)**2 < 2**63 while mod**2 < 2**63, which the guard below
+    demands.  Each sum of products (the matmul's inner dimension, and the
+    sum over a block's X monomials) adds `chunk` of them to an accumulator
+    below mod, with chunk*(mod-1)**2 + mod-1 < 2**63, and reduces after every
+    chunk; at the edge modulus 3037000499 the chunk is 1.  No float64 or BLAS
+    is used.
     """
     if mod * mod >= 2**63:
         raise ValueError(f"int64 evaluation would overflow: modulus {mod}")
     vals = np.asarray(vals, dtype=np.int64) % mod
     nv, B = vals.shape
-    caches = [dict() for _ in range(nv)]
-
-    def pw(v, e):
-        cache = caches[v]
-        r = cache.get(e)
-        if r is None:
-            if e == 1:
-                r = vals[v]
-            else:
-                h = pw(v, e >> 1)
-                r = (h * h) % mod
-                if e & 1:
-                    r = (r * vals[v]) % mod
-            cache[e] = r
-        return r
-
     out = np.zeros(B, dtype=np.int64)
-    for key, c in a.items():
-        term = np.full(B, c % mod, dtype=np.int64)
-        k = key
-        v = 0
-        while k:
-            e = k & MASK
-            if e:
-                term = (term * pw(v, e)) % mod
-            k >>= SHIFT
-            v += 1
-        out = (out + term) % mod
+    if not a:
+        return out
+    xsteps, ysteps, groups = _block_plan(a, nv, mod)
+    chunk = (2**63 - mod) // max((mod - 1) ** 2, 1)
+
+    def levels(steps):
+        # per level: parents, the values of its variable, its distinct
+        # exponents, and the exponent of each prefix among them
+        out = []
+        for v, parent, e in steps:
+            used, where = np.unique(e, return_inverse=True)
+            # the level of the monomial 1 has exponent 0 and no variable
+            x = vals[v] if used[-1] else np.ones(B, dtype=np.int64)
+            out.append((parent, x, used, where))
+        return out
+
+    def prefixes(levels, c0, c1):
+        m = np.ones((1, c1 - c0), dtype=np.int64)
+        for parent, x, used, where in levels:
+            m = m[parent]
+            m *= _powers(x[c0:c1], used, mod)[where]
+            _rem(m, mod)
+        return m
+
+    # the last level of each side is formed block by block, never whole
+    xlevels, ylevels = levels(xsteps), levels(ysteps)
+    (xpar, xval, xused, xwhere), (ypar, yval, yused, ywhere) = xlevels.pop(), ylevels.pop()
+    groups = [(xpar[xr], xwhere[xr], ypar[yr], ywhere[yr], C) for xr, yr, C in groups]
+    for c0 in range(0, B, _COLS):
+        c1 = min(c0 + _COLS, B)
+        PX, PY = prefixes(xlevels, c0, c1), prefixes(ylevels, c0, c1)
+        xtab, ytab = _powers(xval[c0:c1], xused, mod), _powers(yval[c0:c1], yused, mod)
+        total = np.zeros(c1 - c0, dtype=np.int64)
+        for xp, xw, yp, yw, C in groups:
+            MY = PY[yp]
+            MY *= ytab[yw]
+            _rem(MY, mod)
+            Q = np.zeros(C.shape[:2] + (c1 - c0,), dtype=np.int64)
+            for k0 in range(0, C.shape[2], chunk):
+                Q += C[:, :, k0 : k0 + chunk] @ MY[:, k0 : k0 + chunk]
+                _rem(Q, mod)
+            Q *= PX[xp]
+            _rem(Q, mod)
+            Q = Q.reshape(-1, c1 - c0)
+            MX = xtab[xw.reshape(-1)]
+            for r0 in range(0, len(Q), chunk):
+                total += np.einsum("ij,ij->j", Q[r0 : r0 + chunk], MX[r0 : r0 + chunk])
+                _rem(total, mod)
+        out[c0:c1] = total
     return out

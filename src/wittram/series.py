@@ -680,14 +680,3 @@ def pth_power_decompose(f):
     if not (g.pth_power() + h).agrees_with(f):
         raise ConsistencyFailure("g^p + h does not reconstruct f")
     return g, h
-
-
-def random_series(ring, v, width, rng, prec=None, unit_lead=True):
-    arr = np.array(
-        [[rng.randrange(ring.modulus) for _ in range(ring.f)] for _ in range(width)],
-        dtype=np.int64,
-    )
-    if unit_lead:
-        while not any(c % ring.p for c in arr[0]):
-            arr[0] = [rng.randrange(ring.modulus) for _ in range(ring.f)]
-    return TruncatedLaurentSeries(ring, v, arr, prec if prec is not None else v + width)

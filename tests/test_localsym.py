@@ -22,6 +22,8 @@ from wittram.series import TruncatedLaurentSeries as TLS
 from wittram.tower import CoverDatum
 from wittram.witt import WittVector, build_table, ghost_eval, witt_add
 
+from randoms import random_unit
+
 F2 = finite_field(2, 1)
 F3 = finite_field(3, 1)
 F4 = finite_field(2, 2)
@@ -33,22 +35,27 @@ def _mono(field, e, c):
 
 
 def _random_pole_vector(field, n, max_pole, rng):
-    """Vector of Laurent polynomials with poles up to max_pole, first entry
-    guaranteed a genuine pole of order prime to p."""
+    """Vector of Laurent polynomials with poles up to max_pole.  The first
+    entry's coefficient at -nu, nu the largest order <= max_pole prime to p,
+    is a fresh random unit that replaces any term drawn there, so the entry
+    has a genuine pole of order nu."""
     entries = []
     for i in range(n):
         terms = []
         for e in range(-max_pole, 2):
             if rng.random() < 0.5:
                 terms.append((e, field.random(rng)))
-        entries.append(TLS.from_terms(field, terms))
+        entries.append(terms)
     nu = max_pole if max_pole % field.p else max_pole - 1
-    entries[0] = entries[0] + _mono(field, -nu, field.random_unit(rng))
-    return WittVector(tuple(entries))
+    entries[0] = [t for t in entries[0] if t[0] != -nu] + [(-nu, random_unit(field, rng))]
+    u = WittVector(tuple(TLS.from_terms(field, terms) for terms in entries))
+    if pole_depth(u) < field.p ** (n - 1) * nu:
+        raise AssertionError(f"no pole of order {nu} in {u}")
+    return u
 
 
 def _random_unit_series(field, window, rng):
-    terms = [(0, field.random_unit(rng))]
+    terms = [(0, random_unit(field, rng))]
     terms += [(k, field.random(rng)) for k in range(1, window)]
     return TLS.from_terms(field, terms, prec=window)
 
@@ -58,8 +65,8 @@ def test_simple_pole_symbol_frozen():
     rng = random.Random(7)
     for field in (F2, F3, F4, F5):
         for _ in range(5):
-            a = field.random_unit(rng)
-            c = field.random_unit(rng)
+            a = random_unit(field, rng)
+            c = random_unit(field, rng)
             u = WittVector((_mono(field, -1, a),))
             one = _mono(field, 0, 1)
             sym = residue_vector(LocalSymbolInput(u, one - _mono(field, 1, c)))
@@ -217,13 +224,6 @@ def test_vanishing_failure_below_true_bound():
         modulus_vanishing_test(u, 1, trials=40, rng=random.Random(31))
 
 
-def _genuine_pole_vector(field, n, rng):
-    """A random pole vector whose first entry surely has a pole: the s^-4
-    term sits below every term _random_pole_vector draws."""
-    u = _random_pole_vector(field, n, 3, rng)
-    return WittVector((u[0] + _mono(field, -4, 1),) + u.entries[1:])
-
-
 def test_probe_needs_a_trial_and_a_positive_bound():
     u = WittVector((_mono(F2, -3, 1),))
     for trials, bound in ((0, 3), (-5, 3), (5, 0)):
@@ -240,9 +240,9 @@ def test_two_term_alpha_pairs_like_its_first_term():
         one = _mono(field, 0, 1)
         for n in (1, 2):
             for _ in range(3):
-                u = _genuine_pole_vector(field, n, rng)
+                u = _random_pole_vector(field, n, 3, rng)
                 M = pole_depth(u)
-                c, c2 = field.random_unit(rng), field.random_unit(rng)
+                c, c2 = random_unit(field, rng), random_unit(field, rng)
                 single = one + _mono(field, M, c)
                 pair = single + _mono(field, M + 1, c2)
                 assert residue_vector(LocalSymbolInput(u, pair)) == residue_vector(
@@ -272,7 +272,7 @@ def test_probe_forms_ghost_components_once(monkeypatch):
     rng = random.Random(47)
     for field, n in [(F2, 1), (F3, 2), (F4, 2), (F2, 3)]:
         calls.clear()
-        u = _genuine_pole_vector(field, n, rng)
+        u = _random_pole_vector(field, n, 3, rng)
         modulus_vanishing_test(u, pole_depth(u), trials=10, rng=rng)
         assert calls == list(range(n)), (field.p, field.f, n)
 

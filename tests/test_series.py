@@ -21,9 +21,10 @@ from wittram.series import (
     derivative,
     nth_root,
     pth_power_decompose,
-    random_series,
     residue,
 )
+
+from randoms import random_series, random_unit
 
 F2 = finite_field(2)
 F3 = finite_field(3)
@@ -321,7 +322,7 @@ def test_agrees_with_matches_coefficient_loop():
                 b = TLS(R, b.v, b.coeffs, INF)
             if rng.random() < 0.7:  # one coefficient moved, maybe past the overlap
                 e = rng.randrange(-5, b.prec if b.prec != INF else a.prec + 2)
-                b = b + TLS.monomial(R, e, R.random_unit(rng), b.prec)
+                b = b + TLS.monomial(R, e, random_unit(R, rng), b.prec)
             assert a.agrees_with(b) == _agrees_by_loop(a, b)
             assert b.agrees_with(a) == _agrees_by_loop(b, a)
 
@@ -515,11 +516,15 @@ def test_certificates_survive_optimized_python():
             nth_root(f, 2)
         except ConsistencyFailure:
             print("broken root refused")
-        from wittram.intpoly import p_eval_batch_mod
+        from wittram.intpoly import p_eval_batch_mod, var
         try:
             p_eval_batch_mod({0: 1}, [[1]], 3037000500)
         except ValueError:
             print("int64 guard refused")
+        # a full 3x3 block at the edge modulus: its matmul runs in chunks of 1
+        edge = 3037000499
+        block = {var(2 * i) + var(2 * j + 1): -1 for i in range(3) for j in range(3)}
+        print(p_eval_batch_mod(block, [[edge - 1]] * 6, edge).tolist())
         """
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -528,9 +533,10 @@ def test_certificates_survive_optimized_python():
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:4] == [
+    assert proc.stdout.split("\n")[:5] == [
         "(2, 14) 48 7 (2, 14)",
         "True",
         "broken root refused",
         "int64 guard refused",
+        "[3037000490]",
     ]

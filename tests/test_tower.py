@@ -13,7 +13,7 @@ from wittram.errors import (
     NonTotallyRamified,
 )
 from wittram.series import TruncatedLaurentSeries as TLS
-from wittram.series import compose, random_series
+from wittram.series import compose
 from wittram.tower import (
     DEFAULT_BUDGET_FACTOR,
     CoverDatum,
@@ -35,6 +35,8 @@ from wittram.tower import (
     standard_form_reduce,
     tower_invariants,
 )
+
+from randoms import random_series
 
 F2 = finite_field(2, 1)
 F3 = finite_field(3, 1)

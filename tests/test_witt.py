@@ -9,7 +9,7 @@ import pytest
 from wittram import intpoly as ip
 from wittram.coeff import finite_field, lift, lift_ring
 from wittram.errors import WittTableError
-from wittram.series import TruncatedLaurentSeries as TLS, random_series
+from wittram.series import TruncatedLaurentSeries as TLS
 from wittram.witt import (
     WittVector,
     asw_map,
@@ -28,6 +28,8 @@ from wittram.witt import (
     xvar,
     yvar,
 )
+
+from randoms import random_series
 
 
 def X(i, e=1):
@@ -340,6 +342,7 @@ def test_table_errors():
 PRECONDITION_PRELUDE = (
     "import numpy as np\n"
     "from wittram.coeff import finite_field\n"
+    "from wittram import intpoly as ip\n"
     "from wittram.witt import WittVector, build_table, witt_batch_op\n"
     "pair = WittVector((finite_field(3).one(), finite_field(3).zero()))\n"
     "A = np.ones((2, 4), dtype=np.int64)\n"
@@ -351,6 +354,10 @@ PRECONDITIONS = {
     "truncate-past-length": "pair.truncated(3)",
     "batch-missing-operand": "witt_batch_op(build_table(3, 2), 'add', A, None, 27)",
     "batch-shape-mismatch": "witt_batch_op(build_table(3, 2), 'mul', A, A[:, :3], 27)",
+    "batch-variable-beyond-values": "ip.p_eval_batch_mod({ip.var(2): 1}, A, 27)",
+    "mono-negative-exponent": "ip.mono(1, -1)",
+    "mono-exponent-past-mask": "ip.mono(ip.MASK + 1)",
+    "pow-negative-exponent": "ip.p_pow({0: 1}, -1)",
 }
 
 
@@ -391,6 +398,11 @@ def test_int64_guards_at_their_edge():
     for p, j in ((2, 1), (3, 1)):
         want = sum(p**i * (edge - 1) ** (p ** (j - i)) for i in range(j + 1)) % edge
         assert ghost_batch(top, p, j, edge).tolist() == [want] * 3
+    # a full 3x3 block: its matmul sums 3 products of (edge - 1)**2, one per
+    # chunk, since two would pass 2**63
+    block = {ip.var(2 * i) + ip.var(2 * j + 1): -1 for i in range(3) for j in range(3)}
+    want = 9 * (edge - 1) ** 3 % edge
+    assert ip.p_eval_batch_mod(block, np.full((6, 3), edge - 1), edge).tolist() == [want] * 3
     with pytest.raises(ValueError, match="overflow"):
         ip.p_eval_batch_mod(poly, top, edge + 1)
     with pytest.raises(ValueError, match="overflow"):
