@@ -51,7 +51,8 @@ class CoeffRing:
             raise ValueError(f"unsupported prime {p}")
         if (p, f) not in DEFINING_POLYS:
             raise ValueError(f"no defining polynomial shipped for (p={p}, f={f})")
-        assert m >= 1
+        if m < 1:
+            raise ValueError(f"lift level m={m} must be >= 1")
         self.p = p
         self.m = m
         self.f = f

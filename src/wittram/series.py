@@ -130,7 +130,8 @@ class TruncatedLaurentSeries:
         if prec == INF:
             arr = np.array([c.coords], dtype=np.int64)
             return cls(ring, e, arr, INF)
-        assert e < prec
+        if e >= prec:
+            raise ValueError(f"monomial exponent {e} not below the precision {prec}")
         arr = np.zeros((prec - e, ring.f), dtype=np.int64)
         arr[0] = c.coords
         return cls(ring, e, arr, prec)
@@ -150,7 +151,8 @@ class TruncatedLaurentSeries:
             return cls.zero(ring) if prec == INF else cls.zero_to(ring, prec)
         lo = min(e for e, _ in pairs)
         hi = prec if prec != INF else max(e for e, _ in pairs) + 1
-        assert all(e < hi for e, _ in pairs)
+        if any(e >= hi for e, _ in pairs):
+            raise ValueError(f"term exponents must lie below the precision {prec}")
         arr = np.zeros((hi - lo, ring.f), dtype=np.int64)
         for e, c in pairs:
             arr[e - lo] = (arr[e - lo] + np.array(c.coords, dtype=np.int64)) % ring.modulus

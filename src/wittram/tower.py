@@ -121,12 +121,14 @@ def standard_form_reduce(z):
 
 def _bezout_exponents(e, p):
     """Minimal a in [1, p-1] and matching b with -a*e + b*p = 1."""
-    assert e % p != 0
+    if e % p == 0:
+        raise ValueError(f"break {e} is divisible by p={p}")
     a = (-pow(e, -1, p)) % p
     if a == 0:
         a = p
     b = (1 + a * e) // p
-    assert -a * e + b * p == 1
+    if -a * e + b * p != 1:
+        raise ConsistencyFailure(f"Bezout exponents a={a}, b={b} fail for e={e}, p={p}")
     return a, b
 
 

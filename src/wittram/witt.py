@@ -52,9 +52,21 @@ def _state(p):
     return st
 
 
+def _plane(p, name):
+    """The slicing plane of a family for the sliced product, from its grading.
+
+    S and I are isobaric in total weight, X_0 and Y_0 both of weight 1; P is
+    bihomogeneous, X_0 and X_1 of X-weight 1 and p.  Either way the rest of
+    a monomial fixes its weight on the plane, and the slices are few and long."""
+    if name == "P":
+        return xvar(0), xvar(1), p
+    return xvar(0), yvar(0), 1
+
+
 def _extend_family(p, name, j):
     st = _state(p)
     fam = st[name]
+    plane = _plane(p, name)
     while len(fam) <= j:
         l = len(fam)
         gx = _ghost_poly(p, l, 0)
@@ -64,10 +76,10 @@ def _extend_family(p, name, j):
         elif name == "I":
             target = ip.p_neg(gy)
         else:
-            target = ip.p_mul(gx, gy)
+            target = ip.p_mul_sliced(gx, gy, plane)
         num = target
         for i in range(l):
-            num = ip.p_sub(num, ip.p_scale(ip.p_pow(fam[i], p ** (l - i)), p**i))
+            num = ip.p_add(num, ip.p_pow_sliced(fam[i], p ** (l - i), plane), -(p**i))
         try:
             comp = ip.p_divexact(num, p**l)
         except ArithmeticError as exc:

@@ -525,6 +525,12 @@ def test_certificates_survive_optimized_python():
         edge = 3037000499
         block = {var(2 * i) + var(2 * j + 1): -1 for i in range(3) for j in range(3)}
         print(p_eval_batch_mod(block, [[edge - 1]] * 6, edge).tolist())
+        from wittram import tower
+        tower.pow = lambda e, k, p: 1  # a wrong inverse of e mod p
+        try:
+            tower._bezout_exponents(5, 3)
+        except ConsistencyFailure:
+            print("broken Bezout exponents refused")
         """
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -533,10 +539,11 @@ def test_certificates_survive_optimized_python():
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:5] == [
+    assert proc.stdout.split("\n")[:6] == [
         "(2, 14) 48 7 (2, 14)",
         "True",
         "broken root refused",
         "int64 guard refused",
         "[3037000490]",
+        "broken Bezout exponents refused",
     ]

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -102,6 +103,26 @@ def test_isobaric_weights():
             assert ip.iso_weight(t.P[i], wl) == 2 * p**i
             if t.c[i]:
                 assert ip.iso_weight(t.c[i], wl) == p**i
+
+
+# SHA-256 of every S/c/I/P component, each as its sorted (exponents,
+# coefficient) pairs, recorded from the term-by-term build of the tables
+TABLE_DIGESTS = {
+    (3, 4): "d2049d4498f80cf842dfb3cbd671f9b5e386efb5f582dc8943bd5b1e0c6b748e",
+    (2, 6): "cc27bccd73f58a8ddbc66025c0c9c8688d46bab72ad67d8b86a6c08b5c073b5a",
+    (5, 4): "0aed7dc8b5f3310fe8bb6540aebee5f57658e2f8703396e428b6818c7333b476",
+}
+
+
+@pytest.mark.parametrize("p, n", list(TABLE_DIGESTS))
+def test_tables_match_pinned_digest(p, n):
+    t = build_table(p, n)
+    h = hashlib.sha256()
+    for name in "ScIP":
+        for i in range(n):
+            terms = sorted((ip.unpack(k, 2 * n), c) for k, c in getattr(t, name)[i].items())
+            h.update(repr((name, i, terms)).encode())
+    assert h.hexdigest() == TABLE_DIGESTS[p, n]
 
 
 def test_w2_f2_is_z4():
@@ -341,8 +362,10 @@ def test_table_errors():
 # ValueError, also under python -O, which strips asserts
 PRECONDITION_PRELUDE = (
     "import numpy as np\n"
-    "from wittram.coeff import finite_field\n"
+    "from wittram.coeff import finite_field, lift_ring\n"
     "from wittram import intpoly as ip\n"
+    "from wittram.series import TruncatedLaurentSeries as TLS\n"
+    "from wittram.tower import _bezout_exponents\n"
     "from wittram.witt import WittVector, build_table, witt_batch_op\n"
     "pair = WittVector((finite_field(3).one(), finite_field(3).zero()))\n"
     "A = np.ones((2, 4), dtype=np.int64)\n"
@@ -358,6 +381,20 @@ PRECONDITIONS = {
     "mono-negative-exponent": "ip.mono(1, -1)",
     "mono-exponent-past-mask": "ip.mono(ip.MASK + 1)",
     "pow-negative-exponent": "ip.p_pow({0: 1}, -1)",
+    "mul-exponent-past-mask": "ip.p_mul({ip.var(0, ip.MASK): 1}, {ip.var(0): 1})",
+    "pow-exponent-past-mask": "ip.p_pow({ip.var(0): 1}, 1 << 20)",
+    "sliced-mul-exponent-past-mask": (
+        "ip.p_mul_sliced({ip.var(2, ip.MASK): 1}, {ip.var(2): 1}, (0, 2, 3))"
+    ),
+    "sliced-pow-exponent-past-mask": "ip.p_pow_sliced({ip.var(1): 1}, 1 << 20, (0, 1, 1))",
+    "sliced-pow-negative-exponent": "ip.p_pow_sliced({0: 1}, -1, (0, 1, 1))",
+    "sliced-plane-one-variable": "ip.p_mul_sliced({0: 1}, {0: 1}, (1, 1, 1))",
+    "eval-values-as-list": "ip.p_eval({ip.var(0): 1}, [5], 1)",
+    "eval-variable-missing": "ip.p_eval({ip.var(1): 1}, {0: 5}, 1)",
+    "lift-level-zero": "lift_ring(3, 0)",
+    "bezout-break-divisible-by-p": "_bezout_exponents(6, 3)",
+    "monomial-at-precision": "TLS.monomial(finite_field(3), 5, 1, prec=5)",
+    "terms-past-precision": "TLS.from_terms(finite_field(3), [(1, 1), (5, 2)], prec=5)",
 }
 
 
