@@ -95,7 +95,8 @@ class CoeffRing:
 
     def gen(self):
         """The class of x (a root of the defining polynomial)."""
-        assert self.f >= 2
+        if self.f < 2:
+            raise ValueError(f"{self} has no generator beyond the prime field")
         return self._wrap((0, 1) + (0,) * (self.f - 2))
 
     def random(self, rng):
@@ -313,7 +314,8 @@ class LiftRingElement(_Element):
 def pth_root(a):
     """The unique p-th root in F_q: the inverse of Frobenius, a^(p^(f-1))."""
     ring = a.ring
-    assert ring.is_field
+    if not ring.is_field:
+        raise ValueError(f"p-th roots are taken in a finite field, not {ring}")
     root = a ** (ring.p ** (ring.f - 1))
     if root**ring.p != a:
         raise ConsistencyFailure(f"{root} is not a p-th root of {a}")
@@ -323,7 +325,8 @@ def pth_root(a):
 def lift(a, m):
     """Coordinate-wise lift of a field element into the Galois ring mod p^m."""
     ring = a.ring
-    assert ring.is_field
+    if not ring.is_field:
+        raise ValueError(f"only field elements are lifted, not elements of {ring}")
     return lift_ring(ring.p, m, ring.f).from_coords(a.coords)
 
 

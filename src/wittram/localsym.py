@@ -7,6 +7,14 @@ the computation runs upstairs: lift every coefficient to the unramified
 extension of Z/p^m, take residues there, invert the ghost map with exact
 p-divisions, and only then reduce mod p.  With m = 2n + 2 the reduction is
 independent of the chosen lifts, which the tests exercise by lifting twice.
+
+The pairing runs on raw (rows, f) windows: the ghost components are cut
+once per datum to their rows at exponents -D..-1, D their largest pole
+order.  With v' = v(alpha'), only rows v'..D-1 of dlog(alpha) meet a pole,
+so alpha is inverted to D - v' rows (none when v' >= D) and each residue is
+one row of a ghost window convolved with those rows.  U^(D+1) thus pairs to
+zero, and vanishing above a bound M < D is certified by the (q - 1)(D - M)
+generators 1 + c t^k, M < k <= D (modulus_vanishing_test).
 """
 
 from __future__ import annotations
@@ -16,9 +24,14 @@ import random
 
 import numpy as np
 
-from .coeff import lift_ring, reduce_mod_p
-from .errors import GhostInversionFailure, VanishingFailure
-from .series import TruncatedLaurentSeries
+from .coeff import finite_field, lift_ring, reduce_mod_p
+from .errors import (
+    ConsistencyFailure,
+    GhostInversionFailure,
+    InsufficientPrecision,
+    VanishingFailure,
+)
+from .series import TruncatedLaurentSeries, _conv, _inv_root, _mul_trunc, _scale
 from .witt import WittVector, ghost_eval
 
 DEFAULT_GUARD = 2
@@ -118,34 +131,70 @@ def _exact_p_division(x, k, lift):
 
 
 def _pairing(u_lifts, field):
-    """The symbol map alpha_lift -> (symbol, certificate) for fixed lifts of u.
+    """The symbol map for fixed lifts of u, on raw windows.
 
-    u's ghost components do not depend on alpha, so they are formed once per
+    Returns (D, pair): D is the largest pole order of u's ghost components,
+    and pair maps rows 0..D of a lifted unit alpha, as a (D + 1, f) window,
+    to (symbol, certificate).  The ghost components do not depend on alpha,
+    so they are formed and cut to their rows at exponents -D..-1 once per
     datum.  The certificate carries the raw residues and the ghost-inverted
     digits in the lift ring so callers can audit the inversion at full depth."""
+    lift = u_lifts[0].ring
+    p, mod = lift.p, lift.modulus
     ghosts = [ghost_series(u_lifts, j) for j in range(len(u_lifts))]
+    depth = max([0] + [-g.val_lower_bound() for g in ghosts])
+    known = min(g.prec for g in ghosts) + depth  # rows of the windows known
+    windows = []
+    for g in ghosts:
+        win = np.zeros((depth, lift.f), dtype=np.int64)
+        lo, hi = max(g.v, -depth), min(g.end, 0)
+        if lo < hi:
+            win[lo + depth : hi + depth] = g.coeffs[lo - g.v : hi - g.v]
+        windows.append(win)
+    if finite_field(p, lift.f) != field:
+        raise ValueError("lift ring does not reduce onto the given field")
+    one = (1,) + (0,) * (lift.f - 1)
+    zero = WittVector((field.zero(),) * len(ghosts))
 
-    def pair(alpha_lift):
-        lift = alpha_lift.ring
-        p = lift.p
-        dlog = alpha_lift.derivative() / alpha_lift
-        residues = [(g * dlog).residue() for g in ghosts]
+    def pair(A):
+        # row k of the slope is k a_k, the coefficient of t^(k-1) in alpha';
+        # with v' = v(alpha'), only rows v'..D-1 of dlog(alpha) meet a pole
+        slope = A * np.arange(depth + 1)[:, None] % mod
+        nz = np.flatnonzero(slope.any(axis=1))
+        n = depth + 1 - int(nz[0]) if len(nz) else 0
+        if n > known:
+            raise InsufficientPrecision("ghost components unknown where the residue reads them")
+        if n == 0:  # dlog(alpha) = O(t^D): every residue vanishes by valuation
+            zeros = [lift.zero()] * len(windows)
+            return zero, {"residues": zeros, "digits": list(zeros), "lift": lift}
+        lead = tuple(int(c) for c in A[0])
+        c = one if lead == one else lift.cinv(lead)
+        w = _scale(lift, _inv_root(lift, _scale(lift, A[:n], c), 1, n), c)
+        residual = _mul_trunc(lift, A, w, n)
+        residual[0, 0] -= 1
+        if (residual % mod).any():
+            raise ConsistencyFailure("Newton inversion failed to converge")
+        dlog = _mul_trunc(lift, slope[depth + 1 - n :], w, n)
+        residues = [lift.from_coords(_conv(lift, win[:n], dlog)[n - 1]) for win in windows]
         digits = []
         for j, acc in enumerate(residues):
             for i in range(j):
                 acc = acc - (p**i) * digits[i] ** (p ** (j - i))
             digits.append(_exact_p_division(acc, j, lift))
         symbol = WittVector(tuple(reduce_mod_p(w) for w in digits))
-        if symbol.ring != field:
-            raise ValueError("lift ring does not reduce onto the given field")
         return symbol, {"residues": residues, "digits": digits, "lift": lift}
 
-    return pair
+    return depth, pair
 
 
 def symbol_from_lifts(u_lifts, alpha_lift, field):
     """Residue vector from explicit lifts; returns (symbol, certificate)."""
-    return _pairing(u_lifts, field)(alpha_lift)
+    depth, pair = _pairing(u_lifts, field)
+    if alpha_lift.ring != u_lifts[0].ring or alpha_lift.valuation() != 0:
+        raise ValueError("alpha must be a unit power series over the lift ring of u")
+    if alpha_lift.prec <= depth:
+        raise InsufficientPrecision(f"alpha is O(t^{alpha_lift.prec}); the residues read t^{depth}")
+    return pair(alpha_lift.truncate(depth + 1).coeffs)
 
 
 def residue_vector(inp, with_certificate=False):
@@ -171,12 +220,14 @@ def modulus_vanishing_test(u, bound, trials=50, rng=None):
     """Certify symbol vanishing above a conductor bound, and probe below it.
 
     Every alpha with 1 - alpha vanishing to order at least bound + 1 must
-    give the zero symbol; a nonzero symbol there raises VanishingFailure.
-    At order exactly bound the function searches for a nonzero witness and
-    reports the outcome without asserting existence, since sharpness is a
-    theorem only for the generic data the closed formula covers.  u is
-    lifted and its ghost components formed once; every alpha is validated
-    and truncated by LocalSymbolInput before it is lifted and paired."""
+    give the zero symbol.  The (q - 1) max(0, D - bound) generator symbols
+    prove it (see the module docstring), and the seeded trials cross-check
+    it; a nonzero symbol in either raises VanishingFailure.  At order
+    exactly bound the function searches for a nonzero witness and reports
+    the outcome without asserting existence, since sharpness is a theorem
+    only for the generic data the closed formula covers.  u is validated,
+    lifted and cut once; each alpha is 1 + O(t), drawn from rng straight
+    into its window of canonical lifts."""
     if trials < 1 or bound < 1:
         raise ValueError(f"the probe needs trials >= 1 and bound >= 1, not {trials}, {bound}")
     if not isinstance(u, WittVector):
@@ -184,34 +235,44 @@ def modulus_vanishing_test(u, bound, trials=50, rng=None):
     field = u.ring
     if rng is None:
         rng = random.Random(0)
-    window = pole_depth(u) + bound + 4
     one = TruncatedLaurentSeries.monomial(field, 0, 1)
-    lift = lift_ring(field.p, default_lift_precision(u.n), field.f)
-    pair = _pairing([canonical_lift(s, lift) for s in u], field)
+    lift = lift_ring(field.p, LocalSymbolInput(u, one).m, field.f)
+    depth, pair = _pairing([canonical_lift(s, lift) for s in u], field)
+    window = pole_depth(u) + bound + 4
 
-    def probe(terms):
-        alpha = one + TruncatedLaurentSeries.from_terms(field, terms, prec=window)
-        inp = LocalSymbolInput(u, alpha)
-        return alpha, pair(canonical_lift(inp.alpha, lift))[0]
+    def one_plus(terms):
+        # rows 0..D of 1 + sum c t^e; rows past D never reach a residue
+        A = np.zeros((depth + 1, field.f), dtype=np.int64)
+        A[0, 0] = 1
+        for e, coords in terms:
+            if e <= depth:
+                A[e] = coords
+        return A
+
+    units = nonzero_elements(field)
+    for k in range(bound + 1, depth + 1):
+        for c in units:
+            if not pair(one_plus([(k, c.coords)]))[0].is_zero():
+                raise VanishingFailure(f"nonzero symbol for 1 + ({c}) t^{k} above {bound}")
 
     for _ in range(trials):
         tail = [
-            (bound + 1 + k, field.random(rng))
+            (bound + 1 + k, [rng.randrange(field.p) for _ in range(field.f)])
             for k in range(1 + rng.randrange(max(1, window - bound - 1)))
         ]
-        if not probe(tail)[1].is_zero():
+        if not pair(one_plus(tail))[0].is_zero():
             raise VanishingFailure(
                 f"nonzero symbol for 1 - alpha of order >= {bound + 1}"
             )
 
     # Single-term candidates suffice: 1 + c t^M + c2 t^(M+1) is (1 + c t^M)
-    # times a unit of U^(M+1), the symbol is a homomorphism in alpha, and
-    # U^(M+1) pairs to zero (the trials above check it), so such a pair has
-    # the symbol of its first term.
+    # times a unit of U^(M+1), which pairs to zero (certified above), so
+    # such a pair has the symbol of its first term.
     witness = None
-    for tried, c in enumerate(nonzero_elements(field), start=1):
-        alpha, symbol = probe([(bound, c)])
+    for tried, c in enumerate(units, start=1):
+        symbol = pair(one_plus([(bound, c.coords)]))[0]
         if not symbol.is_zero():
+            alpha = one + TruncatedLaurentSeries.from_terms(field, [(bound, c)], prec=window)
             witness = (alpha, symbol)
             break
     return {
@@ -219,6 +280,7 @@ def modulus_vanishing_test(u, bound, trials=50, rng=None):
         "n": u.n,
         "bound": bound,
         "trials": trials,
+        "certificate": {"pole_depth": depth, "generators": len(units) * max(0, depth - bound)},
         "witness_found": witness is not None,
         "witness": witness,
         "witness_attempts": tried,

@@ -34,11 +34,13 @@ class TruncatedLaurentSeries:
         coeffs = np.asarray(coeffs, dtype=np.int64)
         if coeffs.ndim == 1:
             coeffs = coeffs.reshape(-1, ring.f)
-        assert coeffs.ndim == 2 and coeffs.shape[1] == ring.f
+        if coeffs.ndim != 2 or coeffs.shape[1] != ring.f:
+            raise ValueError(f"a window over {ring} has shape (rows, {ring.f}), not {coeffs.shape}")
         if normalize:
             coeffs = coeffs % ring.modulus
             if prec != INF:
-                assert v + len(coeffs) == prec, "window must be dense up to prec"
+                if v + len(coeffs) != prec:
+                    raise ValueError("window must be dense up to prec")
             nz = np.nonzero(coeffs.any(axis=1))[0]
             if len(nz) == 0:
                 coeffs = coeffs[:0]
@@ -258,7 +260,8 @@ class TruncatedLaurentSeries:
     def pth_power(self):
         """Fast p-th power over F_q: Frobenius on coefficients, exponents * p."""
         ring = self.ring
-        assert ring.is_field
+        if not ring.is_field:
+            raise ValueError(f"the Frobenius p-th power needs a finite field, not {ring}")
         p = ring.p
         prec = self.prec if self.prec == INF else self.prec * p
         if not len(self.coeffs):
@@ -638,7 +641,8 @@ def nth_root(f, r, leading_root=None):
 
 def _find_root(c, r):
     ring = c.ring
-    assert ring.is_field
+    if not ring.is_field:
+        raise ValueError(f"leading roots are searched in a finite field, not {ring}")
     # fields here are tiny; exhaustive search is the simplest certified route
     from itertools import product as iproduct
 
@@ -652,7 +656,8 @@ def _find_root(c, r):
 def pth_power_decompose(f):
     """Split f = g^p + h with h supported on exponents prime to p."""
     ring = f.ring
-    assert ring.is_field
+    if not ring.is_field:
+        raise ValueError(f"p-th power decomposition needs a finite field, not {ring}")
     p = ring.p
     if f.is_exact_zero():
         return f, f

@@ -255,6 +255,8 @@ def test_local_symbol_probe(capsys):
     doc = json.loads(out)
     assert doc["modulus_bound"] == 3
     assert doc["probe_trials"] == 5
+    # u = 1/s^3 has ghost pole depth 3 = the bound: no generator is needed
+    assert doc["probe_certificate"] == {"pole_depth": 3, "generators": 0}
     assert doc["witness_found"] is True
 
 

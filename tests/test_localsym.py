@@ -5,11 +5,17 @@ import random
 import pytest
 
 from wittram import localsym
-from wittram.coeff import finite_field, lift_ring
+from wittram.coeff import finite_field, lift_ring, reduce_mod_p
 from wittram.conductor import theorem_conductor
-from wittram.errors import GhostInversionFailure, VanishingFailure
+from wittram.errors import (
+    ConsistencyFailure,
+    GhostInversionFailure,
+    InsufficientPrecision,
+    VanishingFailure,
+)
 from wittram.localsym import (
     LocalSymbolInput,
+    _exact_p_division,
     canonical_lift,
     modulus_vanishing_test,
     nonzero_elements,
@@ -28,6 +34,8 @@ F2 = finite_field(2, 1)
 F3 = finite_field(3, 1)
 F4 = finite_field(2, 2)
 F5 = finite_field(5, 1)
+F8 = finite_field(2, 3)
+F9 = finite_field(3, 2)
 
 
 def _mono(field, e, c):
@@ -58,6 +66,22 @@ def _random_unit_series(field, window, rng):
     terms = [(0, random_unit(field, rng))]
     terms += [(k, field.random(rng)) for k in range(1, window)]
     return TLS.from_terms(field, terms, prec=window)
+
+
+def _series_pairing(u_lifts, alpha_lift):
+    """The pairing on series objects, kept as a reference for the window
+    route: residues of Phi_j(u) alpha'/alpha, then the ghost inversion.
+    alpha_lift must be finite, since exact/exact division does not stop."""
+    lift = alpha_lift.ring
+    p = lift.p
+    dlog = alpha_lift.derivative() / alpha_lift
+    residues = [(ghost_eval(WittVector(u_lifts), j) * dlog).residue() for j in range(len(u_lifts))]
+    digits = []
+    for j, acc in enumerate(residues):
+        for i in range(j):
+            acc = acc - (p**i) * digits[i] ** (p ** (j - i))
+        digits.append(_exact_p_division(acc, j, lift))
+    return WittVector(tuple(reduce_mod_p(w) for w in digits)), residues
 
 
 def test_simple_pole_symbol_frozen():
@@ -319,3 +343,132 @@ def test_ghost_series_matches_hand_expansion():
     g1 = ghost_eval(WittVector((u0, u1)), 1)
     # u_0^2 + 2 u_1 = s^-2 + 2 s^-2 = 3 s^-2
     assert (g1 - TLS.monomial(lift, -2, 3)).is_exact_zero()
+
+
+@pytest.mark.parametrize(
+    "field, n",
+    [(F, n) for F in (F2, F3, F4, F5, F9, F8) for n in (1, 2, 3)],
+    ids=lambda x: repr(x),
+)
+def test_window_pairing_matches_series_reference(field, n):
+    # alphas: finite and exact, leads 1 and not 1, v(alpha') from 0 up to
+    # past D (no dlog row meets a pole), under canonical and perturbed lifts
+    rng = random.Random(71 + 10 * field.q + n)
+    for _ in range(2):
+        u = _random_pole_vector(field, n, 2, rng)
+        D = pole_depth(u)
+        lift = lift_ring(field.p, 2 * n + 2, field.f)
+        one = _mono(field, 0, 1)
+        alphas = [_random_unit_series(field, D + 3, rng)]
+        for k in sorted({1, 2, max(1, D // 2), D, D + 1}):
+            c = random_unit(field, rng)
+            alphas.append(one + _mono(field, k, c) + _mono(field, k + 2, random_unit(field, rng)))
+        alphas.append(_mono(field, 0, random_unit(field, rng)) + _mono(field, 1, 1))
+        for alpha in alphas:
+            lifts = [("canonical", [canonical_lift(s, lift) for s in u], canonical_lift(alpha, lift))]
+            lifts.append(
+                ("perturbed", [perturbed_lift(s, lift, rng) for s in u], perturbed_lift(alpha, lift, rng))
+            )
+            for how, u_lifts, alpha_lift in lifts:
+                sym, cert = symbol_from_lifts(u_lifts, alpha_lift, field)
+                want, residues = _series_pairing(u_lifts, alpha_lift.truncate(D + 2))
+                assert (sym, cert["residues"]) == (want, residues), (how, alpha)
+            assert residue_vector(LocalSymbolInput(u, alpha)) == sym
+
+
+def test_rows_the_residue_cannot_know_are_refused():
+    # u_0 = s^-2 + O(1) makes Phi_1 = u_0^3 + 3 u_1 known only below s^-4:
+    # a residue reading it there is refused, one reading only s^-6, s^-5
+    # is exact
+    u = WittVector((TLS.from_terms(F3, [(-2, 1)], prec=0), TLS.zero(F3)))
+    one = _mono(F3, 0, 1)
+    with pytest.raises(InsufficientPrecision):
+        residue_vector(LocalSymbolInput(u, one + _mono(F3, 1, 1)))
+    assert residue_vector(LocalSymbolInput(u, one + _mono(F3, 5, 1))).is_zero()
+    assert residue_vector(LocalSymbolInput(u, one + _mono(F3, 6, 1))).entries[1] == 2
+    # u = 1/s^3 reads alpha up to s^3, and alpha must be a unit
+    u = WittVector((_mono(F2, -3, 1),))
+    alpha = _mono(F2, 0, 1) + _mono(F2, 1, 1)
+    with pytest.raises(InsufficientPrecision):
+        residue_vector(LocalSymbolInput(u, alpha.truncate(3)))
+    assert residue_vector(LocalSymbolInput(u, alpha.truncate(4))) == residue_vector(
+        LocalSymbolInput(u, alpha)
+    )
+    lift = lift_ring(2, 4)
+    with pytest.raises(ValueError, match="unit"):
+        symbol_from_lifts([canonical_lift(u[0], lift)], TLS.monomial(lift, 1, 1), F2)
+
+
+def test_wrong_inverse_row_is_caught(monkeypatch):
+    inv_root = localsym._inv_root
+
+    def wrong(ring, U, r, n):
+        w = inv_root(ring, U, r, n).copy()
+        w[-1, 0] = (w[-1, 0] + 1) % ring.modulus
+        return w
+
+    monkeypatch.setattr(localsym, "_inv_root", wrong)
+    u = WittVector((_mono(F3, -2, 1),))
+    one = _mono(F3, 0, 1)
+    with pytest.raises(ConsistencyFailure):
+        residue_vector(LocalSymbolInput(u, one + _mono(F3, 1, 1)))
+    # the trials pair in U^3 and invert nothing; the witness inverts one row
+    with pytest.raises(ConsistencyFailure):
+        modulus_vanishing_test(u, 2, trials=5, rng=random.Random(67))
+
+
+@pytest.mark.parametrize(
+    "field, u0, n, bound, generators",
+    [(F2, -2, 1, 1, 1), (F4, -2, 1, 1, 3), (F3, -3, 1, 1, 4), (F2, -4, 1, 1, 3), (F2, -2, 2, 2, 2)],
+    ids=repr,
+)
+def test_certificate_pairs_the_generators_above_the_bound(field, u0, n, bound, generators):
+    # u = s^(u0) with u0 = -p^k is s^-1 modulo (F - 1)W, so its symbols die
+    # above order p^(n-1) although its ghost poles reach p^(n-1)|u0|: the
+    # probe pairs the q - 1 generators 1 + c t^k at each order in between
+    u = WittVector((_mono(field, u0, 1),) + (TLS.zero(field),) * (n - 1))
+    report = modulus_vanishing_test(u, bound, trials=10, rng=random.Random(73))
+    assert report["certificate"] == {"pole_depth": pole_depth(u), "generators": generators}
+    assert generators == (field.q - 1) * (pole_depth(u) - bound)
+    assert report["witness_found"]
+
+
+def test_certificate_catches_a_nonzero_generator():
+    # 1/s^2 over F_3 has conductor 3: 1 + t^2 pairs to nonzero above bound 1
+    u = WittVector((_mono(F3, -2, 1),))
+    with pytest.raises(VanishingFailure, match=r"t\^2 above 1"):
+        modulus_vanishing_test(u, 1, trials=5, rng=random.Random(79))
+
+
+def test_trials_build_no_series_objects(monkeypatch):
+    counts = []
+    init = TLS.__init__
+
+    def counted(self, *args, **kwargs):
+        counts[-1] += 1
+        init(self, *args, **kwargs)
+
+    u = WittVector(CoverDatum.from_orders(3, 2, 1, [2, 1]).entries)
+    monkeypatch.setattr(TLS, "__init__", counted)
+    for trials in (5, 50):
+        counts.append(0)
+        modulus_vanishing_test(u, 6, trials=trials, rng=random.Random(59))
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize(
+    "p, f, nu, after",
+    [
+        (2, 2, (3, 1), 0.10186291162760164),
+        (3, 1, (2, 1), 0.6168383011809137),
+        (5, 2, (1,), 0.937723127649293),
+    ],
+)
+def test_probe_draws_are_pinned(p, f, nu, after):
+    # the trials draw from rng exactly as before the window route: one
+    # randrange for the tail length, then f randrange(p) per term
+    datum = CoverDatum.from_orders(p, len(nu), f, list(nu))
+    bound = theorem_conductor(p, len(nu), nu)["M"]
+    rng = random.Random(61)
+    modulus_vanishing_test(WittVector(datum.entries), bound, trials=12, rng=rng)
+    assert rng.random() == after

@@ -362,9 +362,9 @@ def test_table_errors():
 # ValueError, also under python -O, which strips asserts
 PRECONDITION_PRELUDE = (
     "import numpy as np\n"
-    "from wittram.coeff import finite_field, lift_ring\n"
+    "from wittram.coeff import finite_field, lift, lift_ring, pth_root\n"
     "from wittram import intpoly as ip\n"
-    "from wittram.series import TruncatedLaurentSeries as TLS\n"
+    "from wittram.series import TruncatedLaurentSeries as TLS, nth_root, pth_power_decompose\n"
     "from wittram.tower import _bezout_exponents\n"
     "from wittram.witt import WittVector, build_table, witt_batch_op\n"
     "pair = WittVector((finite_field(3).one(), finite_field(3).zero()))\n"
@@ -395,6 +395,14 @@ PRECONDITIONS = {
     "bezout-break-divisible-by-p": "_bezout_exponents(6, 3)",
     "monomial-at-precision": "TLS.monomial(finite_field(3), 5, 1, prec=5)",
     "terms-past-precision": "TLS.from_terms(finite_field(3), [(1, 1), (5, 2)], prec=5)",
+    "gen-of-prime-field": "finite_field(3).gen()",
+    "pth-root-in-lift-ring": "pth_root(lift_ring(3, 2).one())",
+    "lift-of-lift-element": "lift(lift_ring(3, 2).one(), 3)",
+    "window-wrong-width": "TLS(finite_field(3, 2), 0, np.zeros((2, 3), dtype=np.int64))",
+    "window-not-dense": "TLS(finite_field(3), 0, np.ones((2, 1), dtype=np.int64), prec=5)",
+    "pth-power-in-lift-ring": "TLS.monomial(lift_ring(3, 2), 1, 1).pth_power()",
+    "leading-root-in-lift-ring": "nth_root(TLS.monomial(lift_ring(3, 2), 0, 1), 2)",
+    "decompose-in-lift-ring": "pth_power_decompose(TLS.monomial(lift_ring(3, 2), 0, 1))",
 }
 
 
