@@ -77,11 +77,14 @@ def parse_datum(source):
     try:
         p = int(doc["p"])
         n = int(doc["n"])
+        f = int(doc.get("field", 1))
+        nu = [int(v) for v in doc["nu"]] if "nu" in doc else None
     except KeyError as missing:
         raise ValueError(f"datum document lacks required key {missing}")
-    f = int(doc.get("field", 1))
-    if "nu" in doc:
-        return CoverDatum.from_orders(p, n, f, [int(v) for v in doc["nu"]])
+    except TypeError as exc:
+        raise ValueError(f"datum document has a malformed entry: {exc}")
+    if nu is not None:
+        return CoverDatum.from_orders(p, n, f, nu)
     if "u" in doc:
         ring = finite_field(p, f)
         if not isinstance(doc["u"], list):

@@ -26,12 +26,11 @@ import numpy as np
 
 from .coeff import finite_field, lift_ring, reduce_mod_p
 from .errors import (
-    ConsistencyFailure,
     GhostInversionFailure,
     InsufficientPrecision,
     VanishingFailure,
 )
-from .series import TruncatedLaurentSeries, _conv, _inv_root, _mul_trunc, _scale
+from .series import TruncatedLaurentSeries, _conv, _inv_rows, _mul_trunc
 from .witt import WittVector, ghost_eval
 
 DEFAULT_GUARD = 2
@@ -169,11 +168,7 @@ def _pairing(u_lifts, field):
             return zero, {"residues": zeros, "digits": list(zeros), "lift": lift}
         lead = tuple(int(c) for c in A[0])
         c = one if lead == one else lift.cinv(lead)
-        w = _scale(lift, _inv_root(lift, _scale(lift, A[:n], c), 1, n), c)
-        residual = _mul_trunc(lift, A, w, n)
-        residual[0, 0] -= 1
-        if (residual % mod).any():
-            raise ConsistencyFailure("Newton inversion failed to converge")
+        w = _inv_rows(lift, A, c, n)
         dlog = _mul_trunc(lift, slope[depth + 1 - n :], w, n)
         residues = [lift.from_coords(_conv(lift, win[:n], dlog)[n - 1]) for win in windows]
         digits = []

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import ConsistencyFailure, InsufficientPrecision
 
 INF = math.inf
+DIRECT_CONV_ROWS = 64  # _int_conv multiplies shorter windows directly
 
 
 class TruncatedLaurentSeries:
@@ -303,8 +304,7 @@ class TruncatedLaurentSeries:
     def inv(self, n_terms=None):
         """Multiplicative inverse to n_terms rows (default: the stored width).
 
-        The lead-normalised window runs through `_inv_root` with r = 1, and
-        the residual of self * inverse = 1 on the returned rows certifies it.
+        `_inv_rows` inverts the window and certifies it by its residual.
         A finite window determines only its own width of the inverse; an
         exact one is zero past its stored rows, so it is padded with zero
         rows up to n_terms.  Without n_terms the inverse is computed once
@@ -328,14 +328,7 @@ class TruncatedLaurentSeries:
         elif n < 1:
             x = TruncatedLaurentSeries.zero_to(ring, n - v)
         else:
-            c = lead.inv().coords
-            u = np.zeros((n, ring.f), dtype=np.int64)
-            u[: min(n, W)] = _scale(ring, self.coeffs[:n], c)
-            w = _scale(ring, _inv_root(ring, u, 1, n), c)
-            residual = _mul_trunc(ring, self.coeffs, w, n)
-            residual[0, 0] -= 1
-            if (residual % ring.modulus).any():
-                raise ConsistencyFailure("Newton inversion failed to converge")
+            w = _inv_rows(ring, self.coeffs, lead.inv().coords, n)
             x = TruncatedLaurentSeries(ring, -v, w, n - v, normalize=False)
         if n_terms is None:
             self._inv = x
@@ -370,9 +363,6 @@ class TruncatedLaurentSeries:
         prec = self.prec if self.prec == INF else self.prec - 1
         return TruncatedLaurentSeries(ring, self.v - 1, arr, prec)
 
-    def residue(self):
-        return self.coeff(-1)
-
     def agrees_with(self, other):
         """True when the two series agree on the overlap of known windows."""
         self._check(other)
@@ -404,7 +394,7 @@ def _int_conv(a, b):
     and Zimmermann (Math. Comp. 76, 2007): every output errs by at most a
     small multiple of eps log2(N) |a|_2 |b|_2, and |a|_2 |b|_2 <= N amax bmax."""
     N = len(a) + len(b) - 1
-    if min(len(a), len(b)) >= 64 and N >= 1024:
+    if min(len(a), len(b)) >= DIRECT_CONV_ROWS and N >= 1024:
         amax, bmax = int(np.abs(a).max()), int(np.abs(b).max())
         if 16 * 2.3e-16 * N * math.log2(N) * amax * bmax < 0.25:
             size = 1 << (N - 1).bit_length()
@@ -489,6 +479,20 @@ def _inv_root(ring, U, r, n):
         err = -_mul_trunc(ring, U, _pow_trunc(ring, w, r, known), known)[old:] % mod
         step = _mul_trunc(ring, w, err, known - old)
         w = np.vstack([w, step * rinv % mod])
+    return w
+
+
+def _inv_rows(ring, A, c, n):
+    """Rows 0..n-1 of 1/A for a window A from t^0 whose lead is a unit with
+    inverse c (coordinates); A reads as zero past its rows.  The residual
+    A w = 1 on those rows certifies the Newton inversion."""
+    U = np.zeros((n, ring.f), dtype=np.int64)
+    U[: min(n, len(A))] = _scale(ring, A[:n], c)
+    w = _scale(ring, _inv_root(ring, U, 1, n), c)
+    residual = _mul_trunc(ring, A, w, n)
+    residual[0, 0] -= 1
+    if (residual % ring.modulus).any():
+        raise ConsistencyFailure("Newton inversion failed to converge")
     return w
 
 
@@ -590,14 +594,6 @@ def _compose_fast(f, g, cap):
     unit = TruncatedLaurentSeries(ring, 0, unit, INF if cap == INF else n0)
     out = unit * (g**f.v) if f.v else unit
     return out.truncate(cap)
-
-
-def derivative(f):
-    return f.derivative()
-
-
-def residue(f):
-    return f.residue()
 
 
 def nth_root(f, r, leading_root=None):

@@ -28,6 +28,7 @@ from .errors import (
     NonTotallyRamified,
 )
 from .series import (
+    DIRECT_CONV_ROWS,
     TruncatedLaurentSeries,
     compose,
     nth_root,
@@ -38,6 +39,7 @@ from .witt import WittVector, asw_correction_poly, build_table, witt_smul, xvar,
 INF = math.inf
 
 DEFAULT_BUDGET_FACTOR = 4
+ATTEMPTS = 3  # builds analyze_tower tries, doubling the factor after a failure
 FULL_ORBIT_MAX = 27  # largest group order for which every conjugate is built
 
 
@@ -142,43 +144,43 @@ def _solve_stage(z_std, ring, window):
         Y^p - Y = z_std(T),        Y^a * T^b = tau,
 
     where -a*e + b*p = 1.  T re-expands t and Y re-expands the standard
-    generator; v(T) = p and v(Y) = -e.  Both relations are re-verified on
-    the full window before returning.
+    generator; v(T) = p and v(Y) = -e.  Newton runs on F(T) = Y^p - Y -
+    z_std(T), Y(T) = (tau T^(-b))^(1/a), with F' = (b/a) Y/T - z_std'(T);
+    each step doubles the right rows of T (Brent-Kung 1978), so
+    ceil(log2(rows)) steps run on a short window, then one per doubled
+    window up to the planned one (Bernstein, "Removing redundancy in
+    high-precision Newton iteration").  The residual of the returned (T, Y)
+    on the full window is the relation certificate.
     """
     p = ring.p
     e = -z_std.valuation()
     a, b = _bezout_exponents(e, p)
     c = z_std.leading_coeff()
-
+    dz, b_over_a = z_std.derivative(), b * pow(a, -1, p) % p
     tau = TruncatedLaurentSeries.monomial(ring, 1)
-    y_lead = c**b
-    T = TruncatedLaurentSeries.monomial(ring, p, c ** (-a)).truncate(window)
 
-    gain = max(1, (p - 1) * e)
-    max_rounds = 6 + 2 * (window // gain + 1)
-    prev_val = None
-    Y = None
-    for _ in range(max_rounds):
-        # Y from the unit relation, with the forced leading root
-        Y = nth_root(tau * T ** (-b), a, leading_root=y_lead)
-        rho = Y.pth_power() - Y - compose(z_std, T)
-        if not len(rho.coeffs):
-            break
-        rv = rho.valuation()
-        if prev_val is not None and rv <= prev_val:
-            raise InsufficientPrecision(
-                f"stage solver stalled at residual valuation {rv}"
-            )
-        prev_val = rv
-        dz = compose(z_std.derivative(), T)
-        T = (T + rho / dz).truncate(window)
-    else:
-        raise InsufficientPrecision("stage solver exhausted its round budget")
+    def residual(T):  # Y from the unit relation, with the forced leading root
+        Y = nth_root(tau * T ** (-b), a, leading_root=c**b)
+        return Y, Y.pth_power() - Y - compose(z_std, T)
 
-    # mandatory post-hoc certification of both relations
-    res1 = Y.pth_power() - Y - compose(z_std, T)
-    if len(res1.coeffs):
-        raise ConsistencyFailure("stage relation Y^p - Y = z(T) fails on window")
+    windows = [window]  # a step at window w needs T right below (w + p) / 2
+    while windows[-1] > p + DIRECT_CONV_ROWS:
+        windows.append((windows[-1] + p + 1) // 2)
+    short = windows.pop()
+    T = TruncatedLaurentSeries.monomial(ring, p, c ** (-a)).truncate(short)
+    rho = None  # the residual of T, once formed
+    for w in [short] * (short - p - 1).bit_length() + windows[::-1]:
+        if w > T.prec:  # pad T with zero rows up to the doubled window
+            T = TruncatedLaurentSeries(ring, T.v, T.coeffs, INF).truncate(w)
+        elif rho is not None:
+            continue  # the residual on the short window vanished
+        Y, rho = residual(T)
+        if len(rho.coeffs):
+            T, rho = T - rho / (b_over_a * Y * T.inv() - compose(dz, T)), None
+    if rho is None:
+        Y, rho = residual(T)
+    if len(rho.coeffs):
+        raise InsufficientPrecision(f"stage relation Y^p - Y = z(T) fails at t^{rho.v}")
     res2 = Y**a * T**b - tau
     if len(res2.coeffs):
         raise ConsistencyFailure("stage relation Y^a T^b = tau fails on window")
@@ -190,16 +192,10 @@ def _solve_stage(z_std, ring, window):
     return T, Y, a, b
 
 
-_CORR_POLY_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def _correction_poly(p, i):
     """Mod-p coupling polynomial in slots 0..i-1 for generator equation i."""
-    key = (p, i)
-    if key not in _CORR_POLY_CACHE:
-        table = build_table(p, i + 1)
-        _CORR_POLY_CACHE[key] = asw_correction_poly(table, i)
-    return _CORR_POLY_CACHE[key]
+    return asw_correction_poly(build_table(p, i + 1), i)
 
 
 class TowerStage:
@@ -550,7 +546,7 @@ def build_tower(datum, factor=None):
     return Tower(datum, stages, fac)
 
 
-def analyze_tower(datum, factor=None, retries=3):
+def analyze_tower(datum, factor=None):
     """Build, filter and cross-check in one call.  Returns
     (tower, filtration, report).
 
@@ -558,12 +554,12 @@ def analyze_tower(datum, factor=None, retries=3):
     report, so the first attempt is meant to finish.  Only when a precision
     failure happens anyway (a datum whose series fall outside the planned
     bounds) is the whole pipeline rerun, with the factor doubled, up to
-    `retries` attempts in all; each attempt calls `build_tower` once.
+    ATTEMPTS attempts in all; each attempt calls `build_tower` once.
     """
     fac = budget_factor(factor)
     causes = []
     last_exc = None
-    for _attempt in range(retries):
+    for _attempt in range(ATTEMPTS):
         try:
             tower = build_tower(datum, factor=fac)
             filtration = ramification_filtration(tower)
@@ -574,7 +570,7 @@ def analyze_tower(datum, factor=None, retries=3):
             last_exc = exc
             fac *= 2
     raise InsufficientPrecision(
-        f"tower analysis failed after {retries} attempts: " + "; ".join(causes)
+        f"tower analysis failed after {ATTEMPTS} attempts: " + "; ".join(causes)
     ) from last_exc
 
 

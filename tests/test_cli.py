@@ -99,11 +99,22 @@ def test_tower_malformed_datum_is_usage_error(argv):
         ((), ["conductor", "--p", "4", "--n", "1", "--nu", "1"]),
         ((), ["local-symbol", "--p", "2", "--n", "1", "--nu", "3", "--probe", "--trials", "0"]),
         ((), ["local-symbol", "--p", "2", "--n", "1", "--nu", "3", "--probe", "--trials", "-5"]),
+        ((), ["tower", "--datum", '{"p": 2, "n": 1, "nu": 3}']),
+        ((), ["tower", "--datum", '{"p": null, "n": 1, "nu": [3]}']),
+        ((), ["tower", "--datum", '{"p": 2, "n": [1], "nu": [3]}']),
+        ((), ["tower", "--datum", '{"p": 2, "n": 1, "nu": [3], "field": null}']),
     ],
     ids=["alpha-coords", "alpha-coords-optimized", "alpha-not-a-list", "witt-short-vector",
-         "witt-missing-x", "p-not-prime", "probe-no-trials", "probe-negative-trials"],
+         "witt-missing-x", "p-not-prime", "probe-no-trials", "probe-negative-trials",
+         "datum-nu-not-a-list", "datum-p-null", "datum-n-a-list", "datum-field-null"],
 )
-def test_malformed_input_is_usage_error(flags, argv):
+def test_malformed_input_is_usage_error(flags, argv, tmp_path):
+    # a datum document is written inline in the row and handed over as a file
+    if "--datum" in argv:
+        k = argv.index("--datum") + 1
+        path = tmp_path / "datum.json"
+        path.write_text(argv[k])
+        argv = [*argv[:k], str(path), *argv[k + 1 :]]
     _assert_usage_error(argv, flags)
 
 
