@@ -65,6 +65,13 @@ def _parse_series(ring, literal):
         ) from exc
 
 
+def _datum_int(value, key):
+    """value when it is a JSON integer; a bool, float or string is refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"datum `{key}` must be an integer, got {value!r}")
+    return value
+
+
 def parse_datum(source):
     """Read a JSON datum document (path or parsed object) into a CoverDatum."""
     if isinstance(source, str):
@@ -75,16 +82,14 @@ def parse_datum(source):
     if not isinstance(doc, dict):
         raise ValueError("datum document must be a JSON object")
     try:
-        p = int(doc["p"])
-        n = int(doc["n"])
-        f = int(doc.get("field", 1))
-        nu = [int(v) for v in doc["nu"]] if "nu" in doc else None
+        p, n = _datum_int(doc["p"], "p"), _datum_int(doc["n"], "n")
     except KeyError as missing:
         raise ValueError(f"datum document lacks required key {missing}")
-    except TypeError as exc:
-        raise ValueError(f"datum document has a malformed entry: {exc}")
-    if nu is not None:
-        return CoverDatum.from_orders(p, n, f, nu)
+    f = _datum_int(doc.get("field", 1), "field")
+    if "nu" in doc:
+        if not isinstance(doc["nu"], list):
+            raise ValueError(f"datum `nu` must be a list of integers, got {doc['nu']!r}")
+        return CoverDatum.from_orders(p, n, f, [_datum_int(v, "nu") for v in doc["nu"]])
     if "u" in doc:
         ring = finite_field(p, f)
         if not isinstance(doc["u"], list):

@@ -40,7 +40,7 @@ INF = math.inf
 
 DEFAULT_BUDGET_FACTOR = 4
 ATTEMPTS = 3  # builds analyze_tower tries, doubling the factor after a failure
-FULL_ORBIT_MAX = 27  # largest group order for which every conjugate is built
+FULL_ORBIT_MAX = 27  # largest group order for which the filtration reads every g
 
 
 def budget_factor(override=None):
@@ -587,35 +587,33 @@ def group_element_coordinates(p, n, g):
     return tuple(int(e.coords[0]) for e in vec.entries)
 
 
-_DELTA_POLY_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def _delta_poly(p, i, gbar):
     """Packed polynomial in the solution slots for sigma_g(y_i) - y_i.
 
     Translating the solution vector by the constant vector gbar moves
     component i by gbar_i + carry_i(y; gbar); the returned mod-p polynomial
     has the solution slots in xvar coordinates and gbar already filled in.
+    gbar is the prefix (gbar_0, ..., gbar_i) of g's coordinates.
     """
-    key = (p, i, tuple(gbar[: i + 1]))
-    if key not in _DELTA_POLY_CACHE:
-        table = build_table(p, i + 1)
-        subs = {yvar(j): ip.const(gbar[j]) for j in range(i)}
-        carry = ip.p_mod(ip.p_subst(ip.p_mod(table.c[i], p), subs), p)
-        _DELTA_POLY_CACHE[key] = ip.p_mod(ip.p_add(carry, ip.const(gbar[i])), p)
-    return _DELTA_POLY_CACHE[key]
+    table = build_table(p, i + 1)
+    subs = {yvar(j): ip.const(gbar[j]) for j in range(i)}
+    carry = ip.p_mod(ip.p_subst(ip.p_mod(table.c[i], p), subs), p)
+    return ip.p_mod(ip.p_add(carry, ip.const(gbar[i])), p)
 
 
-def galois_conjugate(tower, g):
-    """Series expansion of sigma_g(t_n) in t_n, built up the tower.
+def galois_conjugate(tower, g, level=None):
+    """Series expansion of sigma_g(t_level) in t_level, built up the tower.
 
-    sigma_g translates the solution vector by the coordinates of g; the
-    per-level increments are evaluated in their own stage's (small) window
-    and transported up by one composition each, then the unit relations
-    rebuild the conjugate uniformizer level by level.
+    level defaults to the top n; sigma_g acts on k((t_level)) through
+    g mod p^level.  sigma_g translates the solution vector by the
+    coordinates of g; the per-level increments are evaluated in their own
+    stage's (small) window and transported up by one composition each, then
+    the unit relations rebuild the conjugate uniformizer level by level.
     """
-    p, n = tower.p, tower.n
-    top = tower.top
+    p = tower.p
+    n = tower.n if level is None else level
+    top = tower.stages[n]
     g = g % p**n
     if g == 0:
         return top.t_embs[n]
@@ -624,7 +622,7 @@ def galois_conjugate(tower, g):
 
     sig_t = top.t_embs[0]
     for j in range(n):
-        poly = _delta_poly(p, j, gbar)
+        poly = _delta_poly(p, j, gbar[: j + 1])
         vals = {xvar(l): stages[j].y[l] for l in range(j)}
         delta_j = ip.p_eval(poly, vals, TruncatedLaurentSeries.monomial(tower.ring, 0))
         delta_top = compose(delta_j, top.t_embs[j])
@@ -668,45 +666,82 @@ class RamificationFiltration:
         return out
 
 
-def ramification_filtration(tower, mode=None):
-    """Measure i(g) = v(sigma_g(t_n) - t_n) and assemble the filtration.
+def _increment_route(tower, adjust):
+    """g -> i(g) from the increment of the top generator, or None.
 
-    mode 'full' builds every nontrivial conjugate (the default for group
-    order <= 27); mode 'reps' builds one representative per cyclic-order
-    class and scales by the class size, which is exact because i(g) is
-    constant on order classes (asserted in full mode, relied on in reps
-    mode).
+    sigma_g moves y_(n-1) by delta_(n-1,g)(y_0, ..., y_(n-2)), evaluated in
+    stage n-1's window, and v(sigma x - x) = v(x) + i(g) - 1 when p does
+    not divide v(x) (Serre, Local Fields, IV section 1); v(t_(n-1)) = p in
+    t_n.  x is y_(n-1) when p does not divide v(y_(n-1)), else
+    ytilde_(n-1) = y_(n-1) - h(t_(n-1)), whose increment also subtracts
+    h(sigma t_(n-1)) - h(t_(n-1)); sigma t_(n-1) depends on g mod p^(n-1)
+    only.  With adjust false that case gives None.
+    """
+    p, n = tower.p, tower.n
+    top = tower.top
+    v_x = top.y[n - 1].valuation()
+    h = None
+    if v_x % p == 0:
+        if not adjust:
+            return None
+        h, v_x = top.h_adj[n - 1], top.ytilde[n - 1].valuation()
+    vals = {xvar(l): tower.stages[n - 1].y[l] for l in range(n - 1)}
+    one = TruncatedLaurentSeries.monomial(tower.ring, 0)
+    monomials = {}  # packed monomial -> its value, shared by every delta
+    moved = {}  # g mod p^(n-1) -> h(sigma t_(n-1)) - h(t_(n-1))
+
+    def jump(g):
+        delta = 0 * one
+        for key, c in _delta_poly(p, n - 1, group_element_coordinates(p, n, g)).items():
+            if key not in monomials:
+                monomials[key] = ip.p_eval({key: 1}, vals, one)
+            delta = delta + c * monomials[key]
+        r = g % p ** (n - 1)
+        if h is not None and r:  # r = 0 fixes t_(n-1), and h(t_(n-1)) with it
+            if r not in moved:
+                moved[r] = compose(h, galois_conjugate(tower, r, level=n - 1)) - h
+            delta = delta - moved[r]
+        return p * delta.valuation() - v_x + 1
+
+    return jump
+
+
+def ramification_filtration(tower, mode=None):
+    """Measure the lower-numbering jumps i(g) and assemble the filtration.
+
+    The conjugate route reads i(g) = v(sigma_g(t_n) - t_n) off
+    `galois_conjugate`; the increment route (`_increment_route`) reads it
+    off the top generator's increment, with no conjugate at the top.  i(g)
+    depends only on the order p^k of g, whose class has the representative
+    p^(n-k).  mode 'full' (the default for group order <= FULL_ORBIT_MAX)
+    reads every g != 0 by the increment route and each representative also
+    by its conjugate.  mode 'reps' reads the representatives by their
+    conjugates, and by the increment route too where p does not divide
+    v(y_(n-1)), and scales by the class size.  A class whose readings
+    differ raises ConsistencyFailure.
     """
     p, n = tower.p, tower.n
     order = p**n
     if mode is None:
         mode = "full" if order <= FULL_ORBIT_MAX else "reps"
+    if mode not in ("full", "reps"):
+        raise ValueError(f"unknown mode {mode!r}")
     t_top = tower.top.t_embs[n]
+    increment = _increment_route(tower, adjust=mode == "full")
 
     jumps = []
-    if mode == "full":
-        by_class = {}
-        for g in range(1, order):
-            gg, depth = g, 0
-            while gg % p == 0:
-                gg //= p
-                depth += 1
-            k = n - depth  # cyclic order of g is p^k
-            sig = galois_conjugate(tower, g)
-            by_class.setdefault(k, []).append((sig - t_top).valuation())
-        for k, vals in sorted(by_class.items()):
-            if len(set(vals)) != 1:
-                raise ConsistencyFailure(
-                    f"i(g) not constant on the order-p^{k} class: {sorted(set(vals))}"
-                )
-            jumps.append((p**k, vals[0], len(vals)))
-    elif mode == "reps":
-        for k in range(1, n + 1):
-            sig = galois_conjugate(tower, p ** (n - k))
-            i_g = (sig - t_top).valuation()
-            jumps.append((p**k, i_g, p**k - p ** (k - 1)))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    for k in range(1, n + 1):
+        rep = p ** (n - k)
+        i_g = (galois_conjugate(tower, rep) - t_top).valuation()
+        # the elements of order p^k
+        members = [rep * u for u in range(1, p**k) if u % p] if mode == "full" else [rep]
+        readings = {i_g} if increment is None else {increment(g) for g in members}
+        if readings != {i_g}:
+            raise ConsistencyFailure(
+                f"i(g) on the order-p^{k} class: the conjugate of {rep} gives {i_g}, "
+                f"the increments give {sorted(readings)}"
+            )
+        jumps.append((p**k, i_g, p**k - p ** (k - 1)))
 
     filt = RamificationFiltration(p, n, jumps, mode)
 

@@ -103,10 +103,15 @@ def test_tower_malformed_datum_is_usage_error(argv):
         ((), ["tower", "--datum", '{"p": null, "n": 1, "nu": [3]}']),
         ((), ["tower", "--datum", '{"p": 2, "n": [1], "nu": [3]}']),
         ((), ["tower", "--datum", '{"p": 2, "n": 1, "nu": [3], "field": null}']),
+        ((), ["tower", "--datum", '{"p": 2, "n": 2, "nu": "31"}']),
+        ((), ["tower", "--datum", '{"p": 2, "n": 1, "nu": [3.7]}']),
+        ((), ["tower", "--datum", '{"p": 2.0, "n": 1, "nu": [3]}']),
+        ((), ["tower", "--datum", '{"p": 2, "n": true, "nu": [3]}']),
     ],
     ids=["alpha-coords", "alpha-coords-optimized", "alpha-not-a-list", "witt-short-vector",
          "witt-missing-x", "p-not-prime", "probe-no-trials", "probe-negative-trials",
-         "datum-nu-not-a-list", "datum-p-null", "datum-n-a-list", "datum-field-null"],
+         "datum-nu-not-a-list", "datum-p-null", "datum-n-a-list", "datum-field-null",
+         "datum-nu-a-string", "datum-nu-float", "datum-p-float", "datum-n-bool"],
 )
 def test_malformed_input_is_usage_error(flags, argv, tmp_path):
     # a datum document is written inline in the row and handed over as a file

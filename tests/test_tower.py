@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from wittram import intpoly as ip
 from wittram import tower as tower_mod
 from wittram.coeff import finite_field
 from wittram.errors import (
@@ -37,6 +38,7 @@ from wittram.tower import (
     standard_form_reduce,
     tower_invariants,
 )
+from wittram.witt import xvar
 
 from randoms import random_series
 
@@ -292,6 +294,75 @@ def test_rep_mode_matches_full_mode():
     assert full.breaks == reps.breaks
     assert full.different == reps.different
     assert sorted(full.jumps) == sorted(reps.jumps)
+
+
+# ---------- the increment route to i(g) ----------
+
+
+@pytest.mark.parametrize("nu, qualifies", [((3, 4), True), ((1, 7), False)])
+def test_increment_route_matches_every_conjugate(nu, qualifies):
+    # (5,2,(3,4)) reads i(g) off y_1 directly; v(y_1) of (5,2,(1,7)) is
+    # divisible by 5, so its increments carry h(sigma t_1) - h(t_1)
+    tw = build(5, 2, nu)
+    assert (tw.top.y[1].valuation() % 5 != 0) == qualifies
+    filt = ramification_filtration(tw)
+    assert filt.mode == "full"
+    by_order = {o: i_g for o, i_g, _m in filt.jumps}
+    t_top = tw.top.t_embs[2]
+    for g in range(1, 25):  # every conjugate, built here
+        i_g = (galois_conjugate(tw, g) - t_top).valuation()
+        assert i_g == by_order[25 // math.gcd(g, 25)], g
+
+
+def _count_conjugates(monkeypatch):
+    calls = []
+    conjugate = tower_mod.galois_conjugate
+
+    def counted(tower, g, level=None):
+        calls.append((g, level))
+        return conjugate(tower, g, level)
+
+    monkeypatch.setattr(tower_mod, "galois_conjugate", counted)
+    return calls
+
+
+def test_filtration_builds_one_conjugate_per_class(monkeypatch):
+    calls = _count_conjugates(monkeypatch)
+    ramification_filtration(build(5, 2, (3, 4)))
+    assert calls == [(5, None), (1, None)]  # n = 2 conjugates, not 24
+    calls.clear()
+    # the adjusted increments need sigma t_1 once for each nonzero g mod 5
+    ramification_filtration(build(5, 2, (1, 7)))
+    assert len(calls) == 6
+    assert set(calls) == {(5, None), (1, None), (1, 1), (2, 1), (3, 1), (4, 1)}
+
+
+def test_shifted_increment_is_refused(monkeypatch):
+    # g = 2 has order 25 like the representative g = 1; one more pole in its
+    # increment moves only its reading, and the class check refuses it
+    tw = build(5, 2, (3, 4))
+    target = group_element_coordinates(5, 2, 2)
+    delta_poly = tower_mod._delta_poly
+
+    def shifted(p, i, gbar):
+        poly = delta_poly(p, i, gbar)
+        return ip.p_add(poly, {ip.var(xvar(0), p): 1}) if gbar == target else poly
+
+    monkeypatch.setattr(tower_mod, "_delta_poly", shifted)
+    with pytest.raises(ConsistencyFailure, match=r"order-p\^2 class"):
+        ramification_filtration(tw)
+
+
+def test_wrong_representative_is_refused_in_reps_mode(monkeypatch):
+    # a conjugate built for the wrong element disagrees with the increment
+    # route on the representative it stands for
+    tw = build(5, 2, (3, 4))
+    conjugate = tower_mod.galois_conjugate
+    monkeypatch.setattr(
+        tower_mod, "galois_conjugate", lambda tower, g, level=None: conjugate(tower, g + 1, level)
+    )
+    with pytest.raises(ConsistencyFailure, match="the conjugate of 5 gives"):
+        ramification_filtration(tw, mode="reps")
 
 
 def test_extension_field_tower():
