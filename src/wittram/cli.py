@@ -19,7 +19,7 @@ import re
 import sys
 
 from . import intpoly as ip
-from .coeff import finite_field, lift_ring
+from .coeff import finite_field, is_prime, lift_ring
 from .conductor import (
     claim_pole_check,
     section_degree_oracle,
@@ -267,8 +267,17 @@ def _cmd_local_symbol(args):
     return report, ok
 
 
+def _check_prime_height(p, n):
+    """Usage check shared by `witt` and `wbar`: p prime and n >= 1."""
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n = {n}")
+
+
 def _cmd_witt(args):
     p, n = args.p, args.n
+    _check_prime_height(p, n)
     table = build_table(p, n)
     if args.action == "table":
         report = {"p": p, "n": n}
@@ -319,6 +328,9 @@ def _ghost_check(action, vecs, result):
 
 def _cmd_wbar(args):
     p, n = args.p, args.n
+    _check_prime_height(p, n)
+    if args.weight < 0:
+        raise ValueError(f"--weight must be >= 0, got {args.weight}")
     ok = True
     report = {"p": p, "n": n}
     report["section_dims"] = {
@@ -403,7 +415,6 @@ def _add_common(sub):
     sub.add_argument("--p", type=int, help="prime")
     sub.add_argument("--n", type=int, help="vector length / tower height")
     sub.add_argument("--nu", type=str, default=None, help="pole orders, comma-separated")
-    sub.add_argument("--field", type=int, default=1, help="extension degree f of F_(p^f)")
     sub.add_argument("--datum", type=str, default=None, help="JSON datum document path")
 
 
@@ -418,6 +429,8 @@ def build_parser():
         help="positive multiplier on the slack of the series window plan "
         "(default 4)",
     )
+    field = argparse.ArgumentParser(add_help=False)
+    field.add_argument("--field", type=int, default=1, help="extension degree f of F_(p^f)")
     parser = argparse.ArgumentParser(
         prog="wittram",
         description="Exact ramification invariants of cyclic p-power covers of k((s)).",
@@ -430,13 +443,13 @@ def build_parser():
     _add_common(sc)
 
     st = subs.add_parser(
-        "tower", parents=[common, budget], help="build the tower and all invariants"
+        "tower", parents=[common, budget, field], help="build the tower and all invariants"
     )
     _add_common(st)
     st.add_argument("--deep", action="store_true", help="also run pole/sort checks")
 
     sl = subs.add_parser(
-        "local-symbol", parents=[common], help="residue pairings for a datum"
+        "local-symbol", parents=[common, field], help="residue pairings for a datum"
     )
     _add_common(sl)
     sl.add_argument("--alpha", type=str, default=None, help="unit series as JSON [[e,c],...]")

@@ -40,7 +40,6 @@ INF = math.inf
 
 DEFAULT_BUDGET_FACTOR = 4
 ATTEMPTS = 3  # builds analyze_tower tries, doubling the factor after a failure
-FULL_ORBIT_MAX = 27  # largest group order for which the filtration reads every g
 
 
 def budget_factor(override=None):
@@ -602,6 +601,17 @@ def _delta_poly(p, i, gbar):
     return ip.p_mod(ip.p_add(carry, ip.const(gbar[i])), p)
 
 
+def _increment(tower, j, gbar):
+    """delta_(j,g) = sigma_g(y_j) - y_j in stage j's window.
+
+    gbar is g's coordinate vector, of length at least j + 1; the increment
+    is `_delta_poly` evaluated on the solutions y_0..y_(j-1) of stage j.
+    """
+    poly = _delta_poly(tower.p, j, gbar[: j + 1])
+    vals = {xvar(l): tower.stages[j].y[l] for l in range(j)}
+    return ip.p_eval(poly, vals, TruncatedLaurentSeries.monomial(tower.ring, 0))
+
+
 def galois_conjugate(tower, g, level=None):
     """Series expansion of sigma_g(t_level) in t_level, built up the tower.
 
@@ -618,14 +628,10 @@ def galois_conjugate(tower, g, level=None):
     if g == 0:
         return top.t_embs[n]
     gbar = group_element_coordinates(p, n, g)
-    stages = tower.stages
 
     sig_t = top.t_embs[0]
     for j in range(n):
-        poly = _delta_poly(p, j, gbar[: j + 1])
-        vals = {xvar(l): stages[j].y[l] for l in range(j)}
-        delta_j = ip.p_eval(poly, vals, TruncatedLaurentSeries.monomial(tower.ring, 0))
-        delta_top = compose(delta_j, top.t_embs[j])
+        delta_top = compose(_increment(tower, j, gbar), top.t_embs[j])
         sig_y = top.y[j] + delta_top
         h = top.h_adj[j]
         sig_ytilde = sig_y - compose(h, sig_t) if len(h.coeffs) else sig_y
@@ -643,11 +649,10 @@ class RamificationFiltration:
     i(g).
     """
 
-    def __init__(self, p, n, jumps, mode):
+    def __init__(self, p, n, jumps):
         self.p = p
         self.n = n
         self.jumps = tuple(jumps)
-        self.mode = mode
         self.breaks = tuple(sorted({i_g - 1 for (_o, i_g, _m) in jumps}))
         self.different = sum(i_g * m for (_o, i_g, m) in jumps)
 
@@ -666,84 +671,53 @@ class RamificationFiltration:
         return out
 
 
-def _increment_route(tower, adjust):
-    """g -> i(g) from the increment of the top generator, or None.
+def _increment_jump(tower, g):
+    """i(g) read off the increment of the top generator, with no conjugate
+    at the top.
 
-    sigma_g moves y_(n-1) by delta_(n-1,g)(y_0, ..., y_(n-2)), evaluated in
-    stage n-1's window, and v(sigma x - x) = v(x) + i(g) - 1 when p does
-    not divide v(x) (Serre, Local Fields, IV section 1); v(t_(n-1)) = p in
-    t_n.  x is y_(n-1) when p does not divide v(y_(n-1)), else
-    ytilde_(n-1) = y_(n-1) - h(t_(n-1)), whose increment also subtracts
-    h(sigma t_(n-1)) - h(t_(n-1)); sigma t_(n-1) depends on g mod p^(n-1)
-    only.  With adjust false that case gives None.
+    sigma_g moves y_(n-1) by delta_(n-1,g), and v(sigma x - x) = v(x) +
+    i(g) - 1 when p does not divide v(x) (Serre, Local Fields, IV section
+    1); v(t_(n-1)) = p in t_n.  x is y_(n-1) when p does not divide
+    v(y_(n-1)), else ytilde_(n-1) = y_(n-1) - h(t_(n-1)), whose increment
+    also subtracts h(sigma t_(n-1)) - h(t_(n-1)); sigma t_(n-1) depends on
+    g mod p^(n-1) only, and is t_(n-1) itself when that is 0.
     """
     p, n = tower.p, tower.n
-    top = tower.top
-    v_x = top.y[n - 1].valuation()
-    h = None
-    if v_x % p == 0:
-        if not adjust:
-            return None
-        h, v_x = top.h_adj[n - 1], top.ytilde[n - 1].valuation()
-    vals = {xvar(l): tower.stages[n - 1].y[l] for l in range(n - 1)}
-    one = TruncatedLaurentSeries.monomial(tower.ring, 0)
-    monomials = {}  # packed monomial -> its value, shared by every delta
-    moved = {}  # g mod p^(n-1) -> h(sigma t_(n-1)) - h(t_(n-1))
-
-    def jump(g):
-        delta = 0 * one
-        for key, c in _delta_poly(p, n - 1, group_element_coordinates(p, n, g)).items():
-            if key not in monomials:
-                monomials[key] = ip.p_eval({key: 1}, vals, one)
-            delta = delta + c * monomials[key]
-        r = g % p ** (n - 1)
-        if h is not None and r:  # r = 0 fixes t_(n-1), and h(t_(n-1)) with it
-            if r not in moved:
-                moved[r] = compose(h, galois_conjugate(tower, r, level=n - 1)) - h
-            delta = delta - moved[r]
-        return p * delta.valuation() - v_x + 1
-
-    return jump
+    x = tower.top.y[n - 1]
+    delta = _increment(tower, n - 1, group_element_coordinates(p, n, g))
+    r = g % p ** (n - 1)
+    if x.valuation() % p == 0:
+        x, h = tower.top.ytilde[n - 1], tower.top.h_adj[n - 1]
+        if r:
+            delta = delta - (compose(h, galois_conjugate(tower, r, level=n - 1)) - h)
+    return p * delta.valuation() - x.valuation() + 1
 
 
-def ramification_filtration(tower, mode=None):
+def ramification_filtration(tower):
     """Measure the lower-numbering jumps i(g) and assemble the filtration.
 
-    The conjugate route reads i(g) = v(sigma_g(t_n) - t_n) off
-    `galois_conjugate`; the increment route (`_increment_route`) reads it
-    off the top generator's increment, with no conjugate at the top.  i(g)
-    depends only on the order p^k of g, whose class has the representative
-    p^(n-k).  mode 'full' (the default for group order <= FULL_ORBIT_MAX)
-    reads every g != 0 by the increment route and each representative also
-    by its conjugate.  mode 'reps' reads the representatives by their
-    conjugates, and by the increment route too where p does not divide
-    v(y_(n-1)), and scales by the class size.  A class whose readings
-    differ raises ConsistencyFailure.
+    i(g) depends only on the order p^k of g, whose class has the
+    representative p^(n-k).  Each representative is read by two routes:
+    the conjugate route, v(sigma_g(t_n) - t_n) off `galois_conjugate`, and
+    the increment route, `_increment_jump`.  Readings that differ raise
+    ConsistencyFailure; the class size scales the agreed jump.
     """
     p, n = tower.p, tower.n
-    order = p**n
-    if mode is None:
-        mode = "full" if order <= FULL_ORBIT_MAX else "reps"
-    if mode not in ("full", "reps"):
-        raise ValueError(f"unknown mode {mode!r}")
     t_top = tower.top.t_embs[n]
-    increment = _increment_route(tower, adjust=mode == "full")
 
     jumps = []
     for k in range(1, n + 1):
         rep = p ** (n - k)
         i_g = (galois_conjugate(tower, rep) - t_top).valuation()
-        # the elements of order p^k
-        members = [rep * u for u in range(1, p**k) if u % p] if mode == "full" else [rep]
-        readings = {i_g} if increment is None else {increment(g) for g in members}
-        if readings != {i_g}:
+        i_inc = _increment_jump(tower, rep)
+        if i_inc != i_g:
             raise ConsistencyFailure(
                 f"i(g) on the order-p^{k} class: the conjugate of {rep} gives {i_g}, "
-                f"the increments give {sorted(readings)}"
+                f"its increment gives {i_inc}"
             )
         jumps.append((p**k, i_g, p**k - p ** (k - 1)))
 
-    filt = RamificationFiltration(p, n, jumps, mode)
+    filt = RamificationFiltration(p, n, jumps)
 
     # jumps decrease strictly as the element order grows, every conjugate
     # moves t_n (totally ramified), and the break set matches the pole
@@ -758,7 +732,7 @@ def ramification_filtration(tower, mode=None):
         raise ConsistencyFailure(
             f"filtration breaks {filt.breaks} != stage pole orders {tower.top.e[1:]}"
         )
-    if filt.group_order(0) != order:
+    if filt.group_order(0) != p**n:
         raise ConsistencyFailure("G_0 is not the full group")
     return filt
 

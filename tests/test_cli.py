@@ -107,11 +107,16 @@ def test_tower_malformed_datum_is_usage_error(argv):
         ((), ["tower", "--datum", '{"p": 2, "n": 1, "nu": [3.7]}']),
         ((), ["tower", "--datum", '{"p": 2.0, "n": 1, "nu": [3]}']),
         ((), ["tower", "--datum", '{"p": 2, "n": true, "nu": [3]}']),
+        ((), ["witt", "add", "--p", "4", "--n", "2", "--x", "1,2", "--y", "1,1"]),
+        ((), ["witt", "table", "--p", "2", "--n", "0"]),
+        ((), ["wbar", "--p", "4", "--n", "1"]),
+        ((), ["wbar", "--p", "2", "--n", "1", "--weight", "-1"]),
     ],
     ids=["alpha-coords", "alpha-coords-optimized", "alpha-not-a-list", "witt-short-vector",
          "witt-missing-x", "p-not-prime", "probe-no-trials", "probe-negative-trials",
          "datum-nu-not-a-list", "datum-p-null", "datum-n-a-list", "datum-field-null",
-         "datum-nu-a-string", "datum-nu-float", "datum-p-float", "datum-n-bool"],
+         "datum-nu-a-string", "datum-nu-float", "datum-p-float", "datum-n-bool",
+         "witt-p-not-prime", "witt-n-zero", "wbar-p-not-prime", "wbar-negative-weight"],
 )
 def test_malformed_input_is_usage_error(flags, argv, tmp_path):
     # a datum document is written inline in the row and handed over as a file
@@ -128,8 +133,9 @@ def test_malformed_input_is_usage_error(flags, argv, tmp_path):
     [
         ["conductor", "--p", "2", "--n", "1", "--nu", "1", "--budget-factor", "4"],
         ["tower", "--p", "2", "--n", "1", "--nu", "1", "--seed", "3"],
+        ["conductor", "--p", "2", "--n", "1", "--nu", "3", "--field", "9"],
     ],
-    ids=["conductor-budget-factor", "tower-seed"],
+    ids=["conductor-budget-factor", "tower-seed", "conductor-field"],
 )
 def test_option_outside_its_subcommand_is_refused(argv, capsys):
     with pytest.raises(SystemExit) as exc:

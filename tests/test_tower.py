@@ -287,31 +287,32 @@ def test_depth_three_tower():
     assert rep["conductor"] == 13
 
 
-def test_rep_mode_matches_full_mode():
-    tw = build(3, 2, (1, 2))
-    full = ramification_filtration(tw, mode="full")
-    reps = ramification_filtration(tw, mode="reps")
-    assert full.breaks == reps.breaks
-    assert full.different == reps.different
-    assert sorted(full.jumps) == sorted(reps.jumps)
-
-
 # ---------- the increment route to i(g) ----------
 
 
-@pytest.mark.parametrize("nu, qualifies", [((3, 4), True), ((1, 7), False)])
-def test_increment_route_matches_every_conjugate(nu, qualifies):
-    # (5,2,(3,4)) reads i(g) off y_1 directly; v(y_1) of (5,2,(1,7)) is
-    # divisible by 5, so its increments carry h(sigma t_1) - h(t_1)
-    tw = build(5, 2, nu)
-    assert (tw.top.y[1].valuation() % 5 != 0) == qualifies
+@pytest.mark.parametrize(
+    "p, n, nu, qualifies",
+    [
+        (5, 2, (3, 4), True),
+        (5, 2, (1, 7), False),
+        (2, 3, (3, 1, 5), False),
+        (3, 3, (2, 4, 5), False),
+    ],
+)
+def test_increment_route_matches_every_conjugate(p, n, nu, qualifies):
+    # (5,2,(3,4)) reads i(g) off y_1 directly; v(y_(n-1)) of the others is
+    # divisible by p, so their increments carry h(sigma t_(n-1)) - h(t_(n-1)).
+    # The filtration reads one representative per order class; i(g) is the
+    # same on the whole class, by either route
+    tw = build(p, n, nu)
+    assert (tw.top.y[n - 1].valuation() % p != 0) == qualifies
     filt = ramification_filtration(tw)
-    assert filt.mode == "full"
     by_order = {o: i_g for o, i_g, _m in filt.jumps}
-    t_top = tw.top.t_embs[2]
-    for g in range(1, 25):  # every conjugate, built here
+    t_top = tw.top.t_embs[n]
+    for g in range(1, p**n):  # every conjugate, built here
         i_g = (galois_conjugate(tw, g) - t_top).valuation()
-        assert i_g == by_order[25 // math.gcd(g, 25)], g
+        assert i_g == by_order[p**n // math.gcd(g, p**n)], g
+        assert tower_mod._increment_jump(tw, g) == i_g, g
 
 
 def _count_conjugates(monkeypatch):
@@ -331,17 +332,36 @@ def test_filtration_builds_one_conjugate_per_class(monkeypatch):
     ramification_filtration(build(5, 2, (3, 4)))
     assert calls == [(5, None), (1, None)]  # n = 2 conjugates, not 24
     calls.clear()
-    # the adjusted increments need sigma t_1 once for each nonzero g mod 5
+    # the adjusted increments need sigma t_1 for the representative 1 only:
+    # the representative 5 is 0 mod 5 and fixes t_1
     ramification_filtration(build(5, 2, (1, 7)))
-    assert len(calls) == 6
-    assert set(calls) == {(5, None), (1, None), (1, 1), (2, 1), (3, 1), (4, 1)}
+    assert calls == [(5, None), (1, None), (1, 1)]
+
+
+def test_adjusted_increment_reads_large_groups(monkeypatch):
+    # (5,3,(1,3,2)) has order 125 and 5 | v(y_2): its increments carry
+    # h(sigma t_2) - h(t_2), with n - 1 = 2 conjugates at level 2.  Built
+    # for the wrong element, they move the increment readings alone
+    tw = build(5, 3, (1, 3, 2))
+    assert tw.top.y[2].valuation() % 5 == 0
+    calls = _count_conjugates(monkeypatch)
+    ramification_filtration(tw)
+    assert [c for c in calls if c[1] == 2] == [(5, 2), (1, 2)]
+    conjugate = tower_mod.galois_conjugate
+
+    def corrupted(tower, g, level=None):
+        return conjugate(tower, g + 1 if level == 2 else g, level)
+
+    monkeypatch.setattr(tower_mod, "galois_conjugate", corrupted)
+    with pytest.raises(ConsistencyFailure, match="its increment gives"):
+        ramification_filtration(tw)
 
 
 def test_shifted_increment_is_refused(monkeypatch):
-    # g = 2 has order 25 like the representative g = 1; one more pole in its
-    # increment moves only its reading, and the class check refuses it
+    # one more pole in the increment of the representative g = 1 of order 25
+    # moves both routes' readings, but not alike, and the filtration refuses it
     tw = build(5, 2, (3, 4))
-    target = group_element_coordinates(5, 2, 2)
+    target = group_element_coordinates(5, 2, 1)
     delta_poly = tower_mod._delta_poly
 
     def shifted(p, i, gbar):
@@ -362,7 +382,7 @@ def test_wrong_representative_is_refused_in_reps_mode(monkeypatch):
         tower_mod, "galois_conjugate", lambda tower, g, level=None: conjugate(tower, g + 1, level)
     )
     with pytest.raises(ConsistencyFailure, match="the conjugate of 5 gives"):
-        ramification_filtration(tw, mode="reps")
+        ramification_filtration(tw)
 
 
 def test_extension_field_tower():
@@ -621,7 +641,7 @@ def test_stage_zero_state():
 
 def test_filtration_segments_and_order():
     jumps = [(2, 10, 1), (4, 4, 2)]
-    filt = RamificationFiltration(2, 2, jumps, "full")
+    filt = RamificationFiltration(2, 2, jumps)
     assert filt.group_order(0) == 4
     assert filt.group_order(5) == 2
     assert filt.group_order(10) == 1
