@@ -246,7 +246,6 @@ def _cmd_local_symbol(args):
         "nu": list(datum.nu),
         "modulus_bound": bound,
     }
-    ok = True
     if args.alpha:
         alpha = _parse_series(field, json.loads(args.alpha))
         symbol = residue_vector(LocalSymbolInput(u, alpha))
@@ -264,7 +263,7 @@ def _cmd_local_symbol(args):
             alpha, sym = probe["witness"]
             report["witness_alpha"] = repr(alpha)
             report["witness_symbol"] = [list(map(int, c.coords)) for c in sym]
-    return report, ok
+    return report, True
 
 
 def _check_prime_height(p, n):
@@ -281,15 +280,9 @@ def _cmd_witt(args):
     table = build_table(p, n)
     if args.action == "table":
         report = {"p": p, "n": n}
-        for j in range(n):
-            report[f"S_{j}"] = format_packed_poly(table.S[j], 2 * n)
-        for j in range(n):
-            report[f"c_{j}"] = format_packed_poly(table.c[j], 2 * n)
-        for j in range(n):
-            report[f"I_{j}"] = format_packed_poly(table.I[j], 2 * n)
-        if args.products:
+        for family in "ScIP" if args.products else "ScI":
             for j in range(n):
-                report[f"P_{j}"] = format_packed_poly(table.P[j], 2 * n)
+                report[f"{family}_{j}"] = format_packed_poly(getattr(table, family)[j], 2 * n)
         return report, True
 
     # evaluate: vectors over Z/p^m, checked through the ghost map
@@ -331,7 +324,6 @@ def _cmd_wbar(args):
     _check_prime_height(p, n)
     if args.weight < 0:
         raise ValueError(f"--weight must be >= 0, got {args.weight}")
-    ok = True
     report = {"p": p, "n": n}
     report["section_dims"] = {
         str(m): section_dim(p, n, m) for m in range(args.weight + 1)
@@ -348,18 +340,12 @@ def _cmd_wbar(args):
         str(i): v for i, v in sorted(ledger.inertia_orders.items())
     }
     report["ledger_boundary_class"] = repr(ledger.boundary_class)
-    pullback_ok = True
-    for i in range(1, n + 1):
-        cls = ChowClass.generator(p, n, i)
-        img = psi_pullback(cls)
-        if img != p * cls:
-            pullback_ok = False
+    gens = [ChowClass.generator(p, n, i) for i in range(1, n + 1)]
+    pullback_ok = all(psi_pullback(cls) == p * cls for cls in gens)
     report["pullback_multiplies_by_codim_power"] = pullback_ok
-    ok = ok and pullback_ok
     if args.psi:
-        f = psi_on_sections(p, n - 1)
-        report["psi"] = repr(f)
-    return report, ok
+        report["psi"] = repr(psi_on_sections(p, n - 1))
+    return report, pullback_ok
 
 
 def _cmd_grid(args):

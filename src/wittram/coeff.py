@@ -181,9 +181,6 @@ class FiniteField(CoeffRing):
     def _wrap(self, coords):
         return FiniteFieldElement(self, coords)
 
-    def lift(self, m):
-        return lift_ring(self.p, m, self.f)
-
     def __repr__(self):
         return f"F{self.q}"
 

@@ -77,19 +77,9 @@ class LatticeProblem:
     minimize / maximize   sum_j objective[j] * x_j
     subject to            sum_j eq_coeffs[j] * x_j = eq_rhs
                           lower[j] <= x_j <= upper[j]
-                          x_j - x_k = 0 (mod m) and lo <= x_j - x_k <= hi
-                              for (j, k, m, lo, hi) in couplings
-
-    The coupling list is optional; it is what makes the substituted form of
-    the carry-pole program an exact re-encoding (the difference alpha - b
-    must be a p-multiple inside the original exponent box) rather than a
-    strictly weaker relaxation.
     """
 
-    def __init__(
-        self, objective, eq_coeffs, eq_rhs, lower, upper, sense="min",
-        couplings=(),
-    ):
+    def __init__(self, objective, eq_coeffs, eq_rhs, lower, upper, sense="min"):
         k = len(objective)
         if not (len(eq_coeffs) == len(lower) == len(upper) == k):
             raise ValueError("inconsistent problem dimensions")
@@ -103,7 +93,6 @@ class LatticeProblem:
         self.lower = tuple(int(c) for c in lower)
         self.upper = tuple(int(c) for c in upper)
         self.sense = sense
-        self.couplings = tuple(tuple(int(x) for x in c) for c in couplings)
         self.dim = k
 
     def __repr__(self):
@@ -131,6 +120,7 @@ def lp_minimize(prob):
         lo_reach[j] = lo_reach[j + 1] + min(terms)
         hi_reach[j] = hi_reach[j + 1] + max(terms)
 
+    sign = 1 if prob.sense == "min" else -1
     best = None
     argbest = []
     point = [0] * k
@@ -138,18 +128,12 @@ def lp_minimize(prob):
     def rec(j, residual):
         nonlocal best, argbest
         if j == k:
-            if residual == 0 and all(
-                (point[a] - point[b]) % m == 0
-                and lo <= point[a] - point[b] <= hi
-                for (a, b, m, lo, hi) in prob.couplings
-            ):
+            if residual == 0:
                 val = sum(c * x for c, x in zip(prob.objective, point))
-                key = val if prob.sense == "min" else -val
-                cur = None if best is None else (best if prob.sense == "min" else -best)
-                if cur is None or key < cur:
+                if best is None or sign * val < sign * best:
                     best = val
                     argbest = [tuple(point)]
-                elif key == cur:
+                elif val == best:
                     argbest.append(tuple(point))
             return
         if not (lo_reach[j] <= residual <= hi_reach[j]):
@@ -191,48 +175,24 @@ def carry_pole_lp(p, n, weights):
     return LatticeProblem(objective, eq, p**n, lower, upper, sense="min")
 
 
-def carry_pole_lp_substituted(p, n, weights):
-    """The same program in variables (alpha_i, b_i) with alpha_i = p a_i + b_i.
-
-    The isobaric constraint becomes
-        sum p^i alpha_i + sum (p^(i+1) - p^i) b_i = p^(n+1),
-    the objective is sum w_i alpha_i, and integrality plus the box of a_i
-    survive as the coupling
-        alpha_i = b_i (mod p),  0 <= alpha_i - b_i <= p (p^(n-i) - 1).
-    The change of variables is then a bijection, so the optimum agrees with
-    the (a, b) form; dropping either half of the coupling gives a strictly
-    weaker relaxation.
-    """
-    if len(weights) != n:
-        raise ValueError(f"expected {n} weights")
-    objective = []
-    eq = []
-    lower = []
-    upper = []
-    couplings = []
-    for i in range(n):
-        objective += [weights[i], 0]  # alpha_i then b_i
-        eq += [p**i, p ** (i + 1) - p**i]
-        lower += [0, 0]
-        upper += [p ** (n - i + 1) - p + 1, p ** (n - i)]
-        couplings.append((2 * i, 2 * i + 1, p, 0, p * (p ** (n - i) - 1)))
-    return LatticeProblem(
-        objective, eq, p ** (n + 1), lower, upper, sense="min",
-        couplings=couplings,
-    )
+# a carry table with more terms than this is not evaluated: the evaluation
+# is a series computation whose cost grows with the table
+CARRY_COST_LIMIT = 4000
 
 
-def sort_bound_check(tower, carry_cost_limit=4000):
+def sort_bound_check(tower):
     """Verify the generator and carry pole bounds on a built tower.
 
     Checks, per solved level j (with m = tower.top.m and so on):
       - v(y_j) at stage j+1 is >= -p^j m_(j+1), with equality exactly when
         nu_j = m_(j+1);
       - the literal carry evaluation c_n(ytilde^p, -ytilde) at the top stage
-        has valuation >= -(p^(n+1) - p + 1) m_n.
+        has valuation >= -(p^(n+1) - p + 1) m_n, the closed bound, and >=
+        the optimum of carry_pole_lp at the weights v(ytilde_i), the program
+        bound.  The program bound holds once every monomial of c_n mod p
+        lies in the program's exponent box, which is checked first.
     The carry evaluation is skipped (and reported as such) when the carry
-    table would exceed carry_cost_limit terms; the bound itself is a series
-    computation whose cost grows with the table.
+    table exceeds CARRY_COST_LIMIT terms.
     """
     p, n = tower.p, tower.n
     top = tower.top
@@ -252,7 +212,6 @@ def sort_bound_check(tower, carry_cost_limit=4000):
         }
         report["stage_bounds"].append(entry)
         if v_y < bound or entry["equality"] != equality_expected:
-            report["ok"] = False
             raise ConsistencyFailure(
                 f"generator bound fails at level {j}: v = {v_y}, bound = {bound}, "
                 f"equality expected {equality_expected}"
@@ -260,26 +219,33 @@ def sort_bound_check(tower, carry_cost_limit=4000):
 
     table = build_table(p, n + 1)
     cn = table.c[n]
-    if len(cn) > carry_cost_limit:
+    if len(cn) > CARRY_COST_LIMIT:
         report["carry_bound"] = {"skipped": True, "table_terms": len(cn)}
         return report
-    ring = tower.ring
+    cn = ip.p_mod(cn, p)
+    for i in range(n):
+        box = p ** (n - i)
+        if ip.degree_in(cn, xvar(i)) > box - 1 or ip.degree_in(cn, yvar(i)) > box:
+            raise ConsistencyFailure(f"c_{n} leaves the carry-pole box in slot {i}")
+    weights = [top.ytilde[i].valuation() for i in range(n)]
+    lp_bound, _ = lp_minimize(carry_pole_lp(p, n, weights))
     vals = {}
     for i in range(n):
         vals[xvar(i)] = top.ytilde[i].pth_power()
         vals[yvar(i)] = -top.ytilde[i]
-    series = ip.p_eval(ip.p_mod(cn, p), vals, TruncatedLaurentSeries.monomial(ring, 0))
+    series = ip.p_eval(cn, vals, TruncatedLaurentSeries.monomial(tower.ring, 0))
     bound = -(p ** (n + 1) - p + 1) * top.m[n]
-    v_c = bound if series.is_exact_zero() else series.val_lower_bound()
+    v_c = series.val_lower_bound()
     report["carry_bound"] = {
         "skipped": False,
         "valuation_lower_bound": v_c,
         "bound": bound,
+        "lp_bound": lp_bound,
     }
-    if v_c < bound:
-        report["ok"] = False
+    if v_c < bound or v_c < lp_bound:
         raise ConsistencyFailure(
-            f"carry bound fails: v >= {v_c} observed, bound {bound}"
+            f"carry bound fails: v >= {v_c} observed, closed bound {bound}, "
+            f"program bound {lp_bound}"
         )
     return report
 

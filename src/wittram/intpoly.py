@@ -335,17 +335,6 @@ def degree_in(a, v):
     return d
 
 
-def coeff_of(a, v, e):
-    """The coefficient of (variable v)**e, as a polynomial in the others."""
-    sh = SHIFT * v
-    strip = e << sh
-    out = {}
-    for key, c in a.items():
-        if (key >> sh) & MASK == e:
-            out[key - strip] = c
-    return out
-
-
 def involves(a, v):
     sh = SHIFT * v
     return any((key >> sh) & MASK for key in a)

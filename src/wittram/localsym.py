@@ -96,20 +96,6 @@ def canonical_lift(s, lift):
     return TruncatedLaurentSeries(lift, s.v, s.coeffs.copy(), s.prec)
 
 
-def perturbed_lift(s, lift, rng):
-    """A different valid lift of the same series: adds random multiples of
-    p to every stored digit."""
-    p = lift.p
-    noise = np.array(
-        [
-            [p * rng.randrange(lift.modulus // p) for _ in range(lift.f)]
-            for _ in range(len(s.coeffs))
-        ],
-        dtype=np.int64,
-    ).reshape(len(s.coeffs), lift.f)
-    return TruncatedLaurentSeries(lift, s.v, s.coeffs + noise, s.prec)
-
-
 def ghost_series(u_lifts, j):
     """Phi_j of the lifted vector (witt.ghost_eval); bench/tracer.py times
     the ghost components of a symbol under this name."""

@@ -355,9 +355,6 @@ class TruncatedLaurentSeries:
 
     def derivative(self):
         ring = self.ring
-        if not len(self.coeffs):
-            prec = self.prec if self.prec == INF else self.prec - 1
-            return TruncatedLaurentSeries(ring, self.v - 1, self.coeffs, prec, normalize=False)
         exps = np.arange(self.v, self.end, dtype=np.int64) % ring.modulus
         arr = (self.coeffs * exps[:, None]) % ring.modulus
         prec = self.prec if self.prec == INF else self.prec - 1
@@ -606,7 +603,7 @@ def nth_root(f, r, leading_root=None):
     ring = f.ring
     p = ring.p
     if math.gcd(r, p) != 1:
-        raise ValueError(f"gcd({r}, {p}) != 1; use pth_power_decompose for p-th powers")
+        raise ValueError(f"gcd({r}, {p}) != 1: only roots of order prime to p")
     if not f.has_certified_valuation():
         raise InsufficientPrecision("root of a series with uncertified valuation")
     if f.is_exact_zero():
@@ -647,39 +644,3 @@ def _find_root(c, r):
         if x**r == c:
             return x
     return None
-
-
-def pth_power_decompose(f):
-    """Split f = g^p + h with h supported on exponents prime to p."""
-    ring = f.ring
-    if not ring.is_field:
-        raise ValueError(f"p-th power decomposition needs a finite field, not {ring}")
-    p = ring.p
-    if f.is_exact_zero():
-        return f, f
-    if not f.has_certified_valuation():
-        raise InsufficientPrecision("decomposition needs a certified window")
-    W = len(f.coeffs)
-    exps = np.arange(f.v, f.end)
-    mask = exps % p == 0
-    harr = f.coeffs.copy()
-    harr[mask] = 0
-    h = TruncatedLaurentSeries(ring, f.v, harr, f.prec)
-    gexps = exps[mask] // p
-    if len(gexps):
-        gv = int(gexps[0])
-        gprec = f.prec if f.prec == INF else -(-f.prec // p)
-        hi = int(gexps[-1]) + 1 if f.prec == INF else gprec
-        garr = np.zeros((hi - gv, ring.f), dtype=np.int64)
-        roots = (f.coeffs[mask] @ ring.pth_root_matrix) % p
-        garr[gexps - gv] = roots
-        g = TruncatedLaurentSeries(ring, gv, garr, gprec)
-    else:
-        g = (
-            TruncatedLaurentSeries.zero(ring)
-            if f.prec == INF
-            else TruncatedLaurentSeries.zero_to(ring, -(-f.prec // p))
-        )
-    if not (g.pth_power() + h).agrees_with(f):
-        raise ConsistencyFailure("g^p + h does not reconstruct f")
-    return g, h

@@ -32,7 +32,6 @@ from .series import (
     TruncatedLaurentSeries,
     compose,
     nth_root,
-    pth_power_decompose,
 )
 from .witt import WittVector, asw_correction_poly, build_table, witt_smul, xvar, yvar
 
@@ -860,31 +859,3 @@ def tower_invariants(tower, filtration=None):
                 f"conductor {report['conductor_filtration']} != m_n + 1"
             )
     return report
-
-
-def adjust_decompose(tower, x, level=None):
-    """Split x at a stage as g^p + h with v(h) = p^i v_s(x) + mu_i.
-
-    x must be the pull-back of a base series whose valuation is prime to p;
-    the split separates p-divisible exponents (the p-th power part) from the
-    rest, and the valuation law pins the stage's adjustment exponent.
-    Returns (g, h, mu_obs) and checks mu_obs against the stored invariant.
-    """
-    i = tower.n if level is None else level
-    stage = tower.stages[i]
-    p = tower.p
-    vx = x.valuation()
-    if vx % p**i != 0:
-        raise ValueError(f"x (valuation {vx}) is not pulled back from the base")
-    v_s = vx // p**i
-    if v_s % p == 0:
-        raise ValueError(f"base valuation {v_s} must be prime to p")
-    g, h = pth_power_decompose(x)
-    if h.is_exact_zero() or not h.has_certified_valuation():
-        raise InsufficientPrecision("adjustment part not resolved in window")
-    mu_obs = h.valuation() - p**i * v_s
-    if mu_obs != stage.mu[i]:
-        raise ConsistencyFailure(
-            f"adjustment exponent {mu_obs} != stored mu_{i} = {stage.mu[i]}"
-        )
-    return g, h, mu_obs

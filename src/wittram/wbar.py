@@ -25,10 +25,8 @@ from .coeff import finite_field
 from .errors import ConsistencyFailure
 from .witt import (
     WittVector,
-    asw_component_poly,
     build_table,
     nth_component_identity_check,
-    witt_smul,
     yvar,
 )
 
@@ -161,15 +159,10 @@ class GradedPolynomial:
         raise TypeError("unhashable")
 
     def with_nvars(self, nvars):
-        """The same element viewed inside a larger polynomial ring."""
-        if nvars < self.nvars:
-            if any(any(k[1 + i] for i in range(nvars, self.nvars))
-                   for k in self.terms):
-                raise ValueError("element uses variables beyond requested count")
-            terms = {k[: nvars + 1]: c for k, c in self.terms.items()}
-        else:
-            pad = (0,) * (nvars - self.nvars)
-            terms = {k + pad: c for k, c in self.terms.items()}
+        """The same element viewed inside a polynomial ring with nvars >=
+        self.nvars variables."""
+        pad = (0,) * (nvars - self.nvars)
+        terms = {k + pad: c for k, c in self.terms.items()}
         return GradedPolynomial(self.field, nvars, self.weight, terms)
 
     def set_t_one(self):
@@ -243,25 +236,6 @@ def section_dim(p, n, m):
         for w in range(step, d + 1):
             ways[w] += ways[w - step]
     return sum(ways)
-
-
-def section_monomials(p, n, m):
-    """Explicit basis of the same graded piece, as (t, e_0..e_{n-1}) keys."""
-    d = m * p ** (n - 1)
-    basis = []
-
-    def rec(i, left, exps):
-        if i < 0:
-            basis.append((left,) + tuple(exps))
-            return
-        step = p**i
-        for e in range(left // step + 1):
-            exps[i] = e
-            rec(i - 1, left - e * step, exps)
-        exps[i] = 0
-
-    rec(n - 1, d, [0] * n)
-    return sorted(basis)
 
 
 def pushforward_recursion_check(p, n):
@@ -361,45 +335,16 @@ def psi_on_sections(p, n):
     its two independent routes first, then lifted; invariance under the
     order-p translation (0,..,0,1) is checked symbolically, since that
     translation generates the covering group of the substitution."""
-    table = build_table(p, n + 1)
-    cert = nth_component_identity_check(table, n)
-    if not cert["routes_agree"]:
-        raise ConsistencyFailure("component certification failed")
+    comp = nth_component_identity_check(build_table(p, n + 1), n)["component_poly"]
     field = finite_field(p)
-    poly = homogenize_component(
-        field, n + 1, asw_component_poly(table, n), p ** (n + 1)
-    )
-    if poly.set_t_one() != ip.p_mod(asw_component_poly(table, n), p):
+    poly = homogenize_component(field, n + 1, comp, p ** (n + 1))
+    if poly.set_t_one() != comp:
         raise ConsistencyFailure("dehomogenization does not invert the lift")
     translation = (field.zero(),) * n + (field.one(),)
     moved = group_action_on_sections(p, n, translation, poly)
     if moved != poly:
         raise ConsistencyFailure("not invariant under the order-p translation")
     return poly
-
-
-def psi_literal_form(p, n):
-    """Direct lift of Y_n^p - Y_n T^(p^n(p-1)) + T^(p^(n+1)) carry(Y^p; -Y).
-
-    For odd p this equals psi_on_sections; for p = 2 entry-wise minus is
-    not vector negation and the two differ, which tests pin down."""
-    table = build_table(p, n + 1)
-    field = finite_field(p)
-    nvars = n + 1
-    terms = {
-        (0,) + (0,) * n + (p,): field.one(),
-        (p**n * (p - 1),) + (0,) * n + (1,): -field.one(),
-    }
-    for packed, c in ip.p_mod(table.c[n], p).items():
-        slots = ip.unpack(packed, 2 * nvars)
-        # X-slot: Y_i^p / T^(p^(i+1)); Y-slot: -Y_i / T^(p^i)
-        yexps = [p * x + y for x, y in zip(slots[0::2], slots[1::2])]
-        coeff = field.from_int(c) * (-field.one()) ** sum(slots[1::2])
-        w = sum(e * p**i for i, e in enumerate(yexps))
-        key = (p ** (n + 1) - w,) + tuple(yexps)
-        s = terms.get(key)
-        terms[key] = coeff if s is None else s + coeff
-    return GradedPolynomial(field, nvars, p ** (n + 1), terms)
 
 
 # ---------- intersection classes ----------
@@ -581,50 +526,3 @@ def divisor_ledger(p, n):
     if ledger.boundary_class != ChowClass.generator(p, n, n):
         raise ConsistencyFailure("boundary classes do not telescope to x_n")
     return ledger
-
-
-def inertia_subgroup_check(p, n, i):
-    """Count constant vectors acting trivially on the level-i variables.
-
-    Enumerates all p^n translations, tests fixity on Y_0..Y_{i-1}, and
-    certifies the fixing subgroup is the cyclic one generated by the vector
-    supported in slot i (whose additive order p^(n-i) is computed honestly
-    by repeated addition)."""
-    if not 1 <= i <= n:
-        raise ValueError("component index out of range")
-    field = finite_field(p)
-    table = build_table(p, n)
-    gens = [
-        GradedPolynomial.y_var(field, n, j).with_nvars(n) for j in range(i)
-    ]
-    fixers = []
-    for code in range(p**n):
-        digits = []
-        c = code
-        for _ in range(n):
-            digits.append(field.from_int(c % p))
-            c //= p
-        a = WittVector(tuple(digits))
-        if all(
-            group_action_on_sections(p, n - 1, a, g) == g for g in gens
-        ):
-            fixers.append(a)
-    expected = p ** (n - i)
-    if len(fixers) != expected:
-        raise ConsistencyFailure(
-            f"fixing subgroup has order {len(fixers)}, expected {expected}"
-        )
-    gen = WittVector(
-        tuple(field.one() if j == i else field.zero() for j in range(n))
-    ) if i < n else None
-    if gen is not None:
-        order = 1
-        while not witt_smul(order, gen, table).is_zero():
-            order += 1
-            if order > expected:
-                raise ConsistencyFailure("slot-i generator order overflow")
-        if order != expected:
-            raise ConsistencyFailure(
-                f"slot-{i} generator has order {order}, expected {expected}"
-            )
-    return {"p": p, "n": n, "component": i, "order": expected}

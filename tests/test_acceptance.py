@@ -23,7 +23,6 @@ from wittram.conductor import (
 from wittram.localsym import (
     LocalSymbolInput,
     modulus_vanishing_test,
-    perturbed_lift,
     pole_depth,
     residue_vector,
     symbol_from_lifts,
@@ -44,8 +43,6 @@ from wittram.wbar import (
     psi_on_sections,
     psi_pullback,
     pushforward_recursion_check,
-    section_dim,
-    section_monomials,
 )
 from wittram.witt import (
     WittVector,
@@ -59,7 +56,8 @@ from wittram.witt import (
     yvar,
 )
 
-from randoms import random_unit
+from oracles import coeff_of, section_monomials
+from randoms import perturbed_lift, random_unit, random_unit_series
 
 # ---------- the acceptance grid: 76 cases, both regimes ----------
 
@@ -240,10 +238,10 @@ def test_criterion_05_witt_layer():
                 d = p ** (n - i) - 1
                 assert ip.degree_in(c, xvar(i)) == d, (p, n, i)
                 assert ip.degree_in(c, yvar(i)) == d, (p, n, i)
-                lead = ip.coeff_of(c, xvar(i), d)
+                lead = coeff_of(c, xvar(i), d)
                 assert any(v % p for v in lead.values()), (p, n, i)
             # isobarity pins the X_0-leading coefficient to a multiple of Y_0
-            lead0 = ip.coeff_of(c, xvar(0), p**n - 1)
+            lead0 = coeff_of(c, xvar(0), p**n - 1)
             (key0,) = lead0
             assert ip.unpack(key0, 2 * (n + 1)) == (0, 1) + (0,) * (2 * n)
 
@@ -304,8 +302,8 @@ def test_criterion_07_local_symbols(grid):
             entries.append(TLS.from_terms(field, terms))
         u = WittVector(tuple(entries))
         window = pole_depth(u) + 4
-        alpha = _unit_series(field, window, rng)
-        beta = _unit_series(field, window, rng)
+        alpha = random_unit_series(field, window, rng)
+        beta = random_unit_series(field, window, rng)
         sa = residue_vector(LocalSymbolInput(u, alpha))
         sb = residue_vector(LocalSymbolInput(u, beta))
         sab = residue_vector(LocalSymbolInput(u, alpha * beta))
@@ -319,12 +317,6 @@ def test_criterion_07_local_symbols(grid):
         )
         assert other == sa, (p, n, checked)
         checked += 1
-
-
-def _unit_series(field, window, rng):
-    terms = [(0, random_unit(field, rng))]
-    terms += [(k, field.random(rng)) for k in range(1, window)]
-    return TLS.from_terms(field, terms, prec=window)
 
 
 def test_criterion_08_compactification_layer():

@@ -8,7 +8,6 @@ import sys
 import pytest
 
 from wittram.cli import (
-    build_parser,
     format_packed_poly,
     main,
     parse_datum,
@@ -57,6 +56,16 @@ def test_tower_p7_single_pass(capsys):
         assert doc[key] == (list(value) if isinstance(value, tuple) else value), key
     assert doc["breaks"] == list(filt.breaks)
     assert doc["match"] is True
+
+
+def test_tower_deep_reports_program_bound(capsys):
+    # the carry-pole program at the observed slot valuations is sharper than
+    # the closed bound here, and the observed valuation respects both
+    argv = ["tower", "--p", "2", "--n", "2", "--nu", "1,3", "--deep", "--json"]
+    code, out, err = _run(capsys, *argv)
+    assert code == 0, err
+    carry = json.loads(out)["sort_bound"]["carry_bound"]
+    assert (carry["bound"], carry["lp_bound"], carry["valuation_lower_bound"]) == (-21, -18, -16)
 
 
 def test_budget_factor_must_be_positive(capsys):

@@ -5,18 +5,20 @@ import random
 
 import pytest
 
+from wittram import conductor
 from wittram.conductor import (
     LatticeProblem,
     carry_pole_lp,
-    carry_pole_lp_substituted,
     claim_pole_check,
     lp_minimize,
     section_degree_oracle,
     sort_bound_check,
     theorem_conductor,
 )
-from wittram.errors import InfeasibleProblem
+from wittram.errors import ConsistencyFailure, InfeasibleProblem
 from wittram.tower import CoverDatum, build_tower
+
+from oracles import box_scan, carry_pole_substituted_scan
 
 
 def test_theorem_conductor_frozen():
@@ -73,16 +75,13 @@ def test_section_oracle_depth_one():
 
 def _full_box_oracle(p, n, nu):
     """Reference: scan the whole box 0 <= i_h <= p^(n-1-h) point by point."""
-    best, witnesses = None, []
-    for point in itertools.product(*[range(p ** (n - 1 - h) + 1) for h in range(n)]):
-        if sum(p**h * i_h for h, i_h in enumerate(point)) != p ** (n - 1):
-            continue
-        val = sum(i_h * nu[h] for h, i_h in enumerate(point))
-        if best is None or val > best:
-            best, witnesses = val, [point]
-        elif val == best:
-            witnesses.append(point)
-    return {"M": best, "witnesses": tuple(witnesses)}
+    best, witnesses = box_scan(
+        [range(p ** (n - 1 - h) + 1) for h in range(n)],
+        lambda point: sum(p**h * i_h for h, i_h in enumerate(point)) == p ** (n - 1),
+        lambda point: sum(i_h * nu[h] for h, i_h in enumerate(point)),
+        sense="max",
+    )
+    return {"M": best, "witnesses": witnesses}
 
 
 def test_oracle_matches_full_box_scan():
@@ -143,8 +142,7 @@ def test_lp_frozen_carry_pole():
 
 
 def test_lp_substituted_frozen():
-    prob = carry_pole_lp_substituted(2, 1, (-3,))
-    value, argmin = lp_minimize(prob)
+    value, argmin = carry_pole_substituted_scan(2, 1, (-3,))
     assert value == -9
     # optimum sits at alpha_0 = p^2 - p + 1 = 3
     assert any(pt[0] == 3 for pt in argmin)
@@ -157,7 +155,7 @@ def test_lp_two_forms_agree_random():
         n = rng.randrange(1, 3)
         w = tuple(rng.randrange(-9, 3) for _ in range(n))
         v1, _ = lp_minimize(carry_pole_lp(p, n, w))
-        v2, _ = lp_minimize(carry_pole_lp_substituted(p, n, w))
+        v2, _ = carry_pole_substituted_scan(p, n, w)
         assert v1 == v2, (p, n, w)
 
 
@@ -205,7 +203,7 @@ def test_carry_pole_single_weight_extreme_vertex():
             point = argmin[0]
             assert point[2 * j] == p ** (n - j) - 1
             assert point[2 * j + 1] == 1
-            value2, argmin2 = lp_minimize(carry_pole_lp_substituted(p, n, w))
+            value2, argmin2 = carry_pole_substituted_scan(p, n, w)
             assert value2 == value
             assert len(argmin2) == 1
             assert argmin2[0][2 * j] == p ** (n - j + 1) - p + 1
@@ -240,10 +238,20 @@ def test_sort_bounds_depth_one():
     assert rep["stage_bounds"][0]["equality"]  # m_1 = nu_0 at the base
 
 
-def test_sort_bounds_cost_guard():
+def test_sort_bounds_cost_guard(monkeypatch):
     tw = build_tower(CoverDatum.from_orders(2, 1, 1, (3,)))
-    rep = sort_bound_check(tw, carry_cost_limit=0)
+    monkeypatch.setattr(conductor, "CARRY_COST_LIMIT", 0)
+    rep = sort_bound_check(tw)
     assert rep["carry_bound"]["skipped"]
+
+
+def test_sort_bounds_program_bound_is_checked(monkeypatch):
+    # a program bound one above the observed carry valuation must raise
+    tw = build_tower(CoverDatum.from_orders(2, 2, 1, (1, 3)))
+    observed = sort_bound_check(tw)["carry_bound"]["valuation_lower_bound"]
+    monkeypatch.setattr(conductor, "lp_minimize", lambda prob: (observed + 1, ()))
+    with pytest.raises(ConsistencyFailure, match="program bound"):
+        sort_bound_check(tw)
 
 
 def test_claim_pole_frozen():

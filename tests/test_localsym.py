@@ -20,7 +20,6 @@ from wittram.localsym import (
     canonical_lift,
     modulus_vanishing_test,
     nonzero_elements,
-    perturbed_lift,
     pole_depth,
     residue_vector,
     symbol_from_lifts,
@@ -29,7 +28,7 @@ from wittram.series import TruncatedLaurentSeries as TLS
 from wittram.tower import CoverDatum
 from wittram.witt import WittVector, build_table, ghost_eval, witt_add
 
-from randoms import random_unit
+from randoms import perturbed_lift, random_unit, random_unit_series
 
 F2 = finite_field(2, 1)
 F3 = finite_field(3, 1)
@@ -61,12 +60,6 @@ def _random_pole_vector(field, n, max_pole, rng):
     if pole_depth(u) < field.p ** (n - 1) * nu:
         raise AssertionError(f"no pole of order {nu} in {u}")
     return u
-
-
-def _random_unit_series(field, window, rng):
-    terms = [(0, random_unit(field, rng))]
-    terms += [(k, field.random(rng)) for k in range(1, window)]
-    return TLS.from_terms(field, terms, prec=window)
 
 
 def _series_pairing(u_lifts, alpha_lift):
@@ -106,7 +99,7 @@ def test_alpha_one_and_zero_u():
     u = _random_pole_vector(F3, 2, 5, rng)
     assert residue_vector(LocalSymbolInput(u, one)).is_zero()
     zero_u = WittVector((TLS.zero(F3),) * 3)
-    alpha = _random_unit_series(F3, 6, rng)
+    alpha = random_unit_series(F3, 6, rng)
     assert residue_vector(LocalSymbolInput(zero_u, alpha)).is_zero()
 
 
@@ -135,8 +128,8 @@ def test_bilinearity_in_alpha():
         for _ in range(4):
             u = _random_pole_vector(field, n, 3, rng)
             window = pole_depth(u) + 4
-            alpha = _random_unit_series(field, window, rng)
-            beta = _random_unit_series(field, window, rng)
+            alpha = random_unit_series(field, window, rng)
+            beta = random_unit_series(field, window, rng)
             lhs = residue_vector(LocalSymbolInput(u, alpha * beta))
             sa = residue_vector(LocalSymbolInput(u, alpha))
             sb = residue_vector(LocalSymbolInput(u, beta))
@@ -152,7 +145,7 @@ def test_additivity_in_u():
             v = _random_pole_vector(field, n, 2, rng)
             usum = witt_add(u, v, table)
             window = max(pole_depth(u), pole_depth(v), pole_depth(usum)) + 4
-            alpha = _random_unit_series(field, window, rng)
+            alpha = random_unit_series(field, window, rng)
             lhs = residue_vector(LocalSymbolInput(usum, alpha))
             su = residue_vector(LocalSymbolInput(u, alpha))
             sv = residue_vector(LocalSymbolInput(v, alpha))
@@ -164,7 +157,7 @@ def test_lift_independence():
     for field, n in [(F2, 2), (F3, 3), (F4, 2)]:
         u = _random_pole_vector(field, n, 3, rng)
         window = pole_depth(u) + 4
-        alpha = _random_unit_series(field, window, rng)
+        alpha = random_unit_series(field, window, rng)
         inp = LocalSymbolInput(u, alpha)
         lift = lift_ring(field.p, inp.m, field.f)
         base = residue_vector(inp)
@@ -183,7 +176,7 @@ def test_finite_alpha_truncated_without_loss():
     for field, n in [(F2, 3), (F3, 2), (F4, 2), (F5, 2)]:
         u = _random_pole_vector(field, n, 3, rng)
         depth = pole_depth(u)
-        alpha = _random_unit_series(field, depth + 9, rng)
+        alpha = random_unit_series(field, depth + 9, rng)
         inp = LocalSymbolInput(u, alpha)
         assert inp.alpha.prec == depth + 2
         sym, cert = residue_vector(inp, with_certificate=True)
@@ -201,7 +194,7 @@ def test_certificate_ghost_consistency():
     rng = random.Random(19)
     for field, n in [(F2, 3), (F3, 2), (F5, 2)]:
         u = _random_pole_vector(field, n, 3, rng)
-        alpha = _random_unit_series(field, pole_depth(u) + 4, rng)
+        alpha = random_unit_series(field, pole_depth(u) + 4, rng)
         sym, cert = residue_vector(LocalSymbolInput(u, alpha), with_certificate=True)
         lift = cert["lift"]
         p = field.p
@@ -330,7 +323,7 @@ def test_extension_field_symbols_use_full_field():
 def test_canonical_lift_round_trip():
     rng = random.Random(41)
     lift = lift_ring(3, 4)
-    s = _random_unit_series(F3, 6, rng)
+    s = random_unit_series(F3, 6, rng)
     lifted = canonical_lift(s, lift)
     assert lifted.ring is lift
     assert lifted.prec == s.prec
@@ -360,7 +353,7 @@ def test_window_pairing_matches_series_reference(field, n):
         D = pole_depth(u)
         lift = lift_ring(field.p, 2 * n + 2, field.f)
         one = _mono(field, 0, 1)
-        alphas = [_random_unit_series(field, D + 3, rng)]
+        alphas = [random_unit_series(field, D + 3, rng)]
         for k in sorted({1, 2, max(1, D // 2), D, D + 1}):
             c = random_unit(field, rng)
             alphas.append(one + _mono(field, k, c) + _mono(field, k + 2, random_unit(field, rng)))

@@ -19,9 +19,9 @@ from wittram.series import (
     _int_conv,
     compose,
     nth_root,
-    pth_power_decompose,
 )
 
+from oracles import pth_power_decompose
 from randoms import random_series, random_unit
 
 F2 = finite_field(2)

@@ -22,9 +22,7 @@ from wittram.tower import (
     CoverDatum,
     HerbrandPhi,
     RamificationFiltration,
-    Tower,
     TowerStage,
-    adjust_decompose,
     analyze_tower,
     budget_factor,
     build_tower,
@@ -40,6 +38,7 @@ from wittram.tower import (
 )
 from wittram.witt import xvar
 
+from oracles import adjust_decompose
 from randoms import random_series
 
 F2 = finite_field(2, 1)

@@ -13,15 +13,20 @@ from wittram.wbar import (
     divisor_ledger,
     group_action_on_sections,
     homogenize_component,
-    inertia_subgroup_check,
-    psi_literal_form,
     psi_on_sections,
     psi_pullback,
     pushforward_recursion_check,
     section_dim,
-    section_monomials,
 )
-from wittram.witt import WittVector, build_table, witt_add
+from wittram.witt import WittVector, build_table, nth_component_identity_check, witt_add
+
+from oracles import inertia_subgroup_check, section_monomials
+
+
+def psi_literal_form(p, n):
+    """The literal closed form Y_n^p - Y_n + carry_n(Y^p; -Y), lifted to weight p^(n+1)."""
+    literal = nth_component_identity_check(build_table(p, n + 1), n)["literal_poly"]
+    return homogenize_component(finite_field(p), n + 1, literal, p ** (n + 1))
 
 
 # ---------- section spaces ----------

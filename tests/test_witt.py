@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 from wittram import intpoly as ip
+from wittram import witt as witt_mod
 from wittram.coeff import finite_field, lift, lift_ring
-from wittram.errors import WittTableError
+from wittram.errors import ConsistencyFailure, WittTableError
 from wittram.series import TruncatedLaurentSeries as TLS
 from wittram.witt import (
     WittVector,
     asw_map,
     build_table,
-    cn_leading_term_check,
     frobenius,
     ghost_batch,
     ghost_eval,
@@ -30,6 +30,7 @@ from wittram.witt import (
     yvar,
 )
 
+from oracles import cn_leading_term_check
 from randoms import random_series
 
 
@@ -91,7 +92,6 @@ def test_ghost_identities_symbolic():
 
 
 def test_isobaric_weights():
-    weights = {}
     for p in (2, 3, 5):
         t = build_table(p, 3)
         wl = []
@@ -264,7 +264,6 @@ def test_asw_on_w2_f4():
     # adding a back recovers F(a): the image really is F(a) - a
     assert witt_add(a, image, t) == fa
     # ghost cross-check in the Galois ring mod p^2
-    GR = lift_ring(2, 2, 2)
     la = WittVector(tuple(lift(e, 2) for e in a))
     lf = WittVector(tuple(lift(e, 2) for e in fa))
     li = WittVector(tuple(lift(e, 2) for e in image))
@@ -275,7 +274,7 @@ def test_asw_on_w2_f4():
 def test_component_identity_check():
     t2 = build_table(2, 3)
     rep = nth_component_identity_check(t2, 1)
-    assert rep["holds"] and rep["routes_agree"]
+    assert rep["holds"]
     # frozen: the first nontrivial component of F(Y)-Y over F_2
     want = ip.p_add(ip.p_add(Y(1, 2), Y(1)), ip.p_add(Y(0, 2), Y(0, 3)))
     assert rep["component_poly"] == want
@@ -291,6 +290,16 @@ def test_component_identity_check():
     t5 = build_table(5, 2)
     rep5 = nth_component_identity_check(t5, 1)
     assert rep5["holds"] and rep5["literal_matches"]
+
+
+def test_component_identity_check_routes_must_agree(monkeypatch):
+    # one extra term on the table route makes the two routes disagree
+    table_route = witt_mod.asw_component_poly
+    monkeypatch.setattr(
+        witt_mod, "asw_component_poly", lambda table, n: ip.p_add(table_route(table, n), Y(0))
+    )
+    with pytest.raises(ConsistencyFailure, match="disagree"):
+        nth_component_identity_check(build_table(3, 2), 1)
 
 
 def test_component_identity_check_deeper_odd_p():
@@ -364,9 +373,10 @@ PRECONDITION_PRELUDE = (
     "import numpy as np\n"
     "from wittram.coeff import finite_field, lift, lift_ring, pth_root\n"
     "from wittram import intpoly as ip\n"
-    "from wittram.series import TruncatedLaurentSeries as TLS, nth_root, pth_power_decompose\n"
+    "from wittram.series import TruncatedLaurentSeries as TLS, nth_root\n"
     "from wittram.tower import _bezout_exponents\n"
     "from wittram.witt import WittVector, build_table, witt_batch_op\n"
+    "from oracles import pth_power_decompose\n"
     "pair = WittVector((finite_field(3).one(), finite_field(3).zero()))\n"
     "A = np.ones((2, 4), dtype=np.int64)\n"
 )
@@ -420,12 +430,13 @@ def test_preconditions_survive_optimized_python():
         f"try:\n    {expr}\nexcept ValueError:\n    print({name!r})\n"
         for name, expr in PRECONDITIONS.items()
     )
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    here = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.join(here, os.pardir, "src"), here])
     proc = subprocess.run(
         [sys.executable, "-O", "-c", PRECONDITION_PRELUDE + checks],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == list(PRECONDITIONS)
