@@ -256,7 +256,6 @@ def _cmd_local_symbol(args):
         rng = random.Random(args.seed)
         probe = modulus_vanishing_test(u, bound, trials=args.trials, rng=rng)
         report["probe_trials"] = probe["trials"]
-        report["probe_all_vanished"] = True
         report["probe_certificate"] = probe["certificate"]
         report["witness_found"] = probe["witness_found"]
         if probe["witness_found"]:

@@ -196,7 +196,7 @@ def sort_bound_check(tower):
     """
     p, n = tower.p, tower.n
     top = tower.top
-    report = {"p": p, "n": n, "nu": tower.datum.nu, "stage_bounds": [], "ok": True}
+    report = {"p": p, "n": n, "nu": tower.datum.nu, "stage_bounds": []}
 
     for j in range(n):
         stage = tower.stages[j + 1]

@@ -26,10 +26,11 @@ DIRECT_CONV_ROWS = 64  # _int_conv multiplies shorter windows directly
 
 
 class TruncatedLaurentSeries:
-    """A series never changes after construction (nothing writes to its
-    `coeffs`), so its full-window inverse is computed once and kept."""
+    """A series never changes after construction (its `coeffs` window is
+    read-only), so its full-window inverse is computed once and kept, and so
+    are the powers that compositions through it form (`_compose_fast`)."""
 
-    __slots__ = ("ring", "v", "coeffs", "prec", "_inv")
+    __slots__ = ("ring", "v", "coeffs", "prec", "_inv", "_pows", "_poles")
 
     def __init__(self, ring, v, coeffs, prec=INF, normalize=True):
         coeffs = np.asarray(coeffs, dtype=np.int64)
@@ -53,11 +54,14 @@ class TruncatedLaurentSeries:
                     coeffs = coeffs[first : int(nz[-1]) + 1]
                 else:
                     coeffs = coeffs[first:]
+        else:
+            coeffs = coeffs.view()  # the caller's array stays writable
+        coeffs.flags.writeable = False
         self.ring = ring
         self.v = v
         self.coeffs = coeffs
         self.prec = prec
-        self._inv = None
+        self._inv = self._pows = self._poles = None
 
     # ---------- state queries ----------
 
@@ -250,10 +254,12 @@ class TruncatedLaurentSeries:
         prec = min(a.prec + vb, b.prec + va)
         if not len(a.coeffs) or not len(b.coeffs):
             return TruncatedLaurentSeries.zero_to(self.ring, prec)
-        arr = _conv(self.ring, a.coeffs, b.coeffs)
         v = a.v + b.v
-        if prec != INF:
-            arr = arr[: prec - v]
+        if prec == INF:
+            arr = _conv(self.ring, a.coeffs, b.coeffs)
+        else:  # rows at or past prec - v of either factor reach no kept row
+            n = prec - v
+            arr = _conv(self.ring, a.coeffs[:n], b.coeffs[:n])[:n]
         return TruncatedLaurentSeries(self.ring, v, arr, prec)
 
     __rmul__ = __mul__
@@ -333,6 +339,43 @@ class TruncatedLaurentSeries:
         if n_terms is None:
             self._inv = x
         return x
+
+    def inv_root(self, r, start=None):
+        """w = U^(-1/r) on the rows of a finite window self = c t^v U, where
+        U = 1 + O(t) and r is a unit of the ring; w is a series at t^0.
+
+        Newton starts from the rows of `start` (a series at t^0, such as the
+        root of a nearby series) that fit U.  The residual U w^r = 1 on all
+        rows certifies w, and with it the inverse c^(-1) t^(-v) w^r of
+        self, which is kept as `inv()`."""
+        ring = self.ring
+        if self.prec == INF:
+            raise ValueError("inverse root of an exact series: truncate it first")
+        if not len(self.coeffs):
+            raise InsufficientPrecision("cannot invert a series with no visible term")
+        lead = self.leading_coeff()
+        if not lead.is_unit():
+            raise ZeroDivisionError("leading coefficient is not a unit")
+        W, c = len(self.coeffs), lead.inv().coords
+        U = _scale(ring, self.coeffs, c)
+        w = _inv_root(ring, U, r, W, None if start is None else start.coeffs)
+        err, wr = _root_error(ring, U, w, r)
+        if err.any():
+            raise ConsistencyFailure(f"inverse {r}-th root failed to converge")
+        inv = _scale(ring, wr, c)
+        self._inv = TruncatedLaurentSeries(ring, -self.v, inv, W - self.v, normalize=False)
+        return TruncatedLaurentSeries(ring, 0, w, W, normalize=False)
+
+    def keep_pole_power(self, k, x):
+        """Keep x as self^(-k), k >= 1, for the compositions through self.
+
+        x must be that power on at least the rows of self, as the stage
+        solver reads it off a certified inverse root of self."""
+        if x.v != -k * self.v or x.prec - x.v < len(self.coeffs):
+            raise ValueError(f"not the power t^{-k * self.v} on {len(self.coeffs)} rows")
+        if self._poles is None:
+            self._poles = {}
+        self._poles[k] = x
 
     def __truediv__(self, other):
         if isinstance(other, int):
@@ -460,16 +503,21 @@ def _pow_trunc(ring, A, k, n):
     return _one(ring) if out is None else out
 
 
-def _inv_root(ring, U, r, n):
+def _inv_root(ring, U, r, n, w=None):
     """Rows 0..n-1 of U^(-1/r) for a window U = 1 + O(t) of at least n rows,
     with r a unit of the ring.
 
     w <- w + w (1 - U w^r) / r doubles the correct window of w each round
-    using products only (Brent-Kung 1978)."""
+    using products only (Brent-Kung 1978).  A start w, such as the root of
+    a nearby U, is kept up to its first row where U w^r = 1 fails."""
     mod = ring.modulus
     rinv = pow(r, -1, mod)
-    w = _one(ring)
-    known = 1
+    if w is not None:
+        bad = np.nonzero(_root_error(ring, U, w[:n], r)[0].any(axis=1))[0]
+        w = w[: int(bad[0]) if len(bad) else n]
+    if w is None or not len(w):
+        w = _one(ring)
+    known = len(w)
     while known < n:
         old, known = known, min(2 * known, n)
         # 1 - U w^r vanishes below t^old, so only its rows old..known-1 act
@@ -479,18 +527,24 @@ def _inv_root(ring, U, r, n):
     return w
 
 
+def _root_error(ring, U, w, r):
+    """(U w^r - 1, w^r) on the rows of w, reduced."""
+    wr = _pow_trunc(ring, w, r, len(w))
+    err = _mul_trunc(ring, U, wr, len(w))
+    err[0, 0] -= 1
+    return err % ring.modulus, wr
+
+
 def _inv_rows(ring, A, c, n):
     """Rows 0..n-1 of 1/A for a window A from t^0 whose lead is a unit with
-    inverse c (coordinates); A reads as zero past its rows.  The residual
-    A w = 1 on those rows certifies the Newton inversion."""
+    inverse c (coordinates); A reads as zero past its rows.  With U = c A,
+    the residual U w = 1 on those rows certifies the Newton inversion."""
     U = np.zeros((n, ring.f), dtype=np.int64)
     U[: min(n, len(A))] = _scale(ring, A[:n], c)
-    w = _scale(ring, _inv_root(ring, U, 1, n), c)
-    residual = _mul_trunc(ring, A, w, n)
-    residual[0, 0] -= 1
-    if (residual % ring.modulus).any():
+    w = _inv_root(ring, U, 1, n)
+    if _root_error(ring, U, w, 1)[0].any():
         raise ConsistencyFailure("Newton inversion failed to converge")
-    return w
+    return _scale(ring, w, c)
 
 
 # ---------- module-level operations (the public contract) ----------
@@ -549,12 +603,9 @@ def _compose_fast(f, g, cap):
     # inside the recursion g's stored window is treated as exact; the
     # honest precision cap was computed by the caller.  Windows are raw
     # (rows, f) arrays starting at t^0; series are built only on exit.
-    G = np.zeros((min(g.end, n0), ring.f), dtype=np.int64)
-    G[g.v :] = g.coeffs[: max(0, len(G) - g.v)]
-    gpow = [None, G]  # gpow[j] = g^j for 1 <= j < p, read once f is split
-    if ring.is_field and len(f.coeffs) > max(4, p):
-        for _ in range(2, p):
-            gpow.append(_mul_trunc(ring, gpow[-1], G, n0))
+    split = ring.is_field and len(f.coeffs) > max(4, p)
+    gpow = _window_powers(g, n0, p if split else 2)  # g^j, read once f is split
+    G = gpow[1]
 
     def rec(arr, n):
         # arr: coefficient rows at exponents 0..len-1; returns the rows of
@@ -589,8 +640,44 @@ def _compose_fast(f, g, cap):
     if rows is not None:
         unit[: len(rows)] = rows
     unit = TruncatedLaurentSeries(ring, 0, unit, INF if cap == INF else n0)
-    out = unit * (g**f.v) if f.v else unit
-    return out.truncate(cap)
+    if f.v > 0:
+        unit = unit * g**f.v
+    elif f.v < 0:
+        unit = unit * _pole_power(g, -f.v)
+    return unit.truncate(cap)
+
+
+def _window_powers(g, n, count):
+    """[None, G, G^2, ..., G^(count-1)]: g's window from t^0 as a raw array
+    and its powers, cut to at least n rows.
+
+    They are kept on g, with their row count, for later compositions
+    through it.  `_mul_trunc` cuts its operands to the rows it forms, so
+    powers kept at more rows give the same products."""
+    if g._pows is None or g._pows[0] < n:
+        G = np.zeros((min(g.end, n), g.ring.f), dtype=np.int64)
+        G[g.v :] = g.coeffs[: max(0, len(G) - g.v)]
+        g._pows = (n, [None, G])
+    n, pows = g._pows
+    while len(pows) < count:
+        pows.append(_mul_trunc(g.ring, pows[-1], pows[1], n))
+    return pows
+
+
+def _pole_power(g, k):
+    """g^(-k) for k >= 1, kept on g: the nearest lower power kept times a
+    power of g.inv().  A composite is cut at g.prec - (k + 1) v(g), which
+    every route to g^(-k) reaches."""
+    if g._poles is None:
+        g._poles = {}
+    out = g._poles.get(k)
+    if out is None:
+        below = max((j for j in g._poles if j < k), default=0)
+        out = g.inv() ** (k - below)
+        if below:
+            out = g._poles[below] * out
+        g._poles[k] = out
+    return out
 
 
 def nth_root(f, r, leading_root=None):

@@ -27,12 +27,7 @@ from .errors import (
     InsufficientPrecision,
     NonTotallyRamified,
 )
-from .series import (
-    DIRECT_CONV_ROWS,
-    TruncatedLaurentSeries,
-    compose,
-    nth_root,
-)
+from .series import DIRECT_CONV_ROWS, TruncatedLaurentSeries, compose
 from .witt import WittVector, asw_correction_poly, build_table, witt_smul, xvar, yvar
 
 INF = math.inf
@@ -148,7 +143,9 @@ def _solve_stage(z_std, ring, window):
     ceil(log2(rows)) steps run on a short window, then one per doubled
     window up to the planned one (Bernstein, "Removing redundancy in
     high-precision Newton iteration").  The residual of the returned (T, Y)
-    on the full window is the relation certificate.
+    on the full window is the relation certificate.  Each iterate T =
+    c^(-a) tau^p U forms one inverse root w = U^(-1/a), from the last one,
+    and reads Y = c^b tau^(-e) w^b, T^(-1) and T^(-e) off it, kept on T.
     """
     p = ring.p
     e = -z_std.valuation()
@@ -158,15 +155,21 @@ def _solve_stage(z_std, ring, window):
     tau = TruncatedLaurentSeries.monomial(ring, 1)
 
     def residual(T):  # Y from the unit relation, with the forced leading root
-        Y = nth_root(tau * T ** (-b), a, leading_root=c**b)
-        return Y, Y.pth_power() - Y - compose(z_std, T)
+        nonlocal root
+        root = T.inv_root(a, root)
+        Y = (root**b).shift(-e).scalar_mul(c**b)
+        Yp = Y.pth_power()
+        # T = d tau^p U has T^-e = d^-e tau^-pe w^(bp-1) = d^-e c^-bp Y^p U w^(a-1)
+        scale = T.leading_coeff() ** (-e - 1) * c ** (-b * p)
+        T.keep_pole_power(e, (Yp * T.shift(-p) * root ** (a - 1)).scalar_mul(scale))
+        return Y, Yp - Y - compose(z_std, T)
 
     windows = [window]  # a step at window w needs T right below (w + p) / 2
     while windows[-1] > p + DIRECT_CONV_ROWS:
         windows.append((windows[-1] + p + 1) // 2)
     short = windows.pop()
     T = TruncatedLaurentSeries.monomial(ring, p, c ** (-a)).truncate(short)
-    rho = None  # the residual of T, once formed
+    rho = root = None  # the residual of T, once formed
     for w in [short] * (short - p - 1).bit_length() + windows[::-1]:
         if w > T.prec:  # pad T with zero rows up to the doubled window
             T = TruncatedLaurentSeries(ring, T.v, T.coeffs, INF).truncate(w)
@@ -233,14 +236,13 @@ class TowerStage:
         return self.t_embs[0]
 
     def check_relations(self):
-        """Re-verify every solved level's defining relation in t_i terms."""
-        for j in range(self.level):
+        """Re-verify every solved level's defining relation in t_i terms, but
+        the newest one: that is the stage solver's certificate."""
+        for j in range(self.level - 1):
             lhs = self.ytilde[j].pth_power() - self.ytilde[j]
             rhs = compose(self.z_std[j], self.t_embs[j])
             if not lhs.agrees_with(rhs):
-                raise ConsistencyFailure(
-                    f"level-{j} relation fails at stage {self.level}"
-                )
+                raise ConsistencyFailure(f"level-{j} relation fails at stage {self.level}")
         v = self.s.valuation()
         if v != self.p**self.level:
             raise ConsistencyFailure(f"base uniformizer has valuation {v}")
@@ -276,9 +278,7 @@ def extend_stage(stage, budget):
     m_new = max(p * stage.m[i], datum.nu[i])
     e_pred = p**i * m_new - stage.mu[i]
     if e_new != e_pred:
-        raise ConsistencyFailure(
-            f"stage {i}: observed break {e_new}, recursion predicts {e_pred}"
-        )
+        raise ConsistencyFailure(f"stage {i}: observed break {e_new}, recursion predicts {e_pred}")
     mu_new = p ** (i + 1) * m_new - e_new
 
     T, Y, a, b = _solve_stage(z_std, ring, budget)
@@ -305,9 +305,7 @@ def extend_stage(stage, budget):
         want = -(p ** (i - j)) * new.e[j + 1]
         got = new.ytilde[j].valuation()
         if got != want:
-            raise ConsistencyFailure(
-                f"standard generator {j} has valuation {got}, expected {want}"
-            )
+            raise ConsistencyFailure(f"standard generator {j} has valuation {got}, expected {want}")
     new.check_relations()
     return new
 
@@ -611,7 +609,7 @@ def _increment(tower, j, gbar):
     return ip.p_eval(poly, vals, TruncatedLaurentSeries.monomial(tower.ring, 0))
 
 
-def galois_conjugate(tower, g, level=None):
+def galois_conjugate(tower, g, level=None, top_increment=None):
     """Series expansion of sigma_g(t_level) in t_level, built up the tower.
 
     level defaults to the top n; sigma_g acts on k((t_level)) through
@@ -619,6 +617,7 @@ def galois_conjugate(tower, g, level=None):
     coordinates of g; the per-level increments are evaluated in their own
     stage's (small) window and transported up by one composition each, then
     the unit relations rebuild the conjugate uniformizer level by level.
+    top_increment, when given, is the increment of level - 1, evaluated.
     """
     p = tower.p
     n = tower.n if level is None else level
@@ -630,7 +629,10 @@ def galois_conjugate(tower, g, level=None):
 
     sig_t = top.t_embs[0]
     for j in range(n):
-        delta_top = compose(_increment(tower, j, gbar), top.t_embs[j])
+        if j < n - 1 or top_increment is None:
+            delta_top = compose(_increment(tower, j, gbar), top.t_embs[j])
+        else:
+            delta_top = compose(top_increment, top.t_embs[j])
         sig_y = top.y[j] + delta_top
         h = top.h_adj[j]
         sig_ytilde = sig_y - compose(h, sig_t) if len(h.coeffs) else sig_y
@@ -670,11 +672,11 @@ class RamificationFiltration:
         return out
 
 
-def _increment_jump(tower, g):
-    """i(g) read off the increment of the top generator, with no conjugate
-    at the top.
+def _increment_jump(tower, g, delta):
+    """i(g) read off delta = delta_(n-1,g), the increment of the top
+    generator, with no conjugate at the top.
 
-    sigma_g moves y_(n-1) by delta_(n-1,g), and v(sigma x - x) = v(x) +
+    sigma_g moves y_(n-1) by delta, and v(sigma x - x) = v(x) +
     i(g) - 1 when p does not divide v(x) (Serre, Local Fields, IV section
     1); v(t_(n-1)) = p in t_n.  x is y_(n-1) when p does not divide
     v(y_(n-1)), else ytilde_(n-1) = y_(n-1) - h(t_(n-1)), whose increment
@@ -683,7 +685,6 @@ def _increment_jump(tower, g):
     """
     p, n = tower.p, tower.n
     x = tower.top.y[n - 1]
-    delta = _increment(tower, n - 1, group_element_coordinates(p, n, g))
     r = g % p ** (n - 1)
     if x.valuation() % p == 0:
         x, h = tower.top.ytilde[n - 1], tower.top.h_adj[n - 1]
@@ -698,8 +699,9 @@ def ramification_filtration(tower):
     i(g) depends only on the order p^k of g, whose class has the
     representative p^(n-k).  Each representative is read by two routes:
     the conjugate route, v(sigma_g(t_n) - t_n) off `galois_conjugate`, and
-    the increment route, `_increment_jump`.  Readings that differ raise
-    ConsistencyFailure; the class size scales the agreed jump.
+    the increment route, `_increment_jump`; both take the one evaluation
+    of delta_(n-1,g).  Readings that differ raise ConsistencyFailure; the
+    class size scales the agreed jump.
     """
     p, n = tower.p, tower.n
     t_top = tower.top.t_embs[n]
@@ -707,8 +709,9 @@ def ramification_filtration(tower):
     jumps = []
     for k in range(1, n + 1):
         rep = p ** (n - k)
-        i_g = (galois_conjugate(tower, rep) - t_top).valuation()
-        i_inc = _increment_jump(tower, rep)
+        delta = _increment(tower, n - 1, group_element_coordinates(p, n, rep))
+        i_g = (galois_conjugate(tower, rep, top_increment=delta) - t_top).valuation()
+        i_inc = _increment_jump(tower, rep, delta)
         if i_inc != i_g:
             raise ConsistencyFailure(
                 f"i(g) on the order-p^{k} class: the conjugate of {rep} gives {i_g}, "
@@ -818,9 +821,7 @@ def tower_invariants(tower, filtration=None):
         D.append(p * D[i] + T.derivative().valuation())
         mu_indep.append(D[i + 1] - p ** (i + 1) + 1)
     if mu_indep != list(mu):
-        raise ConsistencyFailure(
-            f"chain-rule mu {mu_indep} != recursion mu {list(mu)}"
-        )
+        raise ConsistencyFailure(f"chain-rule mu {mu_indep} != recursion mu {list(mu)}")
 
     report = {
         "p": p,
@@ -841,8 +842,7 @@ def tower_invariants(tower, filtration=None):
     if filtration is not None:
         if filtration.different != report["different"]:
             raise ConsistencyFailure(
-                f"filtration different {filtration.different} "
-                f"!= {report['different']}"
+                f"filtration different {filtration.different} != {report['different']}"
             )
         phi = herbrand_phi(filtration)
         for k in range(1, n + 1):
@@ -855,7 +855,5 @@ def tower_invariants(tower, filtration=None):
             report[f"relative_different_{k}"] = drop
         report["conductor_filtration"] = conductor_exponent(filtration)
         if report["conductor_filtration"] != report["conductor"]:
-            raise ConsistencyFailure(
-                f"conductor {report['conductor_filtration']} != m_n + 1"
-            )
+            raise ConsistencyFailure(f"conductor {report['conductor_filtration']} != m_n + 1")
     return report

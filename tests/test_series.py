@@ -138,6 +138,18 @@ def test_residue_dlog_over_z9():
     assert val == Z9.from_int(7)
 
 
+def test_windows_are_read_only():
+    # the cached inverse and powers stay valid only while no window changes
+    arr = np.array([[1], [2], [0]], dtype=np.int64)
+    f = TLS(F3, 1, arr, 4, normalize=False)
+    with pytest.raises(ValueError, match="read-only"):
+        f.coeffs[0, 0] = 2
+    assert arr.flags.writeable  # the caller's own array is left alone
+    g = TLS(F3, 1, arr, 4) + TLS.monomial(F3, 2)
+    with pytest.raises(ValueError, match="read-only"):
+        g.coeffs[1:] += 1
+
+
 def test_nth_root_examples():
     r = nth_root(TLS.monomial(F3, 2), 2)
     assert r.valuation() == 1 and r.coeff(1) == F3.one()

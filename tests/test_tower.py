@@ -311,16 +311,17 @@ def test_increment_route_matches_every_conjugate(p, n, nu, qualifies):
     for g in range(1, p**n):  # every conjugate, built here
         i_g = (galois_conjugate(tw, g) - t_top).valuation()
         assert i_g == by_order[p**n // math.gcd(g, p**n)], g
-        assert tower_mod._increment_jump(tw, g) == i_g, g
+        delta = tower_mod._increment(tw, n - 1, group_element_coordinates(p, n, g))
+        assert tower_mod._increment_jump(tw, g, delta) == i_g, g
 
 
 def _count_conjugates(monkeypatch):
     calls = []
     conjugate = tower_mod.galois_conjugate
 
-    def counted(tower, g, level=None):
+    def counted(tower, g, level=None, top_increment=None):
         calls.append((g, level))
-        return conjugate(tower, g, level)
+        return conjugate(tower, g, level, top_increment)
 
     monkeypatch.setattr(tower_mod, "galois_conjugate", counted)
     return calls
@@ -348,8 +349,10 @@ def test_adjusted_increment_reads_large_groups(monkeypatch):
     assert [c for c in calls if c[1] == 2] == [(5, 2), (1, 2)]
     conjugate = tower_mod.galois_conjugate
 
-    def corrupted(tower, g, level=None):
-        return conjugate(tower, g + 1 if level == 2 else g, level)
+    def corrupted(tower, g, level=None, top_increment=None):
+        if level == 2:
+            return conjugate(tower, g + 1, level)
+        return conjugate(tower, g, level, top_increment)
 
     monkeypatch.setattr(tower_mod, "galois_conjugate", corrupted)
     with pytest.raises(ConsistencyFailure, match="its increment gives"):
@@ -378,7 +381,9 @@ def test_wrong_representative_is_refused_in_reps_mode(monkeypatch):
     tw = build(5, 2, (3, 4))
     conjugate = tower_mod.galois_conjugate
     monkeypatch.setattr(
-        tower_mod, "galois_conjugate", lambda tower, g, level=None: conjugate(tower, g + 1, level)
+        tower_mod,
+        "galois_conjugate",
+        lambda tower, g, level=None, top_increment=None: conjugate(tower, g + 1, level),
     )
     with pytest.raises(ConsistencyFailure, match="the conjugate of 5 gives"):
         ramification_filtration(tw)
@@ -583,29 +588,30 @@ def test_stage_maps_pinned(p, n, nu, f, digest):
     assert _stage_map_digest(build(p, n, nu, f)) == digest
 
 
-def _count_roots(monkeypatch):
-    """Count the unit-relation roots, one per residual the solver forms."""
+def _count_residuals(monkeypatch):
+    """Count the residuals the solver forms: each reads Y off one inverse
+    root of its iterate T."""
     calls = []
-    root = tower_mod.nth_root
+    inv_root = TLS.inv_root
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return root(*args, **kwargs)
+        return inv_root(*args, **kwargs)
 
-    monkeypatch.setattr(tower_mod, "nth_root", counted)
+    monkeypatch.setattr(TLS, "inv_root", counted)
     return calls
 
 
 def test_stage_solver_residual_count(monkeypatch):
     # Newton with the full derivative doubles the right rows of T per step,
     # so a stage forms about log2(window) residuals, the certificate included
-    calls = _count_roots(monkeypatch)
+    calls = _count_residuals(monkeypatch)
     d = CoverDatum.from_orders(7, 3, 1, (1, 1, 1))
     stage = TowerStage(d)
     for window in tower_mod._stage_budgets(d, DEFAULT_BUDGET_FACTOR):
         calls.clear()
         stage = extend_stage(stage, window)
-        assert len(calls) <= math.ceil(math.log2(window)) + 2, (window, len(calls))
+        assert 1 <= len(calls) <= math.ceil(math.log2(window)) + 2, (window, len(calls))
 
 
 def test_wrong_derivative_is_refused(monkeypatch):
@@ -613,12 +619,36 @@ def test_wrong_derivative_is_refused(monkeypatch):
     # schedule still ends, and the certificate refuses the last T
     derivative = TLS.derivative
     monkeypatch.setattr(TLS, "derivative", lambda self: derivative(self).scalar_mul(2))
-    calls = _count_roots(monkeypatch)
+    calls = _count_residuals(monkeypatch)
     d = CoverDatum.from_orders(5, 1, 1, (3,))
     (window,) = tower_mod._stage_budgets(d, DEFAULT_BUDGET_FACTOR)
     with pytest.raises(InsufficientPrecision, match=r"Y\^p - Y = z\(T\) fails"):
         build_tower(d)
-    assert len(calls) <= math.ceil(math.log2(window)) + 2
+    assert 1 <= len(calls) <= math.ceil(math.log2(window)) + 2
+
+
+def test_lower_level_relation_is_checked():
+    # a re-expanded generator of a level below the newest is re-verified
+    st = build(2, 2, (3, 1)).top
+    yt = st.ytilde[0]
+    st.ytilde[0] = yt + TLS.monomial(F2, yt.v + 1, 1, yt.prec)
+    with pytest.raises(ConsistencyFailure, match="level-0 relation fails at stage 2"):
+        st.check_relations()
+
+
+def test_newest_level_is_certified_by_the_solver(monkeypatch):
+    # check_relations skips the newest level; a Y read off a wrong inverse
+    # root is still refused by the stage solver's own relation certificates
+    inv_root = TLS.inv_root
+
+    def corrupted(self, r, start=None):
+        w = inv_root(self, r, start)
+        return w + TLS.monomial(w.ring, 1, 1, w.prec)
+
+    monkeypatch.setattr(TLS, "inv_root", corrupted)
+    for nu in [(3,), (1,)]:
+        with pytest.raises((InsufficientPrecision, ConsistencyFailure), match="stage relation"):
+            build_tower(CoverDatum.from_orders(5, 1, 1, nu))
 
 
 def test_extend_past_end_rejected():
