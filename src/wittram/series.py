@@ -23,6 +23,7 @@ from .errors import ConsistencyFailure, InsufficientPrecision
 
 INF = math.inf
 DIRECT_CONV_ROWS = 64  # _int_conv multiplies shorter windows directly
+FFT_CONV_TERMS = 512  # and products of fewer terms; see _fft_sized
 
 
 class TruncatedLaurentSeries:
@@ -43,17 +44,20 @@ class TruncatedLaurentSeries:
             if prec != INF:
                 if v + len(coeffs) != prec:
                     raise ValueError("window must be dense up to prec")
-            nz = np.nonzero(coeffs.any(axis=1))[0]
-            if len(nz) == 0:
-                coeffs = coeffs[:0]
-                v = 0 if prec == INF else prec
-            else:
-                first = int(nz[0])
-                v += first
-                if prec == INF:
-                    coeffs = coeffs[first : int(nz[-1]) + 1]
+            # trim only a zero first row, or the zero last rows of an exact series
+            lead = len(coeffs) and any(coeffs[0].tolist())
+            if not lead or (prec == INF and not any(coeffs[-1].tolist())):
+                nz = np.nonzero(coeffs.any(axis=1))[0]
+                if len(nz) == 0:
+                    coeffs = coeffs[:0]
+                    v = 0 if prec == INF else prec
                 else:
-                    coeffs = coeffs[first:]
+                    first = int(nz[0])
+                    v += first
+                    if prec == INF:
+                        coeffs = coeffs[first : int(nz[-1]) + 1]
+                    else:
+                        coeffs = coeffs[first:]
         else:
             coeffs = coeffs.view()  # the caller's array stays writable
         coeffs.flags.writeable = False
@@ -307,12 +311,14 @@ class TruncatedLaurentSeries:
             result = result.pth_power()
         return result
 
-    def inv(self, n_terms=None):
+    def inv(self, n_terms=None, start=None):
         """Multiplicative inverse to n_terms rows (default: the stored width).
 
-        `_inv_rows` inverts the window and certifies it by its residual.
-        A finite window determines only its own width of the inverse; an
-        exact one is zero past its stored rows, so it is padded with zero
+        `_inv_rows` inverts the window and certifies it by its residual;
+        `start`, the rows of a nearby series' inverse of the same valuation
+        (such as the last Newton iterate's), seeds it with the rows that
+        fit.  A finite window determines only its own width of the inverse;
+        an exact one is zero past its stored rows, so it is padded with zero
         rows up to n_terms.  Without n_terms the inverse is computed once
         and cached."""
         if n_terms is None and self._inv is not None:
@@ -334,7 +340,8 @@ class TruncatedLaurentSeries:
         elif n < 1:
             x = TruncatedLaurentSeries.zero_to(ring, n - v)
         else:
-            w = _inv_rows(ring, self.coeffs, lead.inv().coords, n)
+            w0 = None if start is None else _scale(ring, start[:n], lead.coords)
+            w = _inv_rows(ring, self.coeffs, lead.inv().coords, n, w0)
             x = TruncatedLaurentSeries(ring, -v, w, n - v, normalize=False)
         if n_terms is None:
             self._inv = x
@@ -344,10 +351,11 @@ class TruncatedLaurentSeries:
         """w = U^(-1/r) on the rows of a finite window self = c t^v U, where
         U = 1 + O(t) and r is a unit of the ring; w is a series at t^0.
 
-        Newton starts from the rows of `start` (a series at t^0, such as the
-        root of a nearby series) that fit U.  The residual U w^r = 1 on all
-        rows certifies w, and with it the inverse c^(-1) t^(-v) w^r of
-        self, which is kept as `inv()`."""
+        Newton starts from `start`, rows of w that the caller knows (the
+        stage solver keeps the rows of its last root below the first row of
+        U that moved).  The residual U w^r = 1 on all rows certifies w, and
+        with it the inverse c^(-1) t^(-v) w^r of self, which is kept as
+        `inv()`."""
         ring = self.ring
         if self.prec == INF:
             raise ValueError("inverse root of an exact series: truncate it first")
@@ -358,7 +366,7 @@ class TruncatedLaurentSeries:
             raise ZeroDivisionError("leading coefficient is not a unit")
         W, c = len(self.coeffs), lead.inv().coords
         U = _scale(ring, self.coeffs, c)
-        w = _inv_root(ring, U, r, W, None if start is None else start.coeffs)
+        w = _inv_root(ring, U, r, W, None if start is None else start[:W])
         err, wr = _root_error(ring, U, w, r)
         if err.any():
             raise ConsistencyFailure(f"inverse {r}-th root failed to converge")
@@ -423,6 +431,14 @@ class TruncatedLaurentSeries:
         return not (diff % self.ring.modulus).any()
 
 
+def _fft_sized(la, lb):
+    """True when a product of la- and lb-row windows is long enough for the
+    FFT.  In a sweep of square int64 windows (2-CPU x86 VM) the direct and
+    FFT products cost the same, about 30 us, near 450-560 terms; at 1026
+    terms the direct one takes 245 us against 59 us."""
+    return la + lb - 1 >= FFT_CONV_TERMS and min(la, lb) >= DIRECT_CONV_ROWS
+
+
 def _int_conv(a, b):
     """Exact convolution of 1-D int64 arrays.
 
@@ -434,7 +450,7 @@ def _int_conv(a, b):
     and Zimmermann (Math. Comp. 76, 2007): every output errs by at most a
     small multiple of eps log2(N) |a|_2 |b|_2, and |a|_2 |b|_2 <= N amax bmax."""
     N = len(a) + len(b) - 1
-    if min(len(a), len(b)) >= DIRECT_CONV_ROWS and N >= 1024:
+    if _fft_sized(len(a), len(b)):
         amax, bmax = int(np.abs(a).max()), int(np.abs(b).max())
         if 16 * 2.3e-16 * N * math.log2(N) * amax * bmax < 0.25:
             size = 1 << (N - 1).bit_length()
@@ -449,21 +465,31 @@ def _conv(ring, A, B):
     Every int64 sum below adds at most min(len) products of reduced
     coordinates (the convolution), or f - 1 of them and one coordinate (the
     reduction by the defining polynomial); each product is at most
-    (mod - 1)^2."""
-    mod = ring.modulus
-    if (mod - 1) ** 2 * max(min(len(A), len(B)), ring.f - 1) + mod - 1 >= 2**63:
+    (mod - 1)^2.
+
+    Over F_q with f > 1, where the coordinates would be convolved directly,
+    each row's f coordinates are packed at s bits apiece into one int64
+    (Kronecker substitution), so one convolution replaces f^2.  Slot k of
+    a packed product sums at most f coordinate convolutions, each below
+    min(len) (mod - 1)^2, so s = bitlen(f min(len) (mod - 1)^2) bits keep
+    the slots apart, and the 2f - 1 slots fit when (2f - 1) s <= 62."""
+    mod, f = ring.modulus, ring.f
+    if (mod - 1) ** 2 * max(min(len(A), len(B)), f - 1) + mod - 1 >= 2**63:
         raise ValueError(
             f"int64 convolution would overflow: modulus {mod}, "
             f"windows {len(A)} x {len(B)}"
         )
-    if ring.f == 1:
-        arr = _int_conv(A[:, 0], B[:, 0]) % mod
-        return arr.reshape(-1, 1)
-    L = len(A) + len(B) - 1
-    full = np.zeros((L, 2 * ring.f - 1), dtype=np.int64)
-    for i in range(ring.f):
-        for j in range(ring.f):
-            full[:, i + j] += _int_conv(A[:, i], B[:, j]) % mod
+    if f == 1:
+        return (_int_conv(A[:, 0], B[:, 0]) % mod)[:, None]
+    s = (f * min(len(A), len(B)) * (mod - 1) ** 2).bit_length()  # bits per packed slot
+    if ring.is_field and (2 * f - 1) * s <= 62 and not _fft_sized(len(A), len(B)):
+        a, b = ((X << (s * np.arange(f))).sum(axis=1) for X in (A, B))
+        full = (np.convolve(a, b)[:, None] >> (s * np.arange(2 * f - 1))) & ((1 << s) - 1)
+    else:
+        full = np.zeros((len(A) + len(B) - 1, 2 * f - 1), dtype=np.int64)
+        for i in range(f):
+            for j in range(f):
+                full[:, i + j] += _int_conv(A[:, i], B[:, j]) % mod
     return (full % mod) @ ring.reduction_rows % mod
 
 
@@ -508,13 +534,10 @@ def _inv_root(ring, U, r, n, w=None):
     with r a unit of the ring.
 
     w <- w + w (1 - U w^r) / r doubles the correct window of w each round
-    using products only (Brent-Kung 1978).  A start w, such as the root of
-    a nearby U, is kept up to its first row where U w^r = 1 fails."""
+    using products only (Brent-Kung 1978), from the rows w of U^(-1/r)
+    given, or from 1."""
     mod = ring.modulus
     rinv = pow(r, -1, mod)
-    if w is not None:
-        bad = np.nonzero(_root_error(ring, U, w[:n], r)[0].any(axis=1))[0]
-        w = w[: int(bad[0]) if len(bad) else n]
     if w is None or not len(w):
         w = _one(ring)
     known = len(w)
@@ -535,13 +558,19 @@ def _root_error(ring, U, w, r):
     return err % ring.modulus, wr
 
 
-def _inv_rows(ring, A, c, n):
+def _inv_rows(ring, A, c, n, w=None):
     """Rows 0..n-1 of 1/A for a window A from t^0 whose lead is a unit with
     inverse c (coordinates); A reads as zero past its rows.  With U = c A,
-    the residual U w = 1 on those rows certifies the Newton inversion."""
+    the residual U w = 1 on those rows certifies the Newton inversion.  A
+    start w for 1/U, such as the inverse of a nearby U, is kept up to its
+    first row where U w = 1 fails."""
     U = np.zeros((n, ring.f), dtype=np.int64)
     U[: min(n, len(A))] = _scale(ring, A[:n], c)
-    w = _inv_root(ring, U, 1, n)
+    if w is None:
+        w = _inv_root(ring, U, 1, n)
+    else:
+        bad = np.nonzero(_root_error(ring, U, w[:n], 1)[0].any(axis=1))[0]
+        w = _inv_root(ring, U, 1, n, w[: int(bad[0]) if len(bad) else n])
     if _root_error(ring, U, w, 1)[0].any():
         raise ConsistencyFailure("Newton inversion failed to converge")
     return _scale(ring, w, c)
@@ -552,44 +581,72 @@ def _inv_rows(ring, A, c, n):
 
 def compose(f, g):
     """Substitute g into f; requires v(g) >= 1."""
+    return _compose(f, g)[0]
+
+
+def compose_with_derivative(f, g):
+    """(f(g), f'(g)); requires v(g) >= 1.
+
+    f' has the coefficient (k + v(f)) f_k at t^(k + v(f) - 1), and over F_q
+    that weight is constant on each residue class of k mod p.  So where
+    `_compose_fast` splits f by classes, both composites come from one
+    split, and only their top-level sums and pole powers differ.  A short
+    f, or one whose derivative starts above t^(v(f) - 1), is composed
+    twice."""
+    if not _splits(f) or f.v % f.ring.p == 0 or g.is_exact_zero():
+        return compose(f, g), compose(f.derivative(), g)
+    return _compose(f, g, derivative=True)
+
+
+def _splits(f):
+    """True when `_compose_fast` splits f by residue classes mod p."""
+    return f.ring.is_field and len(f.coeffs) > max(4, f.ring.p)
+
+
+def _compose(f, g, derivative=False):
+    """f(g), and with derivative f'(g), as a tuple."""
     if f.ring != g.ring:
         raise ValueError("ring mismatch")
     ring = f.ring
     if f.is_exact_zero():
-        return f
+        return (f,)
     if g.is_exact_zero():
         if f.val_lower_bound() < 0:
             raise ZeroDivisionError("pole composed with exact zero")
-        return TruncatedLaurentSeries.monomial(ring, 0, f.coeff(0))
+        return (TruncatedLaurentSeries.monomial(ring, 0, f.coeff(0)),)
     vg = g.valuation()  # raises InsufficientPrecision when undetermined
     if vg < 1:
         raise ValueError(f"composition requires v(g) >= 1, got {vg}")
     if not len(f.coeffs):
-        return TruncatedLaurentSeries.zero_to(ring, f.prec * vg)
+        return (TruncatedLaurentSeries.zero_to(ring, f.prec * vg),)
     vf = f.v
     cap = f.prec * vg if f.prec != INF else INF
     if g.prec != INF:
         cap = min(cap, g.prec + (vf - 1) * vg)
     if vf < 0 and g.prec == INF and len(g.coeffs) > 1:
         raise ValueError("composing a pole into an exact series: truncate g first")
-    result = _compose_fast(f, g, cap)
-    if len(f.coeffs) and vf != 0 and f.leading_coeff().is_unit() and g.leading_coeff().is_unit():
-        if result.valuation() != vf * vg:
-            raise ConsistencyFailure(
-                f"composite has valuation {result.valuation()}, expected {vf * vg}"
-            )
-    return result
+    results = _compose_fast(f, g, cap, True) if derivative else (_compose_fast(f, g, cap),)
+    lead = f.leading_coeff()
+    if g.leading_coeff().is_unit():
+        for result, v, c in zip(results, (vf, vf - 1), (lead, lead * vf)):
+            if v and c.is_unit() and result.valuation() != v * vg:
+                raise ConsistencyFailure(
+                    f"composite has valuation {result.valuation()}, expected {v * vg}"
+                )
+    return results
 
 
-def _compose_fast(f, g, cap):
-    """The composite f(g) cut at cap, built on raw windows.
+def _compose_fast(f, g, cap, derivative=False):
+    """The composite f(g) cut at cap, built on raw windows; with derivative,
+    the pair (f(g), f'(g)), with f'(g) cut at cap - v(g).
 
     Over F_q a long f is split by x -> x^p linearity: writing
     F = sum_j t^j F_j(t^p) and taking p-th roots of the F_j coefficients
     turns one composition at window N into p compositions at window ~N/p
     followed by free p-th powers, so the total cost stays at a small
     constant times one full-window multiplication.  Short pieces, and every
-    f over a Galois ring, run Horner's rule on rows.
+    f over a Galois ring, run Horner's rule on rows.  f' reuses the top
+    level's terms g^j F_j(g)^p with the weights j + v(f) mod p.
     """
     ring = f.ring
     p, mod = ring.p, ring.modulus
@@ -598,31 +655,23 @@ def _compose_fast(f, g, cap):
         n0 = (len(f.coeffs) - 1) * (g.end - 1) + 1
     else:
         n0 = cap - f.v * vg  # window needed for the unit-part composition
+    caps = (cap, cap - vg) if derivative else (cap,)
     if n0 <= 0:
-        return TruncatedLaurentSeries.zero_to(ring, cap)
+        out = [TruncatedLaurentSeries.zero_to(ring, c) for c in caps]
+        return tuple(out) if derivative else out[0]
     # inside the recursion g's stored window is treated as exact; the
     # honest precision cap was computed by the caller.  Windows are raw
     # (rows, f) arrays starting at t^0; series are built only on exit.
-    split = ring.is_field and len(f.coeffs) > max(4, p)
-    gpow = _window_powers(g, n0, p if split else 2)  # g^j, read once f is split
+    gpow = _window_powers(g, n0, p if _splits(f) else 2)  # g^j, read once f is split
     G = gpow[1]
 
-    def rec(arr, n):
-        # arr: coefficient rows at exponents 0..len-1; returns the rows of
-        # sum_k arr[k] * g^k modulo t^n, or None when that is zero
-        if n <= 0 or not arr.any():
-            return None
-        if not ring.is_field or len(arr) <= max(4, p):
-            acc = arr[-1:]
-            for row in arr[-2::-1]:
-                acc = _mul_trunc(ring, acc, G, n)
-                acc[0] = (acc[0] + row) % mod
-            return acc[:n]
+    def terms(arr, n):
+        # (j, rows of g^j F_j(g)^p modulo t^n) for the classes j whose
+        # piece F_j(g) does not vanish there
         m = -(-n // p)
-        total = np.zeros((n, ring.f), dtype=np.int64)
         for j in range(p):
             piece = arr[j::p]
-            if not piece.any():
+            if not np.count_nonzero(piece):
                 continue
             rj = rec((piece @ ring.pth_root_matrix) % p, m)
             if rj is None:
@@ -632,19 +681,44 @@ def _compose_fast(f, g, cap):
             term[::p] = (rj @ ring.frobenius_matrix) % p
             if j:
                 term = _mul_trunc(ring, term, gpow[j], n)
+            yield j, term
+
+    def rec(arr, n):
+        # arr: coefficient rows at exponents 0..len-1; returns the rows of
+        # sum_k arr[k] * g^k modulo t^n, or None when that is zero
+        if n <= 0 or not np.count_nonzero(arr):
+            return None
+        if not ring.is_field or len(arr) <= max(4, p):
+            acc = arr[-1:]
+            for row in arr[-2::-1]:
+                acc = _mul_trunc(ring, acc, G, n)
+                acc[0] = (acc[0] + row) % mod
+            return acc[:n]
+        total = np.zeros((n, ring.f), dtype=np.int64)
+        for _j, term in terms(arr, n):
             total[: len(term)] += term
         return total % p
 
-    unit = np.zeros((n0, ring.f), dtype=np.int64)
-    rows = rec(f.coeffs, n0)
-    if rows is not None:
-        unit[: len(rows)] = rows
-    unit = TruncatedLaurentSeries(ring, 0, unit, INF if cap == INF else n0)
-    if f.v > 0:
-        unit = unit * g**f.v
-    elif f.v < 0:
-        unit = unit * _pole_power(g, -f.v)
-    return unit.truncate(cap)
+    if derivative:  # f splits, so its window is nonzero
+        sums = np.zeros((2, n0, ring.f), dtype=np.int64)
+        for j, term in terms(f.coeffs, n0):
+            sums[0, : len(term)] += term
+            sums[1, : len(term)] += (j + f.v) % p * term
+        units = list(sums % p)
+    else:
+        units = [rec(f.coeffs, n0)]
+    out = []
+    for rows, v, c in zip(units, (f.v, f.v - 1), caps):
+        unit = np.zeros((n0, ring.f), dtype=np.int64)
+        if rows is not None:
+            unit[: len(rows)] = rows
+        unit = TruncatedLaurentSeries(ring, 0, unit, INF if cap == INF else n0)
+        if v > 0:
+            unit = unit * g**v
+        elif v < 0:
+            unit = unit * _pole_power(g, -v)
+        out.append(unit.truncate(c))
+    return tuple(out) if derivative else out[0]
 
 
 def _window_powers(g, n, count):

@@ -27,7 +27,7 @@ from .errors import (
     InsufficientPrecision,
     NonTotallyRamified,
 )
-from .series import DIRECT_CONV_ROWS, TruncatedLaurentSeries, compose
+from .series import DIRECT_CONV_ROWS, TruncatedLaurentSeries, compose, compose_with_derivative
 from .witt import WittVector, asw_correction_poly, build_table, witt_smul, xvar, yvar
 
 INF = math.inf
@@ -144,42 +144,55 @@ def _solve_stage(z_std, ring, window):
     window up to the planned one (Bernstein, "Removing redundancy in
     high-precision Newton iteration").  The residual of the returned (T, Y)
     on the full window is the relation certificate.  Each iterate T =
-    c^(-a) tau^p U forms one inverse root w = U^(-1/a), from the last one,
-    and reads Y = c^b tau^(-e) w^b, T^(-1) and T^(-e) off it, kept on T.
+    c^(-a) tau^p U forms one inverse root w = U^(-1/a), started from the
+    rows of the last one below the first row of U that moved, and reads
+    Y = c^b tau^(-e) w^b, T^(-1) and T^(-e) off it, kept on T.  z(T) and
+    z'(T) come from one composition, and the inverse of each Newton
+    denominator starts from the last one's.  Only raw rows are carried
+    from one iterate to the next.
     """
     p = ring.p
     e = -z_std.valuation()
     a, b = _bezout_exponents(e, p)
     c = z_std.leading_coeff()
-    dz, b_over_a = z_std.derivative(), b * pow(a, -1, p) % p
+    b_over_a = b * pow(a, -1, p) % p
     tau = TruncatedLaurentSeries.monomial(ring, 1)
 
-    def residual(T):  # Y from the unit relation, with the forced leading root
-        nonlocal root
-        root = T.inv_root(a, root)
+    def unit_side(T, start):
+        # Y from the unit relation, with the forced leading root; returns
+        # the rows of the root, Y and Y^p - Y
+        root = T.inv_root(a, start)
         Y = (root**b).shift(-e).scalar_mul(c**b)
         Yp = Y.pth_power()
         # T = d tau^p U has T^-e = d^-e tau^-pe w^(bp-1) = d^-e c^-bp Y^p U w^(a-1)
         scale = T.leading_coeff() ** (-e - 1) * c ** (-b * p)
         T.keep_pole_power(e, (Yp * T.shift(-p) * root ** (a - 1)).scalar_mul(scale))
-        return Y, Yp - Y - compose(z_std, T)
+        return root.coeffs, Y, Yp - Y
 
     windows = [window]  # a step at window w needs T right below (w + p) / 2
     while windows[-1] > p + DIRECT_CONV_ROWS:
         windows.append((windows[-1] + p + 1) // 2)
     short = windows.pop()
     T = TruncatedLaurentSeries.monomial(ring, p, c ** (-a)).truncate(short)
-    rho = root = None  # the residual of T, once formed
+    rho = None  # the residual of T, once formed
+    root = dinv = None  # rows of the last root and of the last denominator's inverse
     for w in [short] * (short - p - 1).bit_length() + windows[::-1]:
         if w > T.prec:  # pad T with zero rows up to the doubled window
             T = TruncatedLaurentSeries(ring, T.v, T.coeffs, INF).truncate(w)
         elif rho is not None:
             continue  # the residual on the short window vanished
-        Y, rho = residual(T)
+        root, Y, lhs = unit_side(T, root)
+        zT, dzT = compose_with_derivative(z_std, T)
+        rho = lhs - zT
         if len(rho.coeffs):
-            T, rho = T - rho / (b_over_a * Y * T.inv() - compose(dz, T)), None
+            denom = b_over_a * Y * T.inv() - dzT
+            inverse = denom.inv(n_terms=len(rho.coeffs), start=dinv)
+            step = rho * inverse
+            T, rho, dinv = T - step, None, inverse.coeffs
+            root = root[: max(0, step.v - p)]  # the rows of U below t^(v(step) - p) stay
     if rho is None:
-        Y, rho = residual(T)
+        _, Y, lhs = unit_side(T, root)
+        rho = lhs - compose(z_std, T)
     if len(rho.coeffs):
         raise InsufficientPrecision(f"stage relation Y^p - Y = z(T) fails at t^{rho.v}")
     res2 = Y**a * T**b - tau

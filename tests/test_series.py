@@ -18,6 +18,7 @@ from wittram.series import (
     _conv,
     _int_conv,
     compose,
+    compose_with_derivative,
     nth_root,
 )
 
@@ -31,6 +32,8 @@ F7 = finite_field(7)
 F9 = finite_field(3, 2)
 F25 = finite_field(5, 2)
 F49 = finite_field(7, 2)
+F125 = finite_field(5, 3)
+F343 = finite_field(7, 3)
 
 
 def ser(ring, terms, prec=INF):
@@ -258,6 +261,58 @@ def test_compose_fast_matches_horner():
             elif k % 4 == 3 and f.v >= 0:  # exact g
                 g = TLS(R, g.v, g.coeffs[:2], INF)
             got, want = compose(f, g), _compose_by_horner(f, g)
+            assert (got.v, got.prec) == (want.v, want.prec)
+            assert np.array_equal(got.coeffs, want.coeffs)
+
+
+def test_compose_with_derivative_matches_two_compositions(monkeypatch):
+    # f(g) and f'(g) from one p-split equal the two compositions they
+    # replace, poles and exact monomial g included; a short f, one with
+    # p | v(f), and every f over a Galois ring are composed twice
+    rng = random.Random(29)
+    shared_runs = 0
+    splits = []
+    composite = series_mod._compose_fast
+
+    def counted(f, g, cap, derivative=False):
+        splits.append(derivative)
+        return composite(f, g, cap, derivative) if derivative else composite(f, g, cap)
+
+    for R in (F2, F3, F4, F7, F25, lift_ring(3, 2)):
+        for k in range(12):
+            v = rng.choice([-7, -5, -3, -2, -1, 1, 2])
+            f = random_series(R, v, rng.choice([3, 9, 40, 90]), rng)
+            g = random_series(R, rng.randrange(1, 3), rng.choice([6, 40, 120]), rng)
+            if k % 3 == 1 and f.v > 0:  # exact f and g
+                f = TLS(R, f.v, f.coeffs, INF)
+                g = TLS(R, g.v, g.coeffs[:2], INF)
+            elif k % 3 == 2:  # exact monomial g
+                g = TLS.monomial(R, g.v, g.leading_coeff())
+            want = (compose(f, g), compose(f.derivative(), g))
+            splits.clear()
+            with monkeypatch.context() as m:
+                m.setattr(series_mod, "_compose_fast", counted)
+                got = compose_with_derivative(f, g)
+            shared = R.is_field and len(f.coeffs) > max(4, R.p) and f.v % R.p
+            assert splits == [True] if shared else True not in splits
+            shared_runs += bool(shared)
+            for a, b in zip(got, want):
+                assert (a.v, a.prec) == (b.v, b.prec)
+                assert np.array_equal(a.coeffs, b.coeffs)
+    assert shared_runs >= 20
+
+
+def test_inv_from_a_nearby_start():
+    # a start seeds Newton with the rows of a nearby inverse that still fit;
+    # right, partly right or wrong, the certified inverse is the same
+    rng = random.Random(31)
+    for R in (F7, F9, lift_ring(2, 4, 2)):
+        s = random_series(R, -3, 60, rng)
+        want = s.inv(n_terms=50)
+        near = s + TLS.monomial(R, s.v + 20, 1, s.prec)
+        junk = random_series(R, 3, 50, rng).coeffs
+        for start in (want.coeffs, near.inv().coeffs, want.coeffs[:7], junk):
+            got = s.inv(n_terms=50, start=start)
             assert (got.v, got.prec) == (want.v, want.prec)
             assert np.array_equal(got.coeffs, want.coeffs)
 
@@ -501,6 +556,96 @@ def test_fft_guard_edge(la, lb, top, monkeypatch):
     monkeypatch.setattr(np.fft, "rfft", refused)
     for a, b in zip(_edge_inputs(rng, la, top + 1), _edge_inputs(rng, lb, top + 1)):
         assert np.array_equal(_int_conv(a, b), np.convolve(a, b)), (la, lb)
+
+
+def _conv_by_coordinates(ring, A, B):
+    """The per-coordinate product: f^2 integer convolutions, then reduction."""
+    full = np.zeros((len(A) + len(B) - 1, 2 * ring.f - 1), dtype=np.int64)
+    for i in range(ring.f):
+        for j in range(ring.f):
+            full[:, i + j] += np.convolve(A[:, i], B[:, j]) % ring.modulus
+    return (full % ring.modulus) @ ring.reduction_rows % ring.modulus
+
+
+def _count_int_convs(monkeypatch):
+    calls = []
+    int_conv = series_mod._int_conv
+
+    def counted(a, b):
+        calls.append(1)
+        return int_conv(a, b)
+
+    monkeypatch.setattr(series_mod, "_int_conv", counted)
+    return calls
+
+
+def _packs(ring, la, lb):
+    """Whether _conv packs the coordinates of la x lb windows over ring."""
+    s = (ring.f * min(la, lb) * (ring.modulus - 1) ** 2).bit_length()
+    return (2 * ring.f - 1) * s <= 62 and not series_mod._fft_sized(la, lb)
+
+
+@pytest.mark.parametrize(
+    "ring, la, lb",
+    [
+        # f = 2: the slots would fit up to thousands of rows, so the FFT
+        # crossover is the edge: 256 x 256 rows give 511 terms
+        (F4, 256, 256),
+        (F9, 256, 256),
+        (F25, 256, 256),
+        (F49, 256, 256),
+        (F49, 63, 3000),  # a short window keeps the product direct
+        # f = 3: five slots of s bits, 5 s <= 62
+        (F125, 85, 85),
+        (F343, 37, 600),
+    ],
+    ids=repr,
+)
+def test_packed_product_edge(ring, la, lb, monkeypatch):
+    # at the largest windows that pack, one integer convolution gives the
+    # per-coordinate product; one row more and the f^2 convolutions run
+    rng = np.random.default_rng(la * lb + ring.modulus)
+    calls = _count_int_convs(monkeypatch)
+    top = ring.modulus - 1
+    assert _packs(ring, la, lb) and not _packs(ring, la + 1, lb + 1)
+    for extra in (0, 1):
+        shapes = [(la + extra, ring.f), (lb + extra, ring.f)]
+        for A, B in [
+            [np.full(shape, top) for shape in shapes],
+            [rng.integers(0, top + 1, shape) for shape in shapes],
+        ]:
+            calls.clear()
+            assert np.array_equal(_conv(ring, A, B), _conv_by_coordinates(ring, A, B))
+            assert len(calls) == (0 if extra == 0 else ring.f**2)
+
+
+def test_galois_ring_never_packs(monkeypatch):
+    # GR(4, 2) has slots as narrow as F_9's, but only fields pack
+    R = lift_ring(2, 2, 2)
+    calls = _count_int_convs(monkeypatch)
+    A = np.random.default_rng(5).integers(0, 4, (40, 2))
+    assert np.array_equal(_conv(R, A, A[:30]), _conv_by_coordinates(R, A, A[:30]))
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize(
+    "la, lb, fft", [(256, 256, False), (256, 257, True), (63, 3000, False), (64, 449, True)]
+)
+def test_fft_crossover(la, lb, fft, monkeypatch):
+    # products of fewer than FFT_CONV_TERMS terms, or with a window below
+    # DIRECT_CONV_ROWS rows, are convolved directly; the rest by the FFT
+    assert series_mod.FFT_CONV_TERMS == 512 and series_mod.DIRECT_CONV_ROWS == 64
+    rng = np.random.default_rng(la + lb)
+    rfft, calls = np.fft.rfft, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    a, b = rng.integers(0, 49, la), rng.integers(0, 49, lb)
+    assert np.array_equal(_int_conv(a, b), np.convolve(a, b))
+    assert len(calls) == (2 if fft else 0)
 
 
 def test_certificates_survive_optimized_python():

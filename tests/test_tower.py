@@ -580,6 +580,8 @@ def _stage_map_digest(tw):
         (5, 3, (2, 1, 1), 1, "82fb3a93bd47849c801ed0271947f81fa1d13e63227777d6a18e8affdb691ea8"),
         (7, 2, (6, 9), 1, "d5a6dd8396d817b5f942847f73ef972a49731ee6cb795dd112dad18ebfe75a4b"),
         (3, 2, (2, 1), 2, "66c518aa046e405811bc103b70a7e757878025ccce77ba1064a2acc7687aacbc"),
+        (5, 2, (1, 1), 2, "ccfc66f6579c743311201f12f9ae70e4ce0a247d77d2139d95817bb20b150c71"),
+        (7, 2, (1, 1), 2, "f85062bd02a4a1cdd9154354e80adc50033d57848288ff1c3b3d0066f3f18483"),
     ],
 )
 def test_stage_maps_pinned(p, n, nu, f, digest):
@@ -615,10 +617,15 @@ def test_stage_solver_residual_count(monkeypatch):
 
 
 def test_wrong_derivative_is_refused(monkeypatch):
-    # a derivative off by a unit factor makes every step gain nothing; the
+    # a z'(T) off by a unit factor makes every step gain nothing; the
     # schedule still ends, and the certificate refuses the last T
-    derivative = TLS.derivative
-    monkeypatch.setattr(TLS, "derivative", lambda self: derivative(self).scalar_mul(2))
+    pair = tower_mod.compose_with_derivative
+
+    def doubled(f, g):
+        zg, dzg = pair(f, g)
+        return zg, dzg.scalar_mul(2)
+
+    monkeypatch.setattr(tower_mod, "compose_with_derivative", doubled)
     calls = _count_residuals(monkeypatch)
     d = CoverDatum.from_orders(5, 1, 1, (3,))
     (window,) = tower_mod._stage_budgets(d, DEFAULT_BUDGET_FACTOR)
@@ -638,11 +645,14 @@ def test_lower_level_relation_is_checked():
 
 def test_newest_level_is_certified_by_the_solver(monkeypatch):
     # check_relations skips the newest level; a Y read off a wrong inverse
-    # root is still refused by the stage solver's own relation certificates
+    # root is still refused by the stage solver's own relation certificates.
+    # The solver starts each root from the rows of the last one it was
+    # given, so the stand-in starts cold: a corrupted start would be refused
+    # by inv_root's own certificate before Y is read
     inv_root = TLS.inv_root
 
     def corrupted(self, r, start=None):
-        w = inv_root(self, r, start)
+        w = inv_root(self, r)
         return w + TLS.monomial(w.ring, 1, 1, w.prec)
 
     monkeypatch.setattr(TLS, "inv_root", corrupted)
