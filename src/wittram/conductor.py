@@ -12,8 +12,7 @@ from __future__ import annotations
 from . import intpoly as ip
 from .coeff import is_prime
 from .errors import ConsistencyFailure, InfeasibleProblem
-from .series import TruncatedLaurentSeries
-from .witt import build_table, xvar, yvar
+from .witt import build_table, witt_sum_component, xvar, yvar
 
 
 def _validate_orders(p, n, nu):
@@ -103,51 +102,60 @@ class LatticeProblem:
 
 
 def lp_minimize(prob):
-    """Exact optimum of a LatticeProblem by enumeration with residual pruning.
+    """Exact optimum of a LatticeProblem by enumeration with pruning.
 
-    Depth-first over the variables; a branch dies as soon as the remaining
-    coefficients cannot reach the residual right-hand side.  Returns
-    (value, argmin tuple of points); raises InfeasibleProblem when no lattice
-    point satisfies the constraint.
+    Depth-first over the variables; a branch dies when the remaining
+    coefficients cannot reach the residual right-hand side, or when its
+    linear relaxation (the lower corner, plus the rest of the constraint at
+    the least cost per unit) costs more than the best value found, which a
+    tie never does.  Returns (value, argmin tuple of points in lexicographic
+    order); raises InfeasibleProblem when no lattice point is feasible.
     """
     k = prob.dim
-    # residual reachability bounds for suffixes
-    lo_reach = [0] * (k + 1)
-    hi_reach = [0] * (k + 1)
-    for j in range(k - 1, -1, -1):
-        c = prob.eq_coeffs[j]
-        terms = (c * prob.lower[j], c * prob.upper[j])
-        lo_reach[j] = lo_reach[j + 1] + min(terms)
-        hi_reach[j] = hi_reach[j + 1] + max(terms)
-
+    eq, lower, upper = prob.eq_coeffs, prob.lower, prob.upper
     sign = 1 if prob.sense == "min" else -1
+    cost = [sign * c for c in prob.objective]  # minimized
+    # per suffix: the residuals it reaches, its lower corner's cost and
+    # constraint share, and its least cost per unit of the constraint
+    lo_reach = [sum(min(eq[l] * lower[l], eq[l] * upper[l]) for l in range(j, k)) for j in range(k)]
+    hi_reach = [sum(max(eq[l] * lower[l], eq[l] * upper[l]) for l in range(j, k)) for j in range(k)]
+    corner = [sum(cost[l] * lower[l] for l in range(j, k)) for j in range(k)]
+    filled = [sum(eq[l] * lower[l] for l in range(j, k)) for j in range(k)]
+    bounded = min(eq, default=0) > 0  # else the relaxation bound may fail
+    ratio = []  # as (cost, eq)
+    for j in range(k - 1, -1, -1):
+        r = (cost[j], eq[j])
+        ratio.insert(0, r if not ratio or r[0] * ratio[0][1] < ratio[0][0] * r[1] else ratio[0])
     best = None
     argbest = []
     point = [0] * k
 
-    def rec(j, residual):
+    def rec(j, residual, spent):
         nonlocal best, argbest
         if j == k:
             if residual == 0:
-                val = sum(c * x for c, x in zip(prob.objective, point))
-                if best is None or sign * val < sign * best:
-                    best = val
+                if best is None or spent < best:
+                    best = spent
                     argbest = [tuple(point)]
-                elif val == best:
+                elif spent == best:
                     argbest.append(tuple(point))
             return
         if not (lo_reach[j] <= residual <= hi_reach[j]):
             return
-        c = prob.eq_coeffs[j]
-        for x in range(prob.lower[j], prob.upper[j] + 1):
+        if bounded and best is not None:
+            c, a = ratio[j]  # a cost of at least spent + corner + (c / a) * rest
+            if (spent + corner[j] - best) * a + c * (residual - filled[j]) > 0:
+                return
+        xs = range(lower[j], upper[j] + 1)
+        for x in reversed(xs) if cost[j] < 0 else xs:  # cheap points first
             point[j] = x
-            rec(j + 1, residual - c * x)
+            rec(j + 1, residual - eq[j] * x, spent + cost[j] * x)
         point[j] = 0
 
-    rec(0, prob.eq_rhs)
+    rec(0, prob.eq_rhs, 0)
     if best is None:
         raise InfeasibleProblem(f"no lattice point satisfies {prob!r}")
-    return best, tuple(argbest)
+    return sign * best, tuple(sorted(argbest))
 
 
 def carry_pole_lp(p, n, weights):
@@ -175,11 +183,6 @@ def carry_pole_lp(p, n, weights):
     return LatticeProblem(objective, eq, p**n, lower, upper, sense="min")
 
 
-# a carry table with more terms than this is not evaluated: the evaluation
-# is a series computation whose cost grows with the table
-CARRY_COST_LIMIT = 4000
-
-
 def sort_bound_check(tower):
     """Verify the generator and carry pole bounds on a built tower.
 
@@ -190,9 +193,9 @@ def sort_bound_check(tower):
         has valuation >= -(p^(n+1) - p + 1) m_n, the closed bound, and >=
         the optimum of carry_pole_lp at the weights v(ytilde_i), the program
         bound.  The program bound holds once every monomial of c_n mod p
-        lies in the program's exponent box, which is checked first.
-    The carry evaluation is skipped (and reported as such) when the carry
-    table exceeds CARRY_COST_LIMIT terms.
+        lies in the program's exponent box, which is checked first on the
+        Witt table.  The carry itself is component n of the Witt sum
+        (ytilde^p, 0) + (-ytilde, 0), through ghost components.
     """
     p, n = tower.p, tower.n
     top = tower.top
@@ -217,23 +220,16 @@ def sort_bound_check(tower):
                 f"equality expected {equality_expected}"
             )
 
-    table = build_table(p, n + 1)
-    cn = table.c[n]
-    if len(cn) > CARRY_COST_LIMIT:
-        report["carry_bound"] = {"skipped": True, "table_terms": len(cn)}
-        return report
-    cn = ip.p_mod(cn, p)
+    cn = ip.p_mod(build_table(p, n + 1).c[n], p)
     for i in range(n):
         box = p ** (n - i)
         if ip.degree_in(cn, xvar(i)) > box - 1 or ip.degree_in(cn, yvar(i)) > box:
             raise ConsistencyFailure(f"c_{n} leaves the carry-pole box in slot {i}")
     weights = [top.ytilde[i].valuation() for i in range(n)]
     lp_bound, _ = lp_minimize(carry_pole_lp(p, n, weights))
-    vals = {}
-    for i in range(n):
-        vals[xvar(i)] = top.ytilde[i].pth_power()
-        vals[yvar(i)] = -top.ytilde[i]
-    series = ip.p_eval(cn, vals, TruncatedLaurentSeries.monomial(tower.ring, 0))
+    series = witt_sum_component(
+        tower.ring, n, [[y.pth_power() for y in top.ytilde], [-y for y in top.ytilde]]
+    )
     bound = -(p ** (n + 1) - p + 1) * top.m[n]
     v_c = series.val_lower_bound()
     report["carry_bound"] = {

@@ -73,10 +73,6 @@ def unpack(key, nvars):
     return tuple((key >> (SHIFT * v)) & MASK for v in range(nvars))
 
 
-def const(c):
-    return {0: c} if c else {}
-
-
 def p_add(a, b, scale=1):
     """a + scale*b."""
     out = dict(a)

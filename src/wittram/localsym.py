@@ -31,7 +31,7 @@ from .errors import (
     VanishingFailure,
 )
 from .series import TruncatedLaurentSeries, _conv, _inv_rows, _mul_trunc
-from .witt import WittVector, ghost_eval
+from .witt import WittVector, canonical_lift, ghost_eval, invert_ghosts
 
 DEFAULT_GUARD = 2
 
@@ -86,14 +86,6 @@ class LocalSymbolInput:
     @property
     def field(self):
         return self.alpha.ring
-
-
-def canonical_lift(s, lift):
-    """Reinterpret a series coefficient-wise in the lift ring.
-
-    Field coefficients are stored as digit tuples mod p, which are already
-    the canonical representatives, so the array transfers unchanged."""
-    return TruncatedLaurentSeries(lift, s.v, s.coeffs.copy(), s.prec)
 
 
 def ghost_series(u_lifts, j):
@@ -157,11 +149,7 @@ def _pairing(u_lifts, field):
         w = _inv_rows(lift, A, c, n)
         dlog = _mul_trunc(lift, slope[depth + 1 - n :], w, n)
         residues = [lift.from_coords(_conv(lift, win[:n], dlog)[n - 1]) for win in windows]
-        digits = []
-        for j, acc in enumerate(residues):
-            for i in range(j):
-                acc = acc - (p**i) * digits[i] ** (p ** (j - i))
-            digits.append(_exact_p_division(acc, j, lift))
+        digits = invert_ghosts(residues, p, lambda acc, j: _exact_p_division(acc, j, lift))
         symbol = WittVector(tuple(reduce_mod_p(w) for w in digits))
         return symbol, {"residues": residues, "digits": digits, "lift": lift}
 

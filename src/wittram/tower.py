@@ -19,7 +19,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from . import intpoly as ip
 from .coeff import finite_field, pth_root
 from .errors import (
     ConsistencyFailure,
@@ -28,7 +27,7 @@ from .errors import (
     NonTotallyRamified,
 )
 from .series import DIRECT_CONV_ROWS, TruncatedLaurentSeries, compose, compose_with_derivative
-from .witt import WittVector, asw_correction_poly, build_table, witt_smul, xvar, yvar
+from .witt import invert_ghosts, witt_sum_component
 
 INF = math.inf
 
@@ -206,12 +205,6 @@ def _solve_stage(z_std, ring, window):
     return T, Y, a, b
 
 
-@lru_cache(maxsize=None)
-def _correction_poly(p, i):
-    """Mod-p coupling polynomial in slots 0..i-1 for generator equation i."""
-    return asw_correction_poly(build_table(p, i + 1), i)
-
-
 class TowerStage:
     """Stage i of the tower: the field k((t_i)) with everything re-expanded.
 
@@ -278,12 +271,9 @@ def extend_stage(stage, budget):
     p, ring = datum.p, datum.ring
 
     u_i = compose(datum.entries[i], stage.s) if i else datum.entries[i]
-    if i == 0:
-        corr_series = TruncatedLaurentSeries.zero(ring)
-    else:
-        poly = _correction_poly(p, i)
-        vals = {yvar(j): stage.y[j] for j in range(i)}
-        corr_series = ip.p_eval(poly, vals, TruncatedLaurentSeries.monomial(ring, 0))
+    # the coupling to the levels below: component i of F(y') - y', y' =
+    # (y_0, ..., y_(i-1), 0), is free of y_i
+    corr_series = witt_sum_component(ring, i, [[y.pth_power() for y in stage.y]], [stage.y])
     z = u_i - corr_series
     z_std, h = standard_form_reduce(z)
 
@@ -406,44 +396,22 @@ class _PrecisionNet:
         return req
 
 
-def _product_terms(poly, slots):
-    """Precision terms and valuation bound of a polynomial in series slots.
+def _ghost_sum_node(net, p, i, entries):
+    """Node for `witt_sum_component` at component i, and its valuation bound.
 
-    poly iterates over packed monomial keys; slots maps a variable index
-    to (node, valuation lower bound).  A monomial prod x_k^(a_k) is known
-    to min_k prec(x_k) + V - v(x_k), where V = sum a_k v(x_k); the sum over
-    monomials is known to the least of those, and its valuation is at
-    least the least V.
-    """
-    best = {}
-    v_min = INF
-    nvars = max(slots) + 1 if slots else 0
-    for key in poly:
-        exps = ip.unpack(key, nvars)
-        used = [k for k in slots if exps[k]]
-        total = sum(exps[k] * slots[k][1] for k in used)
-        v_min = min(v_min, total)
-        for k in used:
-            node, v = slots[k]
-            best[node] = min(best.get(node, INF), total - v)
-    return [(node, 1, b) for node, b in best.items()], v_min
-
-
-def _conjugate_poly_monomials(p, j):
-    """Monomials in the solution slots that sigma_g(y_j) - y_j may carry.
-
-    The union over all g: the level-j carry polynomial with its constant
-    operand slots dropped, so one plan covers every conjugate.
-    """
-    if j == 0:
-        return {0}
-    table = build_table(p, j + 1)
-    out = set()
-    for key, c in table.c[j].items():
-        if c % p:
-            exps = ip.unpack(key, 2 * j)  # the carry lives in the slots below j
-            out.add(sum(ip.var(xvar(l), exps[xvar(l)]) for l in range(j)))
-    return out
+    entries lists (l, node, a, v) per entry: slot l, known to a * prec(node)
+    (node None: exact), valuation at least v.  Over the lift E^(p^e) keeps
+    prec(E) + (p^e - 1) v(E); component k is isobaric of weight p^k, so
+    v(x_k) >= V_k = min over l <= k of p^(k-l) v_l, and x_k is known to the
+    least of its ghost terms and of the chains x_l^(p^(k-l)), l < k."""
+    V, xs = [], []
+    for k in range(i + 1):
+        V.append(min(p ** (k - l) * v for l, _node, _a, v in entries if l <= k))
+        terms = [(node, a, (p ** (k - l) - 1) * v) for l, node, a, v in entries
+                 if l <= k and node is not None]
+        terms += [(xs[l], 1, (p ** (k - l) - 1) * V[l]) for l in range(k)]
+        xs.append(net.node(terms))
+    return xs[i], V[i]
 
 
 def _stage_budgets(datum, factor):
@@ -456,9 +424,10 @@ def _stage_budgets(datum, factor):
     of the re-expanded standard generators).  Each read becomes a precision
     requirement in a `_PrecisionNet` that mirrors the build, and the
     requirements are carried backwards through the precision each
-    operation loses: the pole orders of the data, of the correction
-    polynomial and of the re-expansions, all known in advance from
-    `predicted_invariants` and the generator bound v(y_j) >= -p^j m_(j+1).
+    operation loses: the pole orders of the data, of the ghost components
+    behind the corrections and increments (`_ghost_sum_node`) and of the
+    re-expansions, all known in advance from `predicted_invariants` and
+    the generator bound v(y_j) >= -p^j m_(j+1).
 
     The stage map T_i is known to min(W_i, p (prec(z_i) + e_(i+1) + 1)),
     so a window beyond what the stage below supports buys nothing.  factor
@@ -487,10 +456,12 @@ def _stage_budgets(datum, factor):
         z = None  # the base datum entry: no window changes it
         if i:
             u = net.node([(t_embs[0][0], 1, (-datum.nu[i] - 1) * p**i)])
-            corr_terms, _v = _product_terms(
-                _correction_poly(p, i), {yvar(j): y[j] for j in range(i)}
+            # the correction: y_j^p over the field, known to p prec(y_j), minus y_j
+            corr, _v = _ghost_sum_node(
+                net, p, i, [(j, node, p, p * v) for j, (node, v) in enumerate(y)]
+                + [(j, node, 1, v) for j, (node, v) in enumerate(y)],
             )
-            z = net.node([(u, 1, 0)] + corr_terms)
+            z = net.node([(u, 1, 0), (corr, 1, 0)])
             net.require(z, 1 - e_new)
         T_terms = [(windows[i], 1, 0)]
         if z is not None:
@@ -517,11 +488,12 @@ def _stage_budgets(datum, factor):
     sig_t = t_embs[0][0]
     for j in range(n):
         v_t = p ** (n - j)
-        delta_terms, v_delta = _product_terms(
-            _conjugate_poly_monomials(p, j),
-            {xvar(l): y_by_level[j][l] for l in range(j)},
+        # the increment y' + gbar at component j, for every g: constants in slots 0..j
+        delta, v_delta = _ghost_sum_node(
+            net, p, j, [(l, node, 1, v) for l, (node, v) in enumerate(y_by_level[j])]
+            + [(l, None, 1, 0) for l in range(j + 1)],
         )
-        delta_top = net.compose(net.node(delta_terms), v_delta, t_embs[j][0], v_t)
+        delta_top = net.compose(delta, v_delta, t_embs[j][0], v_t)
         sig_ytilde = net.node([(y[j][0], 1, 0), (delta_top, 1, 0)])
         if pole_h[j]:
             sig_ytilde = net.node([(sig_ytilde, 1, 0), (sig_t, 1, (-pole_h[j] - 1) * v_t)])
@@ -588,38 +560,29 @@ def analyze_tower(datum, factor=None):
 
 @lru_cache(maxsize=None)
 def group_element_coordinates(p, n, g):
-    """Coordinates over F_p of the residue class g in the length-n vectors."""
-    fp = finite_field(p, 1)
-    table = build_table(p, n)
-    unit = WittVector(tuple([fp.one()] + [fp.zero()] * (n - 1)))
-    vec = witt_smul(g % p**n, unit, table)
-    return tuple(int(e.coords[0]) for e in vec.entries)
+    """Coordinates over F_p of the residue class g in the length-n vectors.
 
+    g times the unit vector has every ghost component g; the components
+    follow by inverting those over Z/p^n, and reduce mod p."""
+    mod = p**n
 
-@lru_cache(maxsize=None)
-def _delta_poly(p, i, gbar):
-    """Packed polynomial in the solution slots for sigma_g(y_i) - y_i.
+    def divide(w, k):
+        w %= mod
+        if w % p**k:
+            raise ConsistencyFailure(f"ghost inversion of {g} is not exact at component {k}")
+        return w // p**k
 
-    Translating the solution vector by the constant vector gbar moves
-    component i by gbar_i + carry_i(y; gbar); the returned mod-p polynomial
-    has the solution slots in xvar coordinates and gbar already filled in.
-    gbar is the prefix (gbar_0, ..., gbar_i) of g's coordinates.
-    """
-    table = build_table(p, i + 1)
-    subs = {yvar(j): ip.const(gbar[j]) for j in range(i)}
-    carry = ip.p_mod(ip.p_subst(ip.p_mod(table.c[i], p), subs), p)
-    return ip.p_mod(ip.p_add(carry, ip.const(gbar[i])), p)
+    return tuple(x % p for x in invert_ghosts([g % mod] * n, p, divide))
 
 
 def _increment(tower, j, gbar):
     """delta_(j,g) = sigma_g(y_j) - y_j in stage j's window.
 
-    gbar is g's coordinate vector, of length at least j + 1; the increment
-    is `_delta_poly` evaluated on the solutions y_0..y_(j-1) of stage j.
+    sigma_g adds the constant vector gbar, g's coordinates (of length at
+    least j + 1), to the solution vector, so delta_(j,g) is component j of
+    y' + gbar with y' = (y_0, ..., y_(j-1), 0), the solutions of stage j.
     """
-    poly = _delta_poly(tower.p, j, gbar[: j + 1])
-    vals = {xvar(l): tower.stages[j].y[l] for l in range(j)}
-    return ip.p_eval(poly, vals, TruncatedLaurentSeries.monomial(tower.ring, 0))
+    return witt_sum_component(tower.ring, j, [tower.stages[j].y, gbar[: j + 1]])
 
 
 def galois_conjugate(tower, g, level=None, top_increment=None):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import intpoly as ip
-from .coeff import is_prime
+from .coeff import is_prime, lift_ring
 from .errors import ConsistencyFailure, WittTableError
 from .series import TruncatedLaurentSeries
 
@@ -251,21 +251,6 @@ def witt_neg(a, table):
     return _eval_components(table.I, vals, a.n, a.entries[0])
 
 
-def witt_smul(k, a, table):
-    """Integer multiple of a Witt vector by double-and-add."""
-    if k < 0:
-        return witt_smul(-k, witt_neg(a, table), table)
-    acc = WittVector((0 * _one(a.entries[0]),) * a.n) if k == 0 else None
-    base = a
-    while k:
-        if k & 1:
-            acc = base if acc is None else witt_add(acc, base, table)
-        k >>= 1
-        if k:
-            base = witt_add(base, base, table)
-    return acc
-
-
 def frobenius(a):
     """Entry-wise p-th power (the Witt Frobenius over a char-p base)."""
     out = []
@@ -299,6 +284,85 @@ def ghost_eval(a, j):
         term = (a.ring.p**i) * term
         acc = term if acc is None else acc + term
     return acc
+
+
+def _scaled(c, x):
+    """c * x, with no product formed for c = 1 or -1."""
+    return x if c == 1 else -x if c == -1 else c * x
+
+
+def canonical_lift(s, lift):
+    """Reinterpret a series coefficient-wise in the lift ring: field digits
+    mod p are already the canonical representatives."""
+    return TruncatedLaurentSeries(lift, s.v, s.coeffs, s.prec, normalize=False)
+
+
+def _total(ring, terms):
+    """Series and integers summed over ring, the integers first."""
+    const = sum(t for t in terms if isinstance(t, int))
+    series = [t for t in terms if not isinstance(t, int)] or [TruncatedLaurentSeries.zero(ring)]
+    return sum(series[1:], series[0] + const if const else series[0])
+
+
+def invert_ghosts(ghosts, p, divide, power=None):
+    """Witt components x_0..x_i from ghost components w_0..w_i, over any ring:
+    x_k = (w_k - sum_(l<k) p^l x_l^(p^(k-l))) / p^k, where divide(w, k)
+    divides by p^k and raises when that is not exact.  Each chain x_l,
+    x_l^p, x_l^(p^2), ... is formed once, by power (default x ** p)."""
+    xs, chains = [], []
+    for k, w in enumerate(ghosts):
+        for l in range(k):
+            chains[l] = chains[l] ** p if power is None else power(chains[l])
+            w = w - _scaled(p**l, chains[l])
+        xs.append(divide(w, k) if k else w)
+        chains.append(xs[-1])
+    return xs
+
+
+def witt_sum_component(ring, i, add, sub=()):
+    """Component i, mod p, of the Witt sum of the vectors in `add` minus
+    those in `sub`; entries are series over the field `ring` or integers,
+    and short vectors are padded with zeros.
+
+    The series lift to Z/p^(i+1) (GR(p^(i+1), f) for f > 1), their ghost
+    components add up, and `invert_ghosts` divides them back, each division
+    checked exact (ConsistencyFailure otherwise).  Any lifts give the same
+    result mod p, since a = b mod p implies a^(p^k) = b^(p^k) mod p^(k+1).
+    Over the lift E^N keeps prec(E) + (N - 1) v(E), and a series met twice
+    is raised to the p-th power once.  Component 0 is the plain sum."""
+    p = ring.p
+    signed = [(1, vec) for vec in add] + [(-1, vec) for vec in sub]
+    lead = [sign for sign, vec in signed if len(vec) and not _entry_is_zero(vec[0])]
+    if i and lead in ([], [1]):  # a vector is [x_0] + V(x_1, ...), and V is additive
+        return witt_sum_component(ring, i - 1, [vec[1:] for vec in add], [vec[1:] for vec in sub])
+    if i == 0:
+        return _total(ring, [_scaled(sign, vec[0]) for sign, vec in signed if len(vec)])
+    lift = lift_ring(p, i + 1, ring.f)
+    powers = {}  # id(x) -> (x, x^p)
+
+    def power(x):
+        if id(x) not in powers:
+            powers[id(x)] = (x, x**p)
+        return powers[id(x)][1]
+
+    terms = [[] for _ in range(i + 1)]  # the terms of each ghost component
+    for sign, vec in signed:
+        for l, x in enumerate(vec[: i + 1]):
+            if isinstance(x, TruncatedLaurentSeries):
+                x = canonical_lift(x, lift)
+            for k in range(l, i + 1):
+                if k > l:
+                    x = power(x)
+                terms[k].append(_scaled(sign * p**l, x))
+    ghosts = [_total(lift, ts) for ts in terms]
+
+    def divide(w, k):
+        if (w.coeffs % p**k).any():
+            raise ConsistencyFailure(f"ghost component {k} of a Witt sum is not divisible by p^{k}")
+        return TruncatedLaurentSeries(lift, w.v, w.coeffs // p**k, w.prec, normalize=False)
+
+    x = invert_ghosts(ghosts, p, divide, power)[i]
+    return TruncatedLaurentSeries(ring, x.v, x.coeffs % p, x.prec)
 
 
 # ---------- batched evaluation over Z/mod (acceptance-scale checks) ----------
@@ -369,18 +433,6 @@ def asw_component_poly(table, n):
 def _principal_part(p, n):
     """Y_n^p - Y_n mod p."""
     return {ip.var(yvar(n), p): 1, ip.var(yvar(n)): p - 1}
-
-
-def asw_correction_poly(table, n):
-    """asw component n minus its principal part Y_n^p - Y_n.
-
-    Free of Y_n; this is the inhomogeneous tail that couples equation n of
-    a length-(n+1) generator datum to the solutions below it."""
-    p = table.p
-    corr = ip.p_mod(ip.p_sub(asw_component_poly(table, n), _principal_part(p, n)), p)
-    if ip.involves(corr, yvar(n)):
-        raise ConsistencyFailure(f"correction at component {n} involves its own slot")
-    return corr
 
 
 def nth_component_identity_check(table, n):

@@ -10,7 +10,17 @@ from wittram.coeff import finite_field
 from wittram.errors import ConsistencyFailure, InsufficientPrecision
 from wittram.series import INF, TruncatedLaurentSeries
 from wittram.wbar import GradedPolynomial, group_action_on_sections
-from wittram.witt import WittVector, build_table, witt_smul, xvar, yvar
+from wittram.witt import (
+    WittVector,
+    _one,
+    _principal_part,
+    asw_component_poly,
+    build_table,
+    witt_add,
+    witt_neg,
+    xvar,
+    yvar,
+)
 
 
 # ---------- conductor ----------
@@ -88,6 +98,57 @@ def cn_leading_term_check(table, n, i):
     rest = ip.p_sub(cn, ip.p_mul(top, lead))
     rest_deg = ip.degree_in(rest, xvar(i))
     return {"holds": lead == expected and rest_deg < e, "extracted": lead, "degree_bound": e}
+
+
+def witt_smul(k, a, table):
+    """Integer multiple of a Witt vector by double-and-add."""
+    if k < 0:
+        return witt_smul(-k, witt_neg(a, table), table)
+    acc = WittVector((0 * _one(a.entries[0]),) * a.n) if k == 0 else None
+    base = a
+    while k:
+        if k & 1:
+            acc = base if acc is None else witt_add(acc, base, table)
+        k >>= 1
+        if k:
+            base = witt_add(base, base, table)
+    return acc
+
+
+# ---------- Witt polynomials evaluated monomial by monomial ----------
+# The tower and the carry bound take these components through ghost
+# components (witt.witt_sum_component); the tests compare the two routes.
+
+
+def asw_correction_poly(table, n):
+    """asw component n minus its principal part Y_n^p - Y_n.
+
+    Free of Y_n; this is the inhomogeneous tail that couples equation n of
+    a length-(n+1) generator datum to the solutions below it."""
+    p = table.p
+    corr = ip.p_mod(ip.p_sub(asw_component_poly(table, n), _principal_part(p, n)), p)
+    if ip.involves(corr, yvar(n)):
+        raise ConsistencyFailure(f"correction at component {n} involves its own slot")
+    return corr
+
+
+def delta_poly(p, i, gbar):
+    """Packed polynomial in the solution slots for sigma_g(y_i) - y_i.
+
+    Translating the solution vector by the constant vector gbar moves
+    component i by gbar_i + carry_i(y; gbar); the returned mod-p polynomial
+    has the solution slots in xvar coordinates and gbar already filled in.
+    gbar is the prefix (gbar_0, ..., gbar_i) of g's coordinates.
+    """
+    table = build_table(p, i + 1)
+    subs = {yvar(j): {0: gbar[j]} if gbar[j] else {} for j in range(i)}
+    carry = ip.p_mod(ip.p_subst(ip.p_mod(table.c[i], p), subs), p)
+    return ip.p_mod(ip.p_add(carry, {0: gbar[i]} if gbar[i] else {}), p)
+
+
+def eval_on_series(poly, vals, ring):
+    """A packed polynomial evaluated on series, monomial by monomial."""
+    return ip.p_eval(poly, vals, TruncatedLaurentSeries.monomial(ring, 0))
 
 
 # ---------- graded sections ----------

@@ -68,6 +68,21 @@ def test_tower_deep_reports_program_bound(capsys):
     assert (carry["bound"], carry["lp_bound"], carry["valuation_lower_bound"]) == (-21, -18, -16)
 
 
+def test_tower_deep_reports_carry_bound_at_height_three(capsys):
+    # c_3 has 37,758 table terms at p = 5; the carry goes through ghost
+    # components, and its valuation meets the closed bound
+    argv = ["tower", "--p", "5", "--n", "3", "--nu", "2,1,1", "--deep", "--json"]
+    code, out, err = _run(capsys, *argv)
+    assert code == 0, err
+    carry = json.loads(out)["sort_bound"]["carry_bound"]
+    assert carry == {
+        "skipped": False,
+        "valuation_lower_bound": -31050,
+        "bound": -31050,
+        "lp_bound": -31050,
+    }
+
+
 def test_budget_factor_must_be_positive(capsys):
     code, _out, err = _run(
         capsys, "tower", "--p", "2", "--n", "2", "--nu", "3,1", "--budget-factor", "0"

@@ -159,6 +159,44 @@ def test_lp_two_forms_agree_random():
         assert v1 == v2, (p, n, w)
 
 
+def test_lp_matches_box_scan_random():
+    # the relaxation bound prunes only when every equality coefficient is
+    # positive; mixed signs, both senses and ties all keep every optimizer
+    rng = random.Random(43)
+    pruned = 0
+    for _ in range(400):
+        k = rng.randrange(1, 5)
+        obj = [rng.randrange(-6, 7) for _ in range(k)]
+        eq = [rng.randrange(1, 5) if rng.random() < 0.6 else rng.randrange(-3, 5) for _ in range(k)]
+        lower = [rng.randrange(-2, 2) for _ in range(k)]
+        upper = [lo + rng.randrange(5) for lo in lower]
+        rhs = rng.randrange(-5, 12)
+        sense = rng.choice(("min", "max"))
+        box = [range(lo, up + 1) for lo, up in zip(lower, upper)]
+        want = box_scan(
+            box,
+            lambda x: sum(a * v for a, v in zip(eq, x)) == rhs,
+            lambda x: sum(c * v for c, v in zip(obj, x)),
+            sense,
+        )
+        prob = LatticeProblem(obj, eq, rhs, lower, upper, sense=sense)
+        if want[0] is None:
+            with pytest.raises(InfeasibleProblem):
+                lp_minimize(prob)
+        else:
+            assert lp_minimize(prob) == want, prob
+            pruned += min(eq) > 0
+    assert pruned > 50
+
+
+def test_lp_carry_pole_at_p7_height3():
+    # the slot valuations of (7,3,(2,1,1)), whose box the pruned search
+    # leaves almost unvisited: the optimum loads a_0, both optimizers kept
+    value, argmin = lp_minimize(carry_pole_lp(7, 3, (-98, -602, -4202)))
+    assert value == -234710
+    assert argmin == ((336, 0, 1, 0, 0, 0), (342, 1, 0, 0, 0, 0))
+
+
 def test_lp_degenerate_zero_box():
     prob = LatticeProblem((5, -2), (1, 1), 0, (0, 0), (0, 0))
     value, argmin = lp_minimize(prob)
@@ -236,13 +274,6 @@ def test_sort_bounds_depth_one():
     rep = sort_bound_check(tw)
     assert len(rep["stage_bounds"]) == 1
     assert rep["stage_bounds"][0]["equality"]  # m_1 = nu_0 at the base
-
-
-def test_sort_bounds_cost_guard(monkeypatch):
-    tw = build_tower(CoverDatum.from_orders(2, 1, 1, (3,)))
-    monkeypatch.setattr(conductor, "CARRY_COST_LIMIT", 0)
-    rep = sort_bound_check(tw)
-    assert rep["carry_bound"]["skipped"]
 
 
 def test_sort_bounds_program_bound_is_checked(monkeypatch):

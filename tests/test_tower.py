@@ -7,7 +7,6 @@ import sys
 
 import pytest
 
-from wittram import intpoly as ip
 from wittram import tower as tower_mod
 from wittram.coeff import finite_field
 from wittram.errors import (
@@ -36,7 +35,6 @@ from wittram.tower import (
     standard_form_reduce,
     tower_invariants,
 )
-from wittram.witt import xvar
 
 from oracles import adjust_decompose
 from randoms import random_series
@@ -364,13 +362,15 @@ def test_shifted_increment_is_refused(monkeypatch):
     # moves both routes' readings, but not alike, and the filtration refuses it
     tw = build(5, 2, (3, 4))
     target = group_element_coordinates(5, 2, 1)
-    delta_poly = tower_mod._delta_poly
+    increment = tower_mod._increment
 
-    def shifted(p, i, gbar):
-        poly = delta_poly(p, i, gbar)
-        return ip.p_add(poly, {ip.var(xvar(0), p): 1}) if gbar == target else poly
+    def shifted(tower, j, gbar):
+        delta = increment(tower, j, gbar)
+        if tuple(gbar[: j + 1]) == target:  # delta_(1,1) gains y_0^5
+            delta = delta + tower.stages[j].y[0].pth_power()
+        return delta
 
-    monkeypatch.setattr(tower_mod, "_delta_poly", shifted)
+    monkeypatch.setattr(tower_mod, "_increment", shifted)
     with pytest.raises(ConsistencyFailure, match=r"order-p\^2 class"):
         ramification_filtration(tw)
 

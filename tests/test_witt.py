@@ -25,12 +25,11 @@ from wittram.witt import (
     witt_batch_op,
     witt_mul,
     witt_neg,
-    witt_smul,
     xvar,
     yvar,
 )
 
-from oracles import cn_leading_term_check
+from oracles import cn_leading_term_check, witt_smul
 from randoms import random_series
 
 
