@@ -741,13 +741,21 @@ def _window_powers(g, n, count):
 def _pole_power(g, k):
     """g^(-k) for k >= 1, kept on g: the nearest lower power kept times a
     power of g.inv().  A composite is cut at g.prec - (k + 1) v(g), which
-    every route to g^(-k) reaches."""
+    every route to g^(-k) reaches; a p-th power multiplies the rows by p, so
+    g.inv()^(p^j r) is cut to ceil(cap / p^i) before the last i of them."""
     if g._poles is None:
         g._poles = {}
     out = g._poles.get(k)
     if out is None:
         below = max((j for j in g._poles if j < k), default=0)
-        out = g.inv() ** (k - below)
+        r, j, p = k - below, 0, g.ring.p
+        cap = g.prec - (r + 1) * g.v  # the precision of g.inv() ** (k - below)
+        while cap != INF and g.ring.is_field and r % p == 0:
+            r, j = r // p, j + 1
+        out = g.inv() ** r
+        for i in range(j, 0, -1):
+            out = out.truncate(-(-cap // p**i)).pth_power()
+        out = out.truncate(cap)
         if below:
             out = g._poles[below] * out
         g._poles[k] = out

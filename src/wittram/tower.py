@@ -417,11 +417,11 @@ def _ghost_sum_node(net, p, i, entries):
 def _stage_budgets(datum, factor):
     """Window plan: each stage's window from what is read downstream of it.
 
-    The consumers of a build are the chain-rule different, which reads
-    v(dT_i/dtau) = (p-1)(e_(i+1)+1) off every stage map T_i; the Galois
-    conjugates, which must resolve i(g) <= e_n + 1 at the top; and the
-    per-stage certificates (reduction to standard form and the valuations
-    of the re-expanded standard generators).  Each read becomes a precision
+    The jumps and the certificates set the windows: the Galois conjugates
+    must resolve i(g) <= e_n + 1 at the top, and every stage certifies its
+    reduction to standard form and the valuations of the re-expanded
+    standard generators, which also shows the leads of Y_i' and z_i' that
+    the chain-rule different reads.  Each read becomes a precision
     requirement in a `_PrecisionNet` that mirrors the build, and the
     requirements are carried backwards through the precision each
     operation loses: the pole orders of the data, of the ghost components
@@ -431,11 +431,10 @@ def _stage_budgets(datum, factor):
 
     The stage map T_i is known to min(W_i, p (prec(z_i) + e_(i+1) + 1)),
     so a window beyond what the stage below supports buys nothing.  factor
-    scales the slack added to every chain-rule read and to the conjugate
-    read, (e_(i+1) + p^(i+1)) * factor / 8; a larger factor means more
-    precision everywhere, never less.  Datum entries count as exact: an
-    entry known only to O(s^N) caps every stage whatever the windows, and
-    the build then raises InsufficientPrecision.
+    scales the slack added to the conjugate read, (e_n + p^n) * factor / 8;
+    a larger factor means more precision everywhere, never less.  Datum
+    entries count as exact: an entry known only to O(s^N) caps every stage
+    whatever the windows, and the build then raises InsufficientPrecision.
     """
     p, n = datum.p, datum.n
     m, e, _mu = predicted_invariants(p, n, datum.nu)
@@ -443,9 +442,6 @@ def _stage_budgets(datum, factor):
     pole_h = [0] + [p ** (i - 1) * m[i + 1] for i in range(1, n)]
     net = _PrecisionNet()
     windows = [net.node() for _ in range(n)]
-
-    def slack(i):
-        return -(-factor * (e[i + 1] + p ** (i + 1)) // 8)
 
     # level state: (node, valuation bound); node None is an exact series
     t_embs = [(None, 1)]
@@ -467,7 +463,6 @@ def _stage_budgets(datum, factor):
         if z is not None:
             T_terms.append((z, p, p * (e_new + 1)))
         T = net.node(T_terms)
-        net.require(T, (p - 1) * (e_new + 1) + 2 + slack(i))
 
         def lift(series):
             node, v = series
@@ -505,7 +500,8 @@ def _stage_budgets(datum, factor):
                 (sig_t, 1, (b - 1) * v_t + a * v_yt),
             ]
         )
-    net.require(sig_t, e[n] + 2 + slack(n - 1))
+    slack = -(-factor * (e[n] + p**n) // 8)
+    net.require(sig_t, e[n] + 2 + slack)
 
     req = net.solve()
     return [req[w] for w in windows]
@@ -789,12 +785,14 @@ def tower_invariants(tower, filtration=None):
         if mu[k] != tele_mu:
             raise ConsistencyFailure(f"telescoped mu fails at level {k}")
 
-    # independent different: chain rule through the stage re-expansions
+    # independent different: chain rule through the stage re-expansions, with
+    # v(dT_i/dtau) = v(Y') - v(z') v(T) off -Y' = z'(T) T' (p does not divide e)
     D = [0]
     mu_indep = [0]
     for i in range(n):
-        T = tower.stages[i + 1].t_embs[i]  # t_i as a series in t_(i+1)
-        D.append(p * D[i] + T.derivative().valuation())
+        st = tower.stages[i + 1]  # T = t_i and Y = ytilde_i as series in t_(i+1)
+        dY, dz = st.ytilde[i].derivative(), st.z_std[i].derivative()
+        D.append(p * D[i] + dY.valuation() - dz.valuation() * st.t_embs[i].valuation())
         mu_indep.append(D[i + 1] - p ** (i + 1) + 1)
     if mu_indep != list(mu):
         raise ConsistencyFailure(f"chain-rule mu {mu_indep} != recursion mu {list(mu)}")

@@ -1,7 +1,7 @@
 """End-to-end acceptance: one test per advertised guarantee.
 
 Each test prints one PASSED/FAILED line under pytest -v.  The shared grid
-(81 parameter sets over p in {2,3,5,7}, heights 1..4, pole orders 1..9
+(82 parameter sets over p in {2,3,5,7}, heights 1..4, pole orders 1..9
 prime to p, both growth regimes) is built once and reused; the per-case and
 total wall-clock budgets are asserted, not just hoped for.
 """
@@ -59,7 +59,7 @@ from wittram.witt import (
 from oracles import coeff_of, section_monomials
 from randoms import perturbed_lift, random_unit, random_unit_series
 
-# ---------- the acceptance grid: 81 cases, both regimes ----------
+# ---------- the acceptance grid: 82 cases, both regimes ----------
 
 CASES = []
 for _nu in (1, 3, 5, 7, 9):
@@ -82,6 +82,7 @@ CASES += [(7, 2, t) for t in [(1, 1), (2, 3), (3, 1), (1, 6), (6, 9)]]
 CASES += [(7, 3, (1, 1, 1)), (7, 3, (2, 1, 1))]
 CASES += [(2, 4, t) for t in [(1, 1, 1, 1), (3, 1, 5, 1)]]
 CASES += [(3, 4, t) for t in [(1, 1, 1, 1), (2, 1, 1, 1)]]
+CASES += [(5, 4, (1, 1, 1, 1))]
 
 
 def _top_regime(p, n, nu):

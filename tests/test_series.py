@@ -406,6 +406,26 @@ def test_negative_power_is_inverse_of_power(R):
     assert (mono ** (-3)).prec == INF
 
 
+@pytest.mark.parametrize("R", [F3, F9, F7, lift_ring(3, 3, 1)], ids=repr)
+def test_pole_power_is_cut_to_what_a_composite_reads(R):
+    # g^(-k) at k = p^j r is formed as g.inv()^r cut before each p-th
+    # power: it equals g.inv() ** k on its rows and holds none past the cap
+    # g.prec - (k + 1) v(g), whether formed from scratch or from a lower
+    # power kept on g
+    rng = random.Random(71)
+    p = R.p
+    for ks in [(p,), (p * p,), (2 * p * p,), (1, p * p), (2, 3 * p), (p, 2 * p * p)]:
+        g = random_series(R, rng.randrange(1, 4), 30, rng)
+        for k in ks:
+            got, want = series_mod._pole_power(g, k), g.inv() ** k
+            assert (got.v, got.prec) == (want.v, g.prec - (k + 1) * g.v) and want.prec >= got.prec
+            assert np.array_equal(got.coeffs, want.truncate(got.prec).coeffs)
+            assert series_mod._pole_power(g, k) is got
+    exact = TLS.monomial(R, 2, random_unit(R, rng))
+    got = series_mod._pole_power(exact, p * p)
+    assert got.prec == INF and got.terms() == (exact.inv() ** (p * p)).terms()
+
+
 def test_inv_past_the_stored_width():
     # an exact series is zero past its stored rows, so its inverse goes on;
     # a finite one determines only its own width of the inverse

@@ -1,10 +1,12 @@
 """Tower construction: stage solving, conjugates, filtration, invariants."""
 
+import functools
 import hashlib
 import math
 import random
 import sys
 
+import numpy as np
 import pytest
 
 from wittram import tower as tower_mod
@@ -501,8 +503,8 @@ def test_datum_rejects_nonpositive_height(n):
 
 @pytest.mark.parametrize("nu", [(3, 1), (6, 9)])
 def test_plan_first_attempt_p7(nu):
-    # p = 7 needs the top map T known past (p-1)(e_2+1); the plan must
-    # provide it with no retry, at the default factor
+    # p = 7: the conjugates must resolve i(g) <= e_2 + 1 at the top, and
+    # the plan must provide it with no retry, at the default factor
     d = CoverDatum.from_orders(7, 2, 1, nu)
     tw, filt, rep = analyze_tower(d)
     assert tw.factor == DEFAULT_BUDGET_FACTOR
@@ -518,8 +520,9 @@ def test_plan_reads_and_factor_monotone():
         d = CoverDatum.from_orders(p, n, 1, nu)
         _m, e, _mu = predicted_invariants(p, n, nu)
         plan = tower_mod._stage_budgets(d, DEFAULT_BUDGET_FACTOR)
-        # every stage map must show its derivative's leading term
-        assert all(w >= (p - 1) * (e[i + 1] + 1) + 2 for i, w in enumerate(plan))
+        # the top window covers the conjugate read e_n + 2 plus its slack
+        slack = -(-DEFAULT_BUDGET_FACTOR * (e[n] + p**n) // 8)
+        assert plan[-1] >= e[n] + 2 + slack
         wider = tower_mod._stage_budgets(d, 2 * DEFAULT_BUDGET_FACTOR)
         assert all(b >= a for a, b in zip(plan, wider)) and wider[-1] > plan[-1]
 
@@ -528,13 +531,14 @@ def test_plan_reads_and_factor_monotone():
     "p, n, nu, windows",
     [
         (2, 2, (3, 1), [12, 22]),
-        (5, 3, (2, 1, 1), [229, 1124, 4758]),
-        (7, 2, (3, 1), [131, 871]),
+        (5, 3, (2, 1, 1), [114, 548, 1880]),
+        (7, 2, (3, 1), [41, 244]),
     ],
 )
 def test_plan_windows_pinned(p, n, nu, windows):
-    # the plan at the default factor, as recorded before the stage record
-    # dropped its separate base-uniformizer series
+    # the plan at the default factor, set by the jumps and the certificates
+    # since the chain-rule different stopped reading T' off the stage maps
+    # (it asked for (p-1)(e+1) rows: [229, 1124, 4758] and [131, 871])
     d = CoverDatum.from_orders(p, n, 1, nu)
     assert tower_mod._stage_budgets(d, DEFAULT_BUDGET_FACTOR) == windows
 
@@ -573,6 +577,31 @@ def _stage_map_digest(tw):
     return h.hexdigest()
 
 
+# the windows the plan gave while the chain-rule different read v(T') off
+# each stage map T itself, which asked for (p-1)(e+1) rows of it
+LONG_WINDOWS = {
+    (2, 2, (3, 1)): [12, 22],
+    (5, 3, (2, 1, 1)): [229, 1124, 4758],
+    (7, 2, (3, 1)): [131, 871],
+    (7, 2, (6, 9)): [251, 1710],
+    (3, 2, (2, 1)): [17, 44],
+    (5, 2, (1, 1)): [27, 113],
+    (7, 2, (1, 1)): [51, 312],
+    (3, 3, (8, 8, 7)): [178, 527, 1238],
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _long_tower(p, n, nu, f=1):
+    """The tower of the datum built stage by stage on its LONG_WINDOWS;
+    shared between tests, which must not change it."""
+    d = CoverDatum.from_orders(p, n, f, nu)
+    stages = [TowerStage(d)]
+    for window in LONG_WINDOWS[p, n, nu]:
+        stages.append(extend_stage(stages[-1], window))
+    return tower_mod.Tower(d, stages, DEFAULT_BUDGET_FACTOR)
+
+
 @pytest.mark.parametrize(
     "p, n, nu, f, digest",
     [
@@ -585,9 +614,80 @@ def _stage_map_digest(tw):
     ],
 )
 def test_stage_maps_pinned(p, n, nu, f, digest):
-    # SHA-256 over (v, prec) and the int64 rows of every stage's T and Y, as
-    # recorded with the linearly converging solver: the window fixes the root
-    assert _stage_map_digest(build(p, n, nu, f)) == digest
+    # SHA-256 over (v, prec) and the int64 rows of every stage's T and Y on
+    # the long windows, as recorded with the linearly converging solver:
+    # the window fixes the root
+    assert _stage_map_digest(_long_tower(p, n, nu, f)) == digest
+
+
+@pytest.mark.parametrize(
+    "p, n, nu, f, digest",
+    [
+        (2, 2, (3, 1), 1, "985b227d7bbc42064d57948fdbc2b7279e80225ede034874fc7bf66bf158e82d"),
+        (5, 3, (2, 1, 1), 1, "954b1839f6cdd2370551b4872fc568425b7f91dd2f76d5c1035b11d33a003470"),
+        (7, 2, (6, 9), 1, "ca1f4657e2a09337f53a083263c5750b22e939c8f9e325f291dc90ff7790cc40"),
+        (3, 2, (2, 1), 2, "93a73c3bfac79d5c85c85904be9c9c2629f62b8cb65817bbb950b2b1a6b924d7"),
+        (5, 2, (1, 1), 2, "c99f456ebfdbc4338226a451897af69167640bd8774de6ed692c32ffddabf8e9"),
+        (7, 2, (1, 1), 2, "cf0f8a367fff23a8b8ca38f01c905edc63db9cc42dd80d1cc40633fba878d9bd"),
+    ],
+)
+def test_plan_stage_maps_pinned(p, n, nu, f, digest):
+    # the planned stage maps are the long ones cut to their rows; the
+    # digests were recorded by cutting the long maps to the planned (v, prec)
+    tw, long = build(p, n, nu, f), _long_tower(p, n, nu, f)
+    for i in range(n):
+        for got, ref in [
+            (tw.stages[i + 1].t_embs[i], long.stages[i + 1].t_embs[i]),
+            (tw.stages[i + 1].ytilde[i], long.stages[i + 1].ytilde[i]),
+        ]:
+            assert (got.v, got.prec) == (ref.v, min(got.prec, ref.prec))
+            assert np.array_equal(got.coeffs, ref.truncate(got.prec).coeffs)
+    assert _stage_map_digest(tw) == digest
+
+
+@pytest.mark.parametrize("p, n, nu", [(5, 3, (2, 1, 1)), (7, 2, (3, 1)), (3, 3, (8, 8, 7))])
+def test_literal_derivative_oracle(p, n, nu):
+    # on the long windows T' shows its lead, v(dT/dtau) = (p-1)(e+1); the
+    # report reads the same valuation off -Y' = z'(T) T' instead
+    tw = _long_tower(p, n, nu)
+    D = 0
+    for i in range(n):
+        st = tw.stages[i + 1]
+        literal = st.t_embs[i].derivative().valuation()
+        identity = st.ytilde[i].derivative().valuation() - st.z_std[i].derivative().valuation() * p
+        assert literal == identity == (p - 1) * (tw.top.e[i + 1] + 1)
+        D = p * D + literal
+    rep = tower_invariants(tw)
+    assert rep["different_chain_rule"] == D == rep["different"]
+    assert tower_invariants(build(p, n, nu))["different_chain_rule"] == D
+
+
+def test_planned_stage_map_hides_its_derivative():
+    # the planned top window is short of (p-1)(e+1): T' has no visible lead
+    # there, and the report still reads the chain-rule different
+    tw = build(7, 2, (3, 1))
+    with pytest.raises(InsufficientPrecision, match="no visible leading term"):
+        tw.stages[2].t_embs[1].derivative().valuation()
+    rep = tower_invariants(tw)
+    assert rep["different_chain_rule"] == rep["different"] == 7 * 6 * 4 + 6 * 130
+
+
+def test_chain_rule_refuses_shifted_generator():
+    # one extra pole row on Y moves v(Y') and with it the chain-rule mu
+    tw = build(5, 2, (1, 1))
+    Y = tw.top.ytilde[1]
+    tw.top.ytilde[1] = Y.shift(-1)
+    with pytest.raises(ConsistencyFailure, match="chain-rule mu"):
+        tower_invariants(tw)
+
+
+def test_chain_rule_needs_the_lead_of_the_generator():
+    # a Y cut below its lead leaves Y' with no visible lead: no guess
+    tw = build(5, 2, (1, 1))
+    Y = tw.top.ytilde[1]
+    tw.top.ytilde[1] = Y.truncate(Y.v)
+    with pytest.raises(InsufficientPrecision, match="no visible leading term"):
+        tower_invariants(tw)
 
 
 def _count_residuals(monkeypatch):
@@ -618,7 +718,8 @@ def test_stage_solver_residual_count(monkeypatch):
 
 def test_wrong_derivative_is_refused(monkeypatch):
     # a z'(T) off by a unit factor makes every step gain nothing; the
-    # schedule still ends, and the certificate refuses the last T
+    # schedule still ends, and the certificate refuses the last T.  The
+    # datum's window needs at least one Newton step
     pair = tower_mod.compose_with_derivative
 
     def doubled(f, g):
@@ -627,7 +728,7 @@ def test_wrong_derivative_is_refused(monkeypatch):
 
     monkeypatch.setattr(tower_mod, "compose_with_derivative", doubled)
     calls = _count_residuals(monkeypatch)
-    d = CoverDatum.from_orders(5, 1, 1, (3,))
+    d = CoverDatum.from_orders(5, 1, 1, (1,))
     (window,) = tower_mod._stage_budgets(d, DEFAULT_BUDGET_FACTOR)
     with pytest.raises(InsufficientPrecision, match=r"Y\^p - Y = z\(T\) fails"):
         build_tower(d)
