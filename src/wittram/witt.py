@@ -217,6 +217,8 @@ def _compat(a, b, table):
         raise ValueError(f"length mismatch: {a.n} vs {b.n}")
     if a.ring != b.ring:
         raise ValueError("entry ring mismatch")
+    if table.p != a.ring.p:
+        raise ValueError(f"table for p = {table.p} on vectors over p = {a.ring.p}")
     if table.n < a.n:
         raise ValueError(f"table length {table.n} < vector length {a.n}")
     return a.n
@@ -245,10 +247,9 @@ def witt_mul(a, b, table):
 
 
 def witt_neg(a, table):
-    if table.n < a.n:
-        raise ValueError(f"table length {table.n} < vector length {a.n}")
-    vals = {yvar(i): a.entries[i] for i in range(a.n)}
-    return _eval_components(table.I, vals, a.n, a.entries[0])
+    n = _compat(a, a, table)
+    vals = {yvar(i): a.entries[i] for i in range(n)}
+    return _eval_components(table.I, vals, n, a.entries[0])
 
 
 def frobenius(a):

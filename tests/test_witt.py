@@ -374,7 +374,8 @@ PRECONDITION_PRELUDE = (
     "from wittram import intpoly as ip\n"
     "from wittram.series import TruncatedLaurentSeries as TLS, nth_root\n"
     "from wittram.tower import _bezout_exponents\n"
-    "from wittram.witt import WittVector, build_table, witt_batch_op\n"
+    "from wittram.witt import WittVector, asw_map, build_table, witt_add, witt_batch_op\n"
+    "from wittram.witt import witt_mul, witt_neg\n"
     "from oracles import pth_power_decompose\n"
     "pair = WittVector((finite_field(3).one(), finite_field(3).zero()))\n"
     "A = np.ones((2, 4), dtype=np.int64)\n"
@@ -384,6 +385,10 @@ PRECONDITIONS = {
     "mixed-rings": "WittVector((finite_field(2).one(), finite_field(3).one()))",
     "truncate-to-zero": "pair.truncated(0)",
     "truncate-past-length": "pair.truncated(3)",
+    "add-table-of-another-prime": "witt_add(pair, pair, build_table(2, 2))",
+    "mul-table-of-another-prime": "witt_mul(pair, pair, build_table(2, 2))",
+    "neg-table-of-another-prime": "witt_neg(pair, build_table(2, 2))",
+    "asw-table-of-another-prime": "asw_map(pair, build_table(2, 2))",
     "batch-missing-operand": "witt_batch_op(build_table(3, 2), 'add', A, None, 27)",
     "batch-shape-mismatch": "witt_batch_op(build_table(3, 2), 'mul', A, A[:, :3], 27)",
     "batch-variable-beyond-values": "ip.p_eval_batch_mod({ip.var(2): 1}, A, 27)",
