@@ -48,7 +48,8 @@ def _error_code(exc):
 
 
 def _parse_int_list(text):
-    return [int(x) for x in text.split(",") if x.strip()]
+    """Comma-separated integers; int() refuses an empty item ("3,,1")."""
+    return [int(x) for x in text.split(",")]
 
 
 def _parse_series(ring, literal):
@@ -217,7 +218,7 @@ def _cmd_conductor(args):
 
 def _cmd_tower(args):
     datum = _datum_from_args(args)
-    tower, filtration, report = analyze_tower(datum, factor=args.budget_factor)
+    tower, filtration, report = analyze_tower(datum)
     report["breaks"] = list(filtration.breaks)
     report["segments"] = [
         {"from": lo, "to": hi if hi is not None else "inf", "group_order": order}
@@ -348,6 +349,8 @@ def _cmd_wbar(args):
 
 
 def _cmd_grid(args):
+    if args.nu_max < 1:
+        raise ValueError(f"--nu-max must be >= 1, got {args.nu_max}")
     ps = _parse_int_list(args.p)
     ns = _parse_int_list(args.n)
     cases = []
@@ -356,9 +359,7 @@ def _cmd_grid(args):
         for n in ns:
             for nu in _nu_tuples(p, n, args.nu_max):
                 datum = CoverDatum.from_orders(p, n, 1, list(nu))
-                _tower, _filtration, invariants = analyze_tower(
-                    datum, factor=args.budget_factor
-                )
+                _tower, _filtration, invariants = analyze_tower(datum)
                 brute = invariants["conductor_filtration"]
                 closed = theorem_conductor(p, n, nu)["conductor"]
                 oracle = section_degree_oracle(p, n, nu)["M"] + 1
@@ -406,14 +407,6 @@ def _add_common(sub):
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="structured output")
-    budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument(
-        "--budget-factor",
-        type=int,
-        default=None,
-        help="positive multiplier on the slack of the series window plan "
-        "(default 4)",
-    )
     field = argparse.ArgumentParser(add_help=False)
     field.add_argument("--field", type=int, default=1, help="extension degree f of F_(p^f)")
     parser = argparse.ArgumentParser(
@@ -428,7 +421,7 @@ def build_parser():
     _add_common(sc)
 
     st = subs.add_parser(
-        "tower", parents=[common, budget, field], help="build the tower and all invariants"
+        "tower", parents=[common, field], help="build the tower and all invariants"
     )
     _add_common(st)
     st.add_argument("--deep", action="store_true", help="also run pole/sort checks")
@@ -462,7 +455,7 @@ def build_parser():
     sb.add_argument("--psi", action="store_true", help="print the level-n section map")
 
     sg = subs.add_parser(
-        "grid", parents=[common, budget], help="batch cross-validation over parameter ranges"
+        "grid", parents=[common], help="batch cross-validation over parameter ranges"
     )
     sg.add_argument("--p", type=str, required=True, help="primes, comma-separated")
     sg.add_argument("--n", type=str, required=True, help="heights, comma-separated")

@@ -58,13 +58,14 @@ def pole_depth(u):
 
 
 class LocalSymbolInput:
-    """A symbol datum: series vector u, unit series alpha, lift depth m.
+    """A symbol datum: series vector u and unit series alpha.
 
-    alpha is truncated to the window pole_depth(u) + 2, which loses nothing:
-    the residue reads dlog(alpha) up to exponent pole_depth(u) - 1, and those
-    rows depend only on alpha below exponent pole_depth(u) + 1."""
+    alpha is cut to O(t^(pole_depth(u) + 2)), one row past the rows the
+    residue reads: dlog(alpha) is read up to exponent pole_depth(u) - 1, and
+    those rows depend only on alpha below exponent pole_depth(u) + 1.  The
+    lift depth m is default_lift_precision(u.n)."""
 
-    def __init__(self, u, alpha, m=None):
+    def __init__(self, u, alpha):
         if not isinstance(u, WittVector):
             u = WittVector(tuple(u))
         for entry in u:
@@ -77,11 +78,9 @@ class LocalSymbolInput:
         if alpha.is_exact_zero() or alpha.valuation() != 0:
             raise ValueError("alpha must be a unit power series")
         self.u = u
-        self.alpha = alpha.truncate(pole_depth(u) + DEFAULT_GUARD)
+        self.alpha = alpha.truncate(pole_depth(u) + 2)
         self.n = u.n
-        self.m = default_lift_precision(self.n) if m is None else m
-        if self.m < self.n + 1:
-            raise ValueError(f"lift depth {self.m} cannot survive {self.n} digits")
+        self.m = default_lift_precision(self.n)
 
     @property
     def field(self):
@@ -205,7 +204,7 @@ def modulus_vanishing_test(u, bound, trials=50, rng=None):
     if rng is None:
         rng = random.Random(0)
     one = TruncatedLaurentSeries.monomial(field, 0, 1)
-    lift = lift_ring(field.p, LocalSymbolInput(u, one).m, field.f)
+    lift = lift_ring(field.p, default_lift_precision(u.n), field.f)
     depth, pair = _pairing([canonical_lift(s, lift) for s in u], field)
     window = pole_depth(u) + bound + 4
 

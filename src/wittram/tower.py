@@ -31,17 +31,8 @@ from .witt import invert_ghosts, witt_sum_component
 
 INF = math.inf
 
+# the window plan's slack multiplier; kept with Tower.factor since bench/ reads both
 DEFAULT_BUDGET_FACTOR = 4
-ATTEMPTS = 3  # builds analyze_tower tries, doubling the factor after a failure
-
-
-def budget_factor(override=None):
-    """Slack multiplier of the window plan: the argument, else the default.
-    Must be a positive integer."""
-    fac = DEFAULT_BUDGET_FACTOR if override is None else int(override)
-    if fac <= 0:
-        raise ValueError(f"budget factor must be a positive integer, got {fac}")
-    return fac
 
 
 class CoverDatum:
@@ -507,48 +498,31 @@ def _stage_budgets(datum, factor):
     return [req[w] for w in windows]
 
 
-def build_tower(datum, factor=None):
+def build_tower(datum):
     """Build all n stages in one pass, with windows planned from the invariants.
 
     `_stage_budgets` sizes every stage from what the build, the filtration
     and the invariant report read downstream, so a single attempt certifies
     everything `analyze_tower` checks.  A window that still falls short
-    raises InsufficientPrecision; nothing is retried here.
+    raises InsufficientPrecision: the plan has missed a read.
     """
-    fac = budget_factor(factor)
-    budgets = _stage_budgets(datum, fac)
+    budgets = _stage_budgets(datum, DEFAULT_BUDGET_FACTOR)
     stages = [TowerStage(datum)]
     for budget in budgets:
         stages.append(extend_stage(stages[-1], budget))
-    return Tower(datum, stages, fac)
+    return Tower(datum, stages, DEFAULT_BUDGET_FACTOR)
 
 
-def analyze_tower(datum, factor=None):
+def analyze_tower(datum):
     """Build, filter and cross-check in one call.  Returns
     (tower, filtration, report).
 
-    The window plan covers every read of the filtration and the invariant
-    report, so the first attempt is meant to finish.  Only when a precision
-    failure happens anyway (a datum whose series fall outside the planned
-    bounds) is the whole pipeline rerun, with the factor doubled, up to
-    ATTEMPTS attempts in all; each attempt calls `build_tower` once.
+    One build on the window plan; a precision failure anywhere is raised as
+    it is, with its cause, since the plan covers every read downstream.
     """
-    fac = budget_factor(factor)
-    causes = []
-    last_exc = None
-    for _attempt in range(ATTEMPTS):
-        try:
-            tower = build_tower(datum, factor=fac)
-            filtration = ramification_filtration(tower)
-            report = tower_invariants(tower, filtration)
-            return tower, filtration, report
-        except InsufficientPrecision as exc:
-            causes.append(f"factor {fac}: {exc}")
-            last_exc = exc
-            fac *= 2
-    raise InsufficientPrecision(
-        f"tower analysis failed after {ATTEMPTS} attempts: " + "; ".join(causes)
-    ) from last_exc
+    tower = build_tower(datum)
+    filtration = ramification_filtration(tower)
+    return tower, filtration, tower_invariants(tower, filtration)
 
 
 # ---------- Galois conjugates ----------

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from wittram import intpoly as ip
+from wittram import tower as tower_mod
 from wittram.coeff import finite_field, lift_ring
 from wittram.conductor import (
     claim_pole_check,
@@ -31,10 +32,15 @@ from wittram.localsym import (
 from wittram.series import TruncatedLaurentSeries as TLS
 from wittram.series import compose
 from wittram.tower import (
+    DEFAULT_BUDGET_FACTOR,
     CoverDatum,
+    TowerStage,
     analyze_tower,
+    extend_stage,
     herbrand_phi,
     predicted_invariants,
+    ramification_filtration,
+    tower_invariants,
 )
 from wittram.wbar import (
     ChowClass,
@@ -374,10 +380,15 @@ def test_criterion_08_compactification_layer():
 
 
 def test_criterion_09_precision_stability(grid):
-    # doubling the window budget must not move any reported invariant
+    # doubling the window plan's slack must not move any reported invariant
     for row in grid:
-        tower = row["tower"]
-        _t2, filt2, rep2 = analyze_tower(row["datum"], factor=2 * tower.factor)
+        d = row["datum"]
+        stages = [TowerStage(d)]
+        for window in tower_mod._stage_budgets(d, 2 * DEFAULT_BUDGET_FACTOR):
+            stages.append(extend_stage(stages[-1], window))
+        tower2 = tower_mod.Tower(d, stages, 2 * DEFAULT_BUDGET_FACTOR)
+        filt2 = ramification_filtration(tower2)
+        rep2 = tower_invariants(tower2, filt2)
         assert rep2 == row["report"], (row["p"], row["n"], row["nu"])
         assert filt2.breaks == row["filtration"].breaks
         assert filt2.jumps == row["filtration"].jumps

@@ -82,15 +82,6 @@ def test_tower_deep_reports_carry_bound_at_height_three(capsys):
     }
 
 
-def test_budget_factor_must_be_positive(capsys):
-    code, _out, err = _run(
-        capsys, "tower", "--p", "2", "--n", "2", "--nu", "3,1", "--budget-factor", "0"
-    )
-    assert code == 2
-    assert "error [value-error]" in err
-    assert "positive" in err
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -134,12 +125,17 @@ def test_tower_malformed_datum_is_usage_error(argv):
         ((), ["witt", "table", "--p", "2", "--n", "0"]),
         ((), ["wbar", "--p", "4", "--n", "1"]),
         ((), ["wbar", "--p", "2", "--n", "1", "--weight", "-1"]),
+        ((), ["tower", "--p", "2", "--n", "2", "--nu", "3,,1"]),
+        ((), ["witt", "add", "--p", "3", "--n", "2", "--x", "1,,2", "--y", "1,1"]),
+        ((), ["grid", "--p", "2,,3", "--n", "1", "--nu-max", "1"]),
+        ((), ["grid", "--p", "2", "--n", "1", "--nu-max", "0"]),
     ],
     ids=["alpha-coords", "alpha-coords-optimized", "alpha-not-a-list", "witt-short-vector",
          "witt-missing-x", "p-not-prime", "probe-no-trials", "probe-negative-trials",
          "datum-nu-not-a-list", "datum-p-null", "datum-n-a-list", "datum-field-null",
          "datum-nu-a-string", "datum-nu-float", "datum-p-float", "datum-n-bool",
-         "witt-p-not-prime", "witt-n-zero", "wbar-p-not-prime", "wbar-negative-weight"],
+         "witt-p-not-prime", "witt-n-zero", "wbar-p-not-prime", "wbar-negative-weight",
+         "nu-empty-item", "witt-empty-item", "grid-empty-item", "grid-nu-max-zero"],
 )
 def test_malformed_input_is_usage_error(flags, argv, tmp_path):
     # a datum document is written inline in the row and handed over as a file
@@ -157,8 +153,11 @@ def test_malformed_input_is_usage_error(flags, argv, tmp_path):
         ["conductor", "--p", "2", "--n", "1", "--nu", "1", "--budget-factor", "4"],
         ["tower", "--p", "2", "--n", "1", "--nu", "1", "--seed", "3"],
         ["conductor", "--p", "2", "--n", "1", "--nu", "3", "--field", "9"],
+        ["tower", "--p", "2", "--n", "1", "--nu", "1", "--budget-factor", "4"],
+        ["grid", "--p", "2", "--n", "1", "--budget-factor", "4"],
     ],
-    ids=["conductor-budget-factor", "tower-seed", "conductor-field"],
+    ids=["conductor-budget-factor", "tower-seed", "conductor-field", "tower-budget-factor",
+         "grid-budget-factor"],
 )
 def test_option_outside_its_subcommand_is_refused(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -109,8 +109,6 @@ def test_input_validation():
         LocalSymbolInput(u, _mono(F2, 1, 1))  # valuation 1, not a unit
     with pytest.raises(ValueError):
         LocalSymbolInput(u, _mono(F3, 0, 1))  # mixed coefficient fields
-    with pytest.raises(ValueError):
-        LocalSymbolInput(u, _mono(F2, 0, 1), m=1)  # lift depth too shallow
 
 
 def test_pole_depth():

@@ -25,7 +25,6 @@ from wittram.tower import (
     RamificationFiltration,
     TowerStage,
     analyze_tower,
-    budget_factor,
     build_tower,
     conductor_exponent,
     extend_stage,
@@ -46,9 +45,8 @@ F3 = finite_field(3, 1)
 F4 = finite_field(2, 2)
 
 
-def build(p, n, nu, f=1, factor=None):
-    d = CoverDatum.from_orders(p, n, f, nu)
-    return build_tower(d, factor=factor)
+def build(p, n, nu, f=1):
+    return build_tower(CoverDatum.from_orders(p, n, f, nu))
 
 
 # ---------- datum validation ----------
@@ -461,36 +459,29 @@ def test_adjust_decompose_rejects_divisible():
 # ---------- failure paths ----------
 
 
-def test_solver_budget_failure_recovers(monkeypatch):
-    # the plan covers every read, so force a first attempt below it; the
-    # last-resort retry doubles the factor and replans
-    planned = tower_mod._stage_budgets
-    calls = []
+@pytest.mark.parametrize("window", [2, 3])
+def test_plan_shortfall_raises_after_one_build(monkeypatch, window):
+    # the plan is the only precision policy: a window below it is a plan
+    # bug, raised as it is after one build, with no rebuild at a larger
+    # factor.  Windows of 2 fail in the build, windows of 3 build and fail
+    # in the filtration's first conjugate read.
+    builds = []
+    build_once = tower_mod.build_tower
 
-    def short_first(datum, factor):
-        calls.append(factor)
-        budgets = planned(datum, factor)
-        return [w // 4 for w in budgets] if len(calls) == 1 else budgets
+    def counted(datum):
+        builds.append(datum)
+        return build_once(datum)
 
-    monkeypatch.setattr(tower_mod, "_stage_budgets", short_first)
-    tw, _filt, rep = analyze_tower(CoverDatum.from_orders(2, 2, 1, (3, 1)), factor=1)
-    assert calls == [1, 2]
-    assert tw.factor == 2
-    assert tw.top.e == [0, 3, 9]
-    assert rep["conductor"] == 7
-
-
-def test_retry_budget_exhausted(monkeypatch):
-    monkeypatch.setattr(tower_mod, "_stage_budgets", lambda datum, factor: [3] * datum.n)
-    with pytest.raises(InsufficientPrecision, match="after 3 attempts") as info:
-        analyze_tower(CoverDatum.from_orders(2, 2, 1, (3, 1)))
-    # every attempt's factor and cause is kept, the last one as __cause__
-    message = str(info.value)
-    starts = [message.index(f"factor {k * DEFAULT_BUDGET_FACTOR}: ") for k in (1, 2, 4)]
-    assert starts == sorted(starts)
-    cause = info.value.__cause__
-    assert isinstance(cause, InsufficientPrecision)
-    assert message.endswith(f"factor {4 * DEFAULT_BUDGET_FACTOR}: {cause}")
+    monkeypatch.setattr(tower_mod, "_stage_budgets", lambda datum, factor: [window] * datum.n)
+    monkeypatch.setattr(tower_mod, "build_tower", counted)
+    d = CoverDatum.from_orders(2, 2, 1, (3, 1))
+    with pytest.raises(InsufficientPrecision) as raised:
+        analyze_tower(d)
+    assert len(builds) == 1
+    with pytest.raises(InsufficientPrecision) as direct:
+        ramification_filtration(build_once(d))
+    assert str(raised.value) == str(direct.value)
+    assert raised.value.__cause__ is None
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -541,13 +532,6 @@ def test_plan_windows_pinned(p, n, nu, windows):
     # (it asked for (p-1)(e+1) rows: [229, 1124, 4758] and [131, 871])
     d = CoverDatum.from_orders(p, n, 1, nu)
     assert tower_mod._stage_budgets(d, DEFAULT_BUDGET_FACTOR) == windows
-
-
-def test_budget_factor_rejects_nonpositive():
-    for bad in (0, -3):
-        with pytest.raises(ValueError, match="positive"):
-            budget_factor(bad)
-    assert budget_factor(5) == 5
 
 
 def test_stage_valuation_check_raises(monkeypatch):
