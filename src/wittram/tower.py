@@ -31,8 +31,9 @@ from .witt import invert_ghosts, witt_sum_component
 
 INF = math.inf
 
-# the window plan's slack multiplier; kept with Tower.factor since bench/ reads both
-DEFAULT_BUDGET_FACTOR = 4
+# the window plan adds no margin to the net's requirement; this and
+# Tower.factor stay only while bench/run.py and bench/workloads.py read them
+DEFAULT_BUDGET_FACTOR = 0
 
 
 class CoverDatum:
@@ -305,13 +306,14 @@ def extend_stage(stage, budget):
 
 
 class Tower:
-    """Fully built tower: the stage sequence plus planning metadata."""
+    """Fully built tower: the stage sequence of one build."""
 
-    def __init__(self, datum, stages, factor):
+    factor = DEFAULT_BUDGET_FACTOR
+
+    def __init__(self, datum, stages):
         self.datum = datum
         self.stages = stages  # stages[i] has level i; stages[n] is the top
         self.top = stages[-1]
-        self.factor = factor
 
     @property
     def p(self):
@@ -405,27 +407,24 @@ def _ghost_sum_node(net, p, i, entries):
     return xs[i], V[i]
 
 
-def _stage_budgets(datum, factor):
-    """Window plan: each stage's window from what is read downstream of it.
+def _plan(datum):
+    """The `_PrecisionNet` of one build of the datum, with every read required.
 
-    The jumps and the certificates set the windows: the Galois conjugates
-    must resolve i(g) <= e_n + 1 at the top, and every stage certifies its
-    reduction to standard form and the valuations of the re-expanded
-    standard generators, which also shows the leads of Y_i' and z_i' that
-    the chain-rule different reads.  Each read becomes a precision
-    requirement in a `_PrecisionNet` that mirrors the build, and the
-    requirements are carried backwards through the precision each
-    operation loses: the pole orders of the data, of the ghost components
-    behind the corrections and increments (`_ghost_sum_node`) and of the
-    re-expansions, all known in advance from `predicted_invariants` and
-    the generator bound v(y_j) >= -p^j m_(j+1).
+    The jumps and the certificates are the reads: the Galois conjugates
+    must resolve i(g) <= e_n + 1 at the top, so sigma t_n is needed to
+    e_n + 2, and every stage certifies its reduction to standard form and
+    the valuations of the re-expanded standard generators, which also shows
+    the leads of Y_i' and z_i' that the chain-rule different reads.  The
+    nodes mirror the build, with the pole orders of the data, of the ghost
+    components behind the corrections and increments (`_ghost_sum_node`)
+    and of the re-expansions known in advance from `predicted_invariants`
+    and the generator bound v(y_j) >= -p^j m_(j+1).  The stage map T_i is
+    known to min(W_i, p (prec(z_i) + e_(i+1) + 1)).
 
-    The stage map T_i is known to min(W_i, p (prec(z_i) + e_(i+1) + 1)),
-    so a window beyond what the stage below supports buys nothing.  factor
-    scales the slack added to the conjugate read, (e_n + p^n) * factor / 8;
-    a larger factor means more precision everywhere, never less.  Datum
-    entries count as exact: an entry known only to O(s^N) caps every stage
-    whatever the windows, and the build then raises InsufficientPrecision.
+    Returns (net, windows, stored, sig_t): the leaf of each stage window;
+    per level i + 1, the nodes of the t_embs, y and ytilde that stage
+    stores (None for an exact series); and the node of sigma_g(t_n), which
+    bounds `galois_conjugate(tower, g)` for every g.
     """
     p, n = datum.p, datum.n
     m, e, _mu = predicted_invariants(p, n, datum.nu)
@@ -438,6 +437,7 @@ def _stage_budgets(datum, factor):
     t_embs = [(None, 1)]
     y, ytilde = [], []
     y_by_level = [y]
+    stored = []
     for i in range(n):
         e_new = e[i + 1]
         z = None  # the base datum entry: no window changes it
@@ -469,6 +469,8 @@ def _stage_budgets(datum, factor):
         for node, v in ytilde:
             net.require(node, v + 1)
         y_by_level.append(y)
+        stored.append({name: [node for node, _v in level]
+                       for name, level in (("t_embs", t_embs), ("y", y), ("ytilde", ytilde))})
 
     # Galois conjugates of t_n, built level by level as in galois_conjugate
     sig_t = t_embs[0][0]
@@ -491,9 +493,23 @@ def _stage_budgets(datum, factor):
                 (sig_t, 1, (b - 1) * v_t + a * v_yt),
             ]
         )
-    slack = -(-factor * (e[n] + p**n) // 8)
-    net.require(sig_t, e[n] + 2 + slack)
+    net.require(sig_t, e[n] + 2)
+    return net, windows, stored, sig_t
 
+
+def _stage_budgets(datum):
+    """Window plan: the least stage windows that meet every read of `_plan`.
+
+    The requirements are carried backwards through the precision each
+    operation loses (`_PrecisionNet.solve`), and the plan is exactly what
+    they ask, with no margin on top.  That makes the net a claim about the
+    build, and the tests check it as one: every series a build stores
+    reaches the precision the net predicts forwards from these windows.
+    A window beyond what the stage below supports buys nothing.  Datum
+    entries count as exact: an entry known only to O(s^N) caps every stage
+    whatever the windows, and the build then raises InsufficientPrecision.
+    """
+    net, windows, _stored, _sig_t = _plan(datum)
     req = net.solve()
     return [req[w] for w in windows]
 
@@ -506,11 +522,10 @@ def build_tower(datum):
     everything `analyze_tower` checks.  A window that still falls short
     raises InsufficientPrecision: the plan has missed a read.
     """
-    budgets = _stage_budgets(datum, DEFAULT_BUDGET_FACTOR)
     stages = [TowerStage(datum)]
-    for budget in budgets:
+    for budget in _stage_budgets(datum):
         stages.append(extend_stage(stages[-1], budget))
-    return Tower(datum, stages, DEFAULT_BUDGET_FACTOR)
+    return Tower(datum, stages)
 
 
 def analyze_tower(datum):

@@ -6,6 +6,7 @@ prime to p, both growth regimes) is built once and reused; the per-case and
 total wall-clock budgets are asserted, not just hoped for.
 """
 
+import math
 import random
 import time
 from itertools import combinations
@@ -32,11 +33,11 @@ from wittram.localsym import (
 from wittram.series import TruncatedLaurentSeries as TLS
 from wittram.series import compose
 from wittram.tower import (
-    DEFAULT_BUDGET_FACTOR,
     CoverDatum,
     TowerStage,
     analyze_tower,
     extend_stage,
+    galois_conjugate,
     herbrand_phi,
     predicted_invariants,
     ramification_filtration,
@@ -380,15 +381,48 @@ def test_criterion_08_compactification_layer():
 
 
 def test_criterion_09_precision_stability(grid):
-    # doubling the window plan's slack must not move any reported invariant
+    # a plan strictly wider at every stage, each window doubled, must not
+    # move any reported invariant
     for row in grid:
         d = row["datum"]
         stages = [TowerStage(d)]
-        for window in tower_mod._stage_budgets(d, 2 * DEFAULT_BUDGET_FACTOR):
-            stages.append(extend_stage(stages[-1], window))
-        tower2 = tower_mod.Tower(d, stages, 2 * DEFAULT_BUDGET_FACTOR)
+        for window in tower_mod._stage_budgets(d):
+            stages.append(extend_stage(stages[-1], 2 * window))
+        tower2 = tower_mod.Tower(d, stages)
+        assert stages[1].s.prec > row["tower"].stages[1].s.prec
         filt2 = ramification_filtration(tower2)
         rep2 = tower_invariants(tower2, filt2)
         assert rep2 == row["report"], (row["p"], row["n"], row["nu"])
         assert filt2.breaks == row["filtration"].breaks
         assert filt2.jumps == row["filtration"].jumps
+
+
+def _net_forward(net, leaves):
+    """Each node's precision evaluated forwards from its leaves' values."""
+    pred = []
+    for k, terms in enumerate(net.terms):
+        leaf = leaves.get(k, math.inf)  # a node with no terms: a window or an exact series
+        pred.append(min((a * pred[src] + b for src, a, b in terms), default=leaf))
+    return pred
+
+
+def test_criterion_10_precision_net_met_by_build(grid):
+    # the window plan is the precision net's requirement with no margin, so
+    # the net is a claim about the build: forwards from the planned windows
+    # it meets every read it requires, and no series a build stores, nor
+    # the conjugates of t_n that the filtration reads, falls below it
+    for row in grid:
+        case = (row["p"], row["n"], row["nu"])
+        tw = row["tower"]
+        net, windows, stored, sig_t = tower_mod._plan(row["datum"])
+        pred = _net_forward(net, dict(zip(windows, tower_mod._stage_budgets(row["datum"]))))
+        assert all(got >= need for got, need in zip(pred, net.need)), case
+        for stage, nodes in zip(tw.stages[1:], stored):
+            for name, ks in nodes.items():
+                series = getattr(stage, name)
+                assert len(series) == len(ks), (case, stage.level, name)
+                for j, (x, k) in enumerate(zip(series, ks)):
+                    want = math.inf if k is None else pred[k]
+                    assert x.prec >= want, (case, stage.level, name, j, x.prec, want)
+        for g in (1, tw.p):
+            assert galois_conjugate(tw, g).prec >= pred[sig_t], (case, g)

@@ -19,7 +19,6 @@ from wittram.errors import (
 from wittram.series import TruncatedLaurentSeries as TLS
 from wittram.series import compose
 from wittram.tower import (
-    DEFAULT_BUDGET_FACTOR,
     CoverDatum,
     HerbrandPhi,
     RamificationFiltration,
@@ -441,7 +440,8 @@ def test_adjust_decompose_stage_one():
 
 
 def test_adjust_decompose_two_stages():
-    tw = build(2, 2, (3, 1))
+    # the oracle reads past the rows the plan provides: the long tower has them
+    tw = _long_tower(2, 2, (3, 1))
     rng = random.Random(11)
     x = compose(random_series(F2, 1, 8, rng), tw.top.s)
     g, h, mu = adjust_decompose(tw, x)
@@ -462,8 +462,8 @@ def test_adjust_decompose_rejects_divisible():
 @pytest.mark.parametrize("window", [2, 3])
 def test_plan_shortfall_raises_after_one_build(monkeypatch, window):
     # the plan is the only precision policy: a window below it is a plan
-    # bug, raised as it is after one build, with no rebuild at a larger
-    # factor.  Windows of 2 fail in the build, windows of 3 build and fail
+    # bug, raised as it is after one build, with no rebuild on a wider
+    # plan.  Windows of 2 fail in the build, windows of 3 build and fail
     # in the filtration's first conjugate read.
     builds = []
     build_once = tower_mod.build_tower
@@ -472,7 +472,7 @@ def test_plan_shortfall_raises_after_one_build(monkeypatch, window):
         builds.append(datum)
         return build_once(datum)
 
-    monkeypatch.setattr(tower_mod, "_stage_budgets", lambda datum, factor: [window] * datum.n)
+    monkeypatch.setattr(tower_mod, "_stage_budgets", lambda datum: [window] * datum.n)
     monkeypatch.setattr(tower_mod, "build_tower", counted)
     d = CoverDatum.from_orders(2, 2, 1, (3, 1))
     with pytest.raises(InsufficientPrecision) as raised:
@@ -495,10 +495,9 @@ def test_datum_rejects_nonpositive_height(n):
 @pytest.mark.parametrize("nu", [(3, 1), (6, 9)])
 def test_plan_first_attempt_p7(nu):
     # p = 7: the conjugates must resolve i(g) <= e_2 + 1 at the top, and
-    # the plan must provide it with no retry, at the default factor
+    # the plan must provide it with no retry
     d = CoverDatum.from_orders(7, 2, 1, nu)
     tw, filt, rep = analyze_tower(d)
-    assert tw.factor == DEFAULT_BUDGET_FACTOR
     m, e, mu = predicted_invariants(7, 2, nu)
     assert tw.top.e == e
     assert rep["different_chain_rule"] == rep["different"] == mu[2] + 48
@@ -506,32 +505,27 @@ def test_plan_first_attempt_p7(nu):
     assert rep["conductor"] == m[2] + 1
 
 
-def test_plan_reads_and_factor_monotone():
+def test_plan_covers_the_conjugate_read():
     for p, n, nu in [(2, 3, (7, 9, 9)), (3, 2, (5, 7)), (5, 3, (2, 1, 1))]:
         d = CoverDatum.from_orders(p, n, 1, nu)
         _m, e, _mu = predicted_invariants(p, n, nu)
-        plan = tower_mod._stage_budgets(d, DEFAULT_BUDGET_FACTOR)
-        # the top window covers the conjugate read e_n + 2 plus its slack
-        slack = -(-DEFAULT_BUDGET_FACTOR * (e[n] + p**n) // 8)
-        assert plan[-1] >= e[n] + 2 + slack
-        wider = tower_mod._stage_budgets(d, 2 * DEFAULT_BUDGET_FACTOR)
-        assert all(b >= a for a, b in zip(plan, wider)) and wider[-1] > plan[-1]
+        # the top window covers the conjugate read e_n + 2
+        assert tower_mod._stage_budgets(d)[-1] >= e[n] + 2
 
 
 @pytest.mark.parametrize(
     "p, n, nu, windows",
     [
-        (2, 2, (3, 1), [12, 22]),
-        (5, 3, (2, 1, 1), [114, 548, 1880]),
-        (7, 2, (3, 1), [41, 244]),
+        (2, 2, (3, 1), [9, 15]),
+        (5, 3, (2, 1, 1), [91, 432, 1296]),
+        (7, 2, (3, 1), [29, 155]),
     ],
 )
 def test_plan_windows_pinned(p, n, nu, windows):
-    # the plan at the default factor, set by the jumps and the certificates
-    # since the chain-rule different stopped reading T' off the stage maps
-    # (it asked for (p-1)(e+1) rows: [229, 1124, 4758] and [131, 871])
+    # the plan is the net's requirement, set by the jumps and the
+    # certificates with no margin on top
     d = CoverDatum.from_orders(p, n, 1, nu)
-    assert tower_mod._stage_budgets(d, DEFAULT_BUDGET_FACTOR) == windows
+    assert tower_mod._stage_budgets(d) == windows
 
 
 def test_stage_valuation_check_raises(monkeypatch):
@@ -583,7 +577,7 @@ def _long_tower(p, n, nu, f=1):
     stages = [TowerStage(d)]
     for window in LONG_WINDOWS[p, n, nu]:
         stages.append(extend_stage(stages[-1], window))
-    return tower_mod.Tower(d, stages, DEFAULT_BUDGET_FACTOR)
+    return tower_mod.Tower(d, stages)
 
 
 @pytest.mark.parametrize(
@@ -607,12 +601,12 @@ def test_stage_maps_pinned(p, n, nu, f, digest):
 @pytest.mark.parametrize(
     "p, n, nu, f, digest",
     [
-        (2, 2, (3, 1), 1, "985b227d7bbc42064d57948fdbc2b7279e80225ede034874fc7bf66bf158e82d"),
-        (5, 3, (2, 1, 1), 1, "954b1839f6cdd2370551b4872fc568425b7f91dd2f76d5c1035b11d33a003470"),
-        (7, 2, (6, 9), 1, "ca1f4657e2a09337f53a083263c5750b22e939c8f9e325f291dc90ff7790cc40"),
-        (3, 2, (2, 1), 2, "93a73c3bfac79d5c85c85904be9c9c2629f62b8cb65817bbb950b2b1a6b924d7"),
-        (5, 2, (1, 1), 2, "c99f456ebfdbc4338226a451897af69167640bd8774de6ed692c32ffddabf8e9"),
-        (7, 2, (1, 1), 2, "cf0f8a367fff23a8b8ca38f01c905edc63db9cc42dd80d1cc40633fba878d9bd"),
+        (2, 2, (3, 1), 1, "7bf5a1a00e3efe30b96bd36685f189208fed92202fdbfdb4982e6975b128a1d5"),
+        (5, 3, (2, 1, 1), 1, "175169a7f418866e93e04ebd024b6130ed3ae682178dd921204638639924094a"),
+        (7, 2, (6, 9), 1, "f225a8446a428bb1e0501a8d4ddbc1ab93f2bcd22e7605722bcf8a9261907780"),
+        (3, 2, (2, 1), 2, "63a8070cc9f6e2a04fc1d4c57639d0c7c2e33d113d211e875b402da075063a5d"),
+        (5, 2, (1, 1), 2, "cca4c1813958a06892ffe0d662a0a605a40f81a498469c445fd9bb3e0b2c001d"),
+        (7, 2, (1, 1), 2, "80de4e5ba5159f151decff28be8fd8eccb70f8f9e17c3a156c582d5cf8fa256a"),
     ],
 )
 def test_plan_stage_maps_pinned(p, n, nu, f, digest):
@@ -694,7 +688,7 @@ def test_stage_solver_residual_count(monkeypatch):
     calls = _count_residuals(monkeypatch)
     d = CoverDatum.from_orders(7, 3, 1, (1, 1, 1))
     stage = TowerStage(d)
-    for window in tower_mod._stage_budgets(d, DEFAULT_BUDGET_FACTOR):
+    for window in tower_mod._stage_budgets(d):
         calls.clear()
         stage = extend_stage(stage, window)
         assert 1 <= len(calls) <= math.ceil(math.log2(window)) + 2, (window, len(calls))
@@ -703,17 +697,20 @@ def test_stage_solver_residual_count(monkeypatch):
 def test_wrong_derivative_is_refused(monkeypatch):
     # a z'(T) off by a unit factor makes every step gain nothing; the
     # schedule still ends, and the certificate refuses the last T.  The
-    # datum's window needs at least one Newton step
+    # datum's window of 12 needs at least one Newton step; over F_4 the
+    # factor can be a unit other than 1
     pair = tower_mod.compose_with_derivative
+    d = CoverDatum.from_orders(2, 1, 2, (9,))
+    omega = d.ring.from_coords([0, 1])
 
-    def doubled(f, g):
+    def scaled(f, g):
         zg, dzg = pair(f, g)
-        return zg, dzg.scalar_mul(2)
+        return zg, dzg.scalar_mul(omega)
 
-    monkeypatch.setattr(tower_mod, "compose_with_derivative", doubled)
+    monkeypatch.setattr(tower_mod, "compose_with_derivative", scaled)
     calls = _count_residuals(monkeypatch)
-    d = CoverDatum.from_orders(5, 1, 1, (1,))
-    (window,) = tower_mod._stage_budgets(d, DEFAULT_BUDGET_FACTOR)
+    (window,) = tower_mod._stage_budgets(d)
+    assert window == 12
     with pytest.raises(InsufficientPrecision, match=r"Y\^p - Y = z\(T\) fails"):
         build_tower(d)
     assert 1 <= len(calls) <= math.ceil(math.log2(window)) + 2
