@@ -11,10 +11,11 @@ independent of the chosen lifts, which the tests exercise by lifting twice.
 The pairing runs on raw (rows, f) windows: the ghost components are cut
 once per datum to their rows at exponents -D..-1, D their largest pole
 order.  With v' = v(alpha'), only rows v'..D-1 of dlog(alpha) meet a pole,
-so alpha is inverted to D - v' rows (none when v' >= D) and each residue is
-one row of a ghost window convolved with those rows.  U^(D+1) thus pairs to
-zero, and vanishing above a bound M < D is certified by the (q - 1)(D - M)
-generators 1 + c t^k, M < k <= D (modulus_vanishing_test).
+so alpha is inverted to D - v' rows and each residue is one row of a ghost
+window convolved with those rows; with v' >= D, U^(D+1) included, it pairs
+to zero by valuation.  Vanishing above M < D is certified by the (q - 1)(D - M)
+generators 1 + c t^k, M < k <= D: modulus_vanishing_test pairs them and its
+trials as (K, D + 1, f) stacks, only rows with v' < D through the residues.
 """
 
 from __future__ import annotations
@@ -25,11 +26,7 @@ import random
 import numpy as np
 
 from .coeff import finite_field, lift_ring, reduce_mod_p
-from .errors import (
-    GhostInversionFailure,
-    InsufficientPrecision,
-    VanishingFailure,
-)
+from .errors import GhostInversionFailure, InsufficientPrecision, VanishingFailure
 from .series import TruncatedLaurentSeries, _conv, _inv_rows, _mul_trunc
 from .witt import WittVector, canonical_lift, ghost_eval, invert_ghosts
 
@@ -96,14 +93,18 @@ def ghost_series(u_lifts, j):
 def _exact_p_division(x, k, lift):
     """Divide a lift-ring element by p^k, loudly checking divisibility."""
     q = lift.p**k
-    coords = []
-    for c in x.coords:
-        if c % q:
-            raise GhostInversionFailure(
-                f"residue not divisible by p^{k}; lift depth too small or bug"
-            )
-        coords.append(c // q)
-    return lift.from_coords(tuple(coords))
+    if any(c % q for c in x.coords):
+        raise GhostInversionFailure(f"residue not divisible by p^{k}; lift depth too small or bug")
+    return lift.from_coords(tuple(c // q for c in x.coords))
+
+
+def _pole_rows(A, mod):
+    """The valuation rule on a (D + 1, f) window or a (K, D + 1, f) stack of lifted units:
+    (slope, n), slope row k = k a_k, n = max(0, D - v(alpha')) rows of dlog meeting a pole."""
+    depth = A.shape[-2] - 1
+    slope = A * np.arange(depth + 1)[:, None] % mod
+    hit = slope.any(axis=-1)
+    return slope, np.where(hit.any(axis=-1), depth + 1 - hit.argmax(axis=-1), 0)
 
 
 def _pairing(u_lifts, field):
@@ -133,11 +134,8 @@ def _pairing(u_lifts, field):
     zero = WittVector((field.zero(),) * len(ghosts))
 
     def pair(A):
-        # row k of the slope is k a_k, the coefficient of t^(k-1) in alpha';
-        # with v' = v(alpha'), only rows v'..D-1 of dlog(alpha) meet a pole
-        slope = A * np.arange(depth + 1)[:, None] % mod
-        nz = np.flatnonzero(slope.any(axis=1))
-        n = depth + 1 - int(nz[0]) if len(nz) else 0
+        slope, n = _pole_rows(A, mod)
+        n = int(n)
         if n > known:
             raise InsufficientPrecision("ghost components unknown where the residue reads them")
         if n == 0:  # dlog(alpha) = O(t^D): every residue vanishes by valuation
@@ -194,8 +192,8 @@ def modulus_vanishing_test(u, bound, trials=50, rng=None):
     exactly bound the function searches for a nonzero witness and reports
     the outcome without asserting existence, since sharpness is a theorem
     only for the generic data the closed formula covers.  u is validated,
-    lifted and cut once; each alpha is 1 + O(t), drawn from rng straight
-    into its window of canonical lifts."""
+    lifted and cut once; the units, each 1 + O(t), are drawn from rng
+    straight into stacks of canonical-lift windows (module docstring)."""
     if trials < 1 or bound < 1:
         raise ValueError(f"the probe needs trials >= 1 and bound >= 1, not {trials}, {bound}")
     if not isinstance(u, WittVector):
@@ -203,53 +201,55 @@ def modulus_vanishing_test(u, bound, trials=50, rng=None):
     field = u.ring
     if rng is None:
         rng = random.Random(0)
-    one = TruncatedLaurentSeries.monomial(field, 0, 1)
     lift = lift_ring(field.p, default_lift_precision(u.n), field.f)
     depth, pair = _pairing([canonical_lift(s, lift) for s in u], field)
     window = pole_depth(u) + bound + 4
+    units = np.array([c for c in itertools.product(range(field.p), repeat=field.f) if any(c)])
+    q = len(units)
+    one = np.eye(1, (depth + 1) * field.f, dtype=np.int64).reshape(1, depth + 1, field.f)
+    # 1 + c t^k, M <= k <= D, c over the units: witness candidates, then generators
+    ks = np.arange(bound, depth + 1).repeat(q)
+    S = one.repeat(len(ks), axis=0)
+    S[np.arange(len(ks)), ks] = np.tile(units, (len(ks) // q, 1))
 
-    def one_plus(terms):
-        # rows 0..D of 1 + sum c t^e; rows past D never reach a residue
-        A = np.zeros((depth + 1, field.f), dtype=np.int64)
-        A[0, 0] = 1
-        for e, coords in terms:
-            if e <= depth:
-                A[e] = coords
-        return A
+    def first_nonzero(stack):
+        # lazily, and only rows that meet a pole: the rest pair to zero
+        for i in np.flatnonzero(_pole_rows(stack, lift.modulus)[1]):
+            symbol = pair(stack[i])[0]
+            if not symbol.is_zero():
+                return int(i), symbol
+        return None, None
 
-    units = nonzero_elements(field)
-    for k in range(bound + 1, depth + 1):
-        for c in units:
-            if not pair(one_plus([(k, c.coords)]))[0].is_zero():
-                raise VanishingFailure(f"nonzero symbol for 1 + ({c}) t^{k} above {bound}")
-
-    for _ in range(trials):
-        tail = [
-            (bound + 1 + k, [rng.randrange(field.p) for _ in range(field.f)])
-            for k in range(1 + rng.randrange(max(1, window - bound - 1)))
-        ]
-        if not pair(one_plus(tail))[0].is_zero():
-            raise VanishingFailure(
-                f"nonzero symbol for 1 - alpha of order >= {bound + 1}"
-            )
+    i = first_nonzero(S[q:])[0]
+    if i is not None:
+        c, k = nonzero_elements(field)[i % q], bound + 1 + i // q
+        raise VanishingFailure(f"nonzero symbol for 1 + ({c}) t^{k} above {bound}")
+    T = one.repeat(trials, axis=0)
+    for row in T:
+        # f draws per term at t^(M + 1), t^(M + 2), ...; those past D are dropped
+        terms = 1 + rng.randrange(max(1, window - bound - 1))
+        draws = [rng.randrange(field.p) for _ in range(terms * field.f)]
+        kept = row[bound + 1 : bound + 1 + terms]
+        if kept.size:
+            kept[:] = np.reshape(draws[: kept.size], kept.shape)
+    if first_nonzero(T)[0] is not None:
+        raise VanishingFailure(f"nonzero symbol for 1 - alpha of order >= {bound + 1}")
 
     # Single-term candidates suffice: 1 + c t^M + c2 t^(M+1) is (1 + c t^M)
     # times a unit of U^(M+1), which pairs to zero (certified above), so
     # such a pair has the symbol of its first term.
+    i, symbol = first_nonzero(S[:q])
     witness = None
-    for tried, c in enumerate(units, start=1):
-        symbol = pair(one_plus([(bound, c.coords)]))[0]
-        if not symbol.is_zero():
-            alpha = one + TruncatedLaurentSeries.from_terms(field, [(bound, c)], prec=window)
-            witness = (alpha, symbol)
-            break
+    if i is not None:
+        terms = [(0, 1), (bound, units[i].tolist())]
+        witness = (TruncatedLaurentSeries.from_terms(field, terms, prec=window), symbol)
     return {
         "p": field.p,
         "n": u.n,
         "bound": bound,
         "trials": trials,
-        "certificate": {"pole_depth": depth, "generators": len(units) * max(0, depth - bound)},
+        "certificate": {"pole_depth": depth, "generators": q * max(0, depth - bound)},
         "witness_found": witness is not None,
         "witness": witness,
-        "witness_attempts": tried,
+        "witness_attempts": q if i is None else i + 1,
     }

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from wittram import localsym
@@ -28,7 +29,7 @@ from wittram.series import TruncatedLaurentSeries as TLS
 from wittram.tower import CoverDatum
 from wittram.witt import WittVector, build_table, ghost_eval, witt_add
 
-from randoms import perturbed_lift, random_unit, random_unit_series
+from randoms import perturbed_lift, random_series, random_unit, random_unit_series
 
 F2 = finite_field(2, 1)
 F3 = finite_field(3, 1)
@@ -464,3 +465,127 @@ def test_probe_draws_are_pinned(p, f, nu, after):
     rng = random.Random(61)
     modulus_vanishing_test(WittVector(datum.entries), bound, trials=12, rng=rng)
     assert rng.random() == after
+
+
+def _probe_counts(monkeypatch):
+    """Counters of the `pair` calls of the probe and of its `_inv_rows` calls."""
+    counts = {"pair": 0, "inv": 0}
+    pairing, inv_rows = localsym._pairing, localsym._inv_rows
+
+    def counted_pairing(u_lifts, field):
+        depth, pair = pairing(u_lifts, field)
+
+        def counted_pair(A):
+            counts["pair"] += 1
+            return pair(A)
+
+        return depth, counted_pair
+
+    def counted_inv_rows(*args):
+        counts["inv"] += 1
+        return inv_rows(*args)
+
+    monkeypatch.setattr(localsym, "_pairing", counted_pairing)
+    monkeypatch.setattr(localsym, "_inv_rows", counted_inv_rows)
+    return counts
+
+
+def _hot_trials(u, bound, trials, seed):
+    """Trials of the probe whose alpha has a nonzero term at some t^e with
+    e <= D, replayed from the pinned stream: one randrange for the tail
+    length, then f randrange(p) per term from t^(bound + 1) on."""
+    field, D = u.ring, pole_depth(u)
+    rng, hot = random.Random(seed), 0
+    for _ in range(trials):
+        terms = 1 + rng.randrange(max(1, D + 3))
+        draws = [[rng.randrange(field.p) for _ in range(field.f)] for _ in range(terms)]
+        hot += any(any(c) for e, c in enumerate(draws, bound + 1) if e <= D)
+    return hot
+
+
+@pytest.mark.parametrize(
+    "field, n, max_pole",
+    [(F2, 1, 4), (F2, 2, 3), (F2, 3, 2), (F3, 1, 3), (F3, 2, 2), (F5, 1, 2), (F5, 2, 1), (F4, 1, 3),
+     (F4, 2, 2)],
+    ids=repr,
+)
+def test_stacked_decision_matches_single_pairing(field, n, max_pole):
+    # one stack holds alphas with alpha - alpha(0) of valuation k for every
+    # k from 1 to D + 1, random lift-ring rows from t^k on (so k a_k may
+    # vanish mod p^m); a row the valuation rule calls cold must pair to
+    # zero, and every row must give the symbol of symbol_from_lifts and of
+    # the series reference
+    rng = random.Random(83 + 10 * field.q + n)
+    lift = lift_ring(field.p, 2 * n + 2, field.f)
+    for _ in range(2):
+        u = _random_pole_vector(field, n, max_pole, rng)
+        u = WittVector((u[0] + _mono(field, -field.p * max_pole, 1),) + u.entries[1:])
+        D = pole_depth(u)
+        # the p-divisible pole puts D above p^(n-1) max_pole
+        assert D > field.p ** (n - 1) * max_pole
+        u_lifts = [perturbed_lift(s, lift, rng) for s in u]
+        depth, pair = localsym._pairing(u_lifts, field)
+        assert depth == D
+        S = np.array([random_series(lift, 0, D + 1, rng).coeffs for _ in range(D + 1)])
+        for k in range(1, D + 2):
+            S[k - 1, 0] = random_unit(lift, rng).coords if k % 2 else (1,) + (0,) * (field.f - 1)
+            S[k - 1, 1:k] = 0
+            while k <= D and not S[k - 1, k].any():
+                S[k - 1, k] = random_series(lift, 0, 1, rng, unit_lead=False).coeffs[0]
+        _slope, ns = localsym._pole_rows(S, lift.modulus)
+        assert ns.tolist() == [int(localsym._pole_rows(A, lift.modulus)[1]) for A in S]
+        assert ns[-1] == 0 and ns[0] > 0
+        zero = WittVector((field.zero(),) * n)
+        for A, hot in zip(S, ns):
+            alpha = TLS(lift, 0, A, prec=D + 1)
+            want, _cert = symbol_from_lifts(u_lifts, alpha, field)
+            assert (pair(A)[0] if hot else zero) == want == _series_pairing(u_lifts, alpha)[0]
+
+
+@pytest.mark.parametrize(
+    "field, u0, n, bound",
+    [(F2, -2, 1, 1), (F2, -4, 1, 1), (F4, -2, 1, 1), (F3, -3, 1, 1), (F2, -2, 2, 2), (F2, -3, 1, 3)],
+    ids=repr,
+)
+def test_probe_pairs_only_rows_that_meet_a_pole(monkeypatch, field, u0, n, bound):
+    # every generator, every trial with a term at or below t^D and every
+    # witness candidate tried inverts alpha once; nothing else does
+    u = WittVector((_mono(field, u0, 1),) + (TLS.zero(field),) * (n - 1))
+    counts = _probe_counts(monkeypatch)
+    report = modulus_vanishing_test(u, bound, trials=40, rng=random.Random(89))
+    hot = _hot_trials(u, bound, 40, 89)
+    generators = report["certificate"]["generators"]
+    assert counts["inv"] == generators + hot + report["witness_attempts"]
+    assert counts["pair"] == counts["inv"]
+    assert 0 < hot < 40 or pole_depth(u) == bound
+
+
+def test_probe_with_hot_trials_vanishes(monkeypatch):
+    # u = 1/s^2 over F_2 has D = 2, but its symbols die above order 1: the
+    # generator 1 + t^2 and the trials with a t^2 term take the residue
+    # path and pair to zero
+    u = WittVector((_mono(F2, -2, 1),))
+    counts = _probe_counts(monkeypatch)
+    report = modulus_vanishing_test(u, 1, trials=30, rng=random.Random(97))
+    assert report["certificate"] == {"pole_depth": 2, "generators": 1}
+    assert report["witness_found"] and report["witness_attempts"] == 1
+    assert _hot_trials(u, 1, 30, 97) == 10
+    assert counts["inv"] == 1 + 10 + 1
+
+
+def test_probe_pairs_no_trial_of_the_grid(monkeypatch):
+    # at bound M = D every trial lies in U^(D+1), so the number of pair
+    # calls is the witness search alone, whatever the number of trials
+    from test_acceptance import CASES
+
+    counts = _probe_counts(monkeypatch)
+    for p, n, nu in CASES[:20]:
+        u = WittVector(CoverDatum.from_orders(p, n, 1, list(nu)).entries)
+        bound = theorem_conductor(p, n, nu)["M"]
+        seen = []
+        for trials in (1, 50):
+            counts["pair"] = counts["inv"] = 0
+            report = modulus_vanishing_test(u, bound, trials=trials, rng=random.Random(101))
+            assert counts["inv"] == report["witness_attempts"], (p, n, nu)
+            seen.append(counts["pair"])
+        assert seen == [report["witness_attempts"]] * 2, (p, n, nu)
