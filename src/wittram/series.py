@@ -131,19 +131,17 @@ class TruncatedLaurentSeries:
 
     @classmethod
     def zero_to(cls, ring, prec):
+        """O(t^prec); the exact zero when prec is INF."""
         return cls(ring, prec, np.zeros((0, ring.f), dtype=np.int64), prec)
 
     @classmethod
     def monomial(cls, ring, e, c=1, prec=INF):
         c = ring.from_int(c) if isinstance(c, int) else c
         if not c:
-            return cls.zero(ring) if prec == INF else cls.zero_to(ring, prec)
-        if prec == INF:
-            arr = np.array([c.coords], dtype=np.int64)
-            return cls(ring, e, arr, INF)
+            return cls.zero_to(ring, prec)
         if e >= prec:
             raise ValueError(f"monomial exponent {e} not below the precision {prec}")
-        arr = np.zeros((prec - e, ring.f), dtype=np.int64)
+        arr = np.zeros((1 if prec == INF else prec - e, ring.f), dtype=np.int64)
         arr[0] = c.coords
         return cls(ring, e, arr, prec)
 
@@ -159,7 +157,7 @@ class TruncatedLaurentSeries:
                 c = ring.from_coords(c)
             pairs.append((e, c))
         if not pairs:
-            return cls.zero(ring) if prec == INF else cls.zero_to(ring, prec)
+            return cls.zero_to(ring, prec)
         lo = min(e for e, _ in pairs)
         hi = prec if prec != INF else max(e for e, _ in pairs) + 1
         if any(e >= hi for e, _ in pairs):
@@ -201,8 +199,6 @@ class TruncatedLaurentSeries:
         a, b = self, other
         prec = min(a.prec, b.prec)
         lo = min(a.val_lower_bound(), b.val_lower_bound(), prec)
-        if lo == INF:
-            return TruncatedLaurentSeries.zero(self.ring)
         hi = prec if prec != INF else max(a.end, b.end)
         if hi <= lo:
             return TruncatedLaurentSeries.zero_to(self.ring, prec)
@@ -235,11 +231,7 @@ class TruncatedLaurentSeries:
         if isinstance(c, int):
             c = ring.from_int(c)
         if not c:
-            return (
-                TruncatedLaurentSeries.zero(ring)
-                if self.prec == INF
-                else TruncatedLaurentSeries.zero_to(ring, self.prec)
-            )
+            return TruncatedLaurentSeries.zero_to(ring, self.prec)
         if not len(self.coeffs):
             return self
         arr = _scale(ring, self.coeffs, c.coords)
@@ -252,8 +244,6 @@ class TruncatedLaurentSeries:
             return self.scalar_mul(other)
         self._check(other)
         a, b = self, other
-        if a.is_exact_zero() or b.is_exact_zero():
-            return TruncatedLaurentSeries.zero(self.ring)
         va, vb = a.val_lower_bound(), b.val_lower_bound()
         prec = min(a.prec + vb, b.prec + va)
         if not len(a.coeffs) or not len(b.coeffs):
@@ -270,21 +260,11 @@ class TruncatedLaurentSeries:
 
     def pth_power(self):
         """Fast p-th power over F_q: Frobenius on coefficients, exponents * p."""
-        ring = self.ring
-        if not ring.is_field:
-            raise ValueError(f"the Frobenius p-th power needs a finite field, not {ring}")
-        p = ring.p
-        prec = self.prec if self.prec == INF else self.prec * p
-        if not len(self.coeffs):
-            return TruncatedLaurentSeries(ring, self.v * p, self.coeffs, prec, normalize=False)
-        W = len(self.coeffs)
-        arr = np.zeros(((W - 1) * p + 1, ring.f), dtype=np.int64)
-        arr[::p] = (self.coeffs @ ring.frobenius_matrix) % p
-        out = TruncatedLaurentSeries(ring, self.v * p, arr, INF, normalize=False)
-        return out.truncate(prec) if prec != INF else out
+        if not self.ring.is_field:
+            raise ValueError(f"the Frobenius p-th power needs a finite field, not {self.ring}")
+        return _power(self, self.ring.p)
 
     def __pow__(self, e):
-        ring = self.ring
         if e < 0:
             # s.inv()**k has the precision of (s**k).inv(), prec - (k+1)v,
             # and reuses the cached inverse; an exact non-monomial s would
@@ -293,23 +273,8 @@ class TruncatedLaurentSeries:
                 return (self ** (-e)).inv()
             return self.inv() ** (-e)
         if e == 0:
-            return TruncatedLaurentSeries.monomial(ring, 0, 1)
-        r, k = e, 0
-        if ring.is_field:
-            while r % ring.p == 0:
-                r //= ring.p
-                k += 1
-        result = None
-        base = self
-        while r:
-            if r & 1:
-                result = base if result is None else result * base
-            r >>= 1
-            if r:
-                base = base * base
-        for _ in range(k):
-            result = result.pth_power()
-        return result
+            return TruncatedLaurentSeries.monomial(self.ring, 0, 1)
+        return _power(self, e)
 
     def inv(self, n_terms=None, start=None):
         """Multiplicative inverse to n_terms rows (default: the stored width).
@@ -517,16 +482,64 @@ def _mul_trunc(ring, A, B, n):
     return _conv(ring, A[:n], B[:n])[:n]
 
 
-def _pow_trunc(ring, A, k, n):
-    """A^k for a window A that starts at t^0, cut to n rows; k >= 0."""
-    out = None
-    while k:
-        if k & 1:
-            out = A[:n] if out is None else _mul_trunc(ring, out, A, n)
-        k >>= 1
-        if k:
-            A = _mul_trunc(ring, A, A, n)
-    return _one(ring) if out is None else out
+def _binary_power(x, e, mul):
+    """x^e, e >= 1, by repeated squaring with the product mul."""
+    out = x if e & 1 else None
+    while e > 1:
+        e, x = e >> 1, mul(x, x)
+        if e & 1:
+            out = x if out is None else mul(out, x)
+    return out
+
+
+def _pow_rows(ring, A, e, n):
+    """Rows 0..n-1 of A^e, e >= 1, for a window A from t^0.
+
+    Over F_q, A^e is the product of (A^(e_k))^(p^k) over the base-p digits
+    e_k of e: each digit power is binary on the ceil(n / p^k) rows that
+    reach a kept row, and its p^k-th power is a free Frobenius, which maps
+    the coefficients and multiplies the exponents by p^k.  Over a lift ring
+    e is one digit."""
+    q = ring.p if ring.is_field else e + 1
+    out, k = None, 0
+    while e:
+        e, d = divmod(e, q)
+        if d:
+            m = -(-n // q**k)
+            x = _binary_power(A[:m], d, lambda a, b: _mul_trunc(ring, a, b, m))
+            for _ in range(k):
+                x = (x @ ring.frobenius_matrix) % q
+            y = np.zeros((n, ring.f), dtype=np.int64)
+            y[: len(x) * q**k : q**k] = x
+            out = y if out is None else _mul_trunc(ring, out, y, n)
+        k += 1
+    return out
+
+
+def power_precision(ring, e, v):
+    """(a, b) with prec(x^e) = a prec(x) + b, e >= 1, for x of valuation v
+    with a unit lead: p^k0 (prec - v) + e v, with p^k0 the largest power of
+    p dividing e over F_q, where `_pow_rows` takes p-th powers by Frobenius,
+    and p^k0 = 1 over a lift ring, where a product keeps prec + v(other)."""
+    a = 1
+    while ring.is_field and e % (a * ring.p) == 0:
+        a *= ring.p
+    return a, (e - a) * v
+
+
+def _power(x, e, cap=INF):
+    """x^e for e >= 1, cut at cap, at the precision of `power_precision`.
+    A lead that is a zero divisor of a lift ring vanishes from the products,
+    which then gain precision past it: such powers stay binary on series."""
+    ring = x.ring
+    if not len(x.coeffs):
+        return TruncatedLaurentSeries.zero_to(ring, min(e * x.prec, cap))
+    if not ring.is_field and not x.leading_coeff().is_unit():
+        return _binary_power(x, e, lambda a, b: a * b).truncate(cap)
+    a, b = power_precision(ring, e, x.v)
+    prec = min(a * x.prec + b, cap)
+    n = (len(x.coeffs) - 1) * e + 1 if prec == INF else prec - e * x.v
+    return TruncatedLaurentSeries(ring, e * x.v, _pow_rows(ring, x.coeffs, e, n), prec)
 
 
 def _inv_root(ring, U, r, n, w=None):
@@ -544,7 +557,7 @@ def _inv_root(ring, U, r, n, w=None):
     while known < n:
         old, known = known, min(2 * known, n)
         # 1 - U w^r vanishes below t^old, so only its rows old..known-1 act
-        err = -_mul_trunc(ring, U, _pow_trunc(ring, w, r, known), known)[old:] % mod
+        err = -_mul_trunc(ring, U, _pow_rows(ring, w, r, known), known)[old:] % mod
         step = _mul_trunc(ring, w, err, known - old)
         w = np.vstack([w, step * rinv % mod])
     return w
@@ -552,7 +565,7 @@ def _inv_root(ring, U, r, n, w=None):
 
 def _root_error(ring, U, w, r):
     """(U w^r - 1, w^r) on the rows of w, reduced."""
-    wr = _pow_trunc(ring, w, r, len(w))
+    wr = _pow_rows(ring, w, r, len(w))
     err = _mul_trunc(ring, U, wr, len(w))
     err[0, 0] -= 1
     return err % ring.modulus, wr
@@ -676,9 +689,7 @@ def _compose_fast(f, g, cap, derivative=False):
             rj = rec((piece @ ring.pth_root_matrix) % p, m)
             if rj is None:
                 continue
-            # the p-th power of rj: Frobenius on coefficients, exponents * p
-            term = np.zeros(((len(rj) - 1) * p + 1, ring.f), dtype=np.int64)
-            term[::p] = (rj @ ring.frobenius_matrix) % p
+            term = _pow_rows(ring, rj, p, (len(rj) - 1) * p + 1)  # a Frobenius
             if j:
                 term = _mul_trunc(ring, term, gpow[j], n)
             yield j, term
@@ -740,22 +751,14 @@ def _window_powers(g, n, count):
 
 def _pole_power(g, k):
     """g^(-k) for k >= 1, kept on g: the nearest lower power kept times a
-    power of g.inv().  A composite is cut at g.prec - (k + 1) v(g), which
-    every route to g^(-k) reaches; a p-th power multiplies the rows by p, so
-    g.inv()^(p^j r) is cut to ceil(cap / p^i) before the last i of them."""
+    power of g.inv(), cut at g.prec - (k + 1) v(g), which every route to
+    g^(-k) reaches."""
     if g._poles is None:
         g._poles = {}
     out = g._poles.get(k)
     if out is None:
         below = max((j for j in g._poles if j < k), default=0)
-        r, j, p = k - below, 0, g.ring.p
-        cap = g.prec - (r + 1) * g.v  # the precision of g.inv() ** (k - below)
-        while cap != INF and g.ring.is_field and r % p == 0:
-            r, j = r // p, j + 1
-        out = g.inv() ** r
-        for i in range(j, 0, -1):
-            out = out.truncate(-(-cap // p**i)).pth_power()
-        out = out.truncate(cap)
+        out = _power(g.inv(), k - below, g.prec - (k - below + 1) * g.v)
         if below:
             out = g._poles[below] * out
         g._poles[k] = out
@@ -794,7 +797,7 @@ def nth_root(f, r, leading_root=None):
     if r == 1:  # the 1st root of u is u itself
         z = u
     else:
-        z = _mul_trunc(ring, u, _pow_trunc(ring, _inv_root(ring, u, r, W), r - 1, W), W)
+        z = _mul_trunc(ring, u, _pow_rows(ring, _inv_root(ring, u, r, W), r - 1, W), W)
     out = TruncatedLaurentSeries(ring, v // r, _scale(ring, z, c0.coords), v // r + W)
     if not (out**r).agrees_with(f):
         raise ConsistencyFailure(f"{r}-th root does not reproduce the series")

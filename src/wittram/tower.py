@@ -26,7 +26,8 @@ from .errors import (
     InsufficientPrecision,
     NonTotallyRamified,
 )
-from .series import DIRECT_CONV_ROWS, TruncatedLaurentSeries, compose, compose_with_derivative
+from .series import (DIRECT_CONV_ROWS, TruncatedLaurentSeries, compose,
+                     compose_with_derivative, power_precision)
 from .witt import invert_ghosts, witt_sum_component
 
 INF = math.inf
@@ -352,11 +353,11 @@ class _PrecisionNet:
     Node k stands for one series; its precision is the least of
     a * prec(src) + b over its terms, and a node with no terms is a leaf (a
     stage window) or an exact series.  The terms are the precision rules of
-    `series` (products, inversion, roots, and `compose` with its cap
-    g.prec + (v_f - 1) v_g), with valuations taken from the predicted
-    invariants or bounded from below by them, so no node's precision in
-    the build falls below what the net predicts.  Nodes are added in
-    dependency order.
+    `series` (products, powers by `power_precision`, inversion, roots, and
+    `compose` with its cap g.prec + (v_f - 1) v_g), with valuations taken
+    from the predicted invariants or bounded from below by them, so no
+    node's precision in the build falls below what the net predicts.  Nodes
+    are added in dependency order.
     """
 
     def __init__(self):
@@ -460,7 +461,9 @@ def _plan(datum):
             return net.compose(node, v, T, p), p * v
 
         t_embs = [lift(t) for t in t_embs] + [(None, 1)]
-        Y = net.node([(T, 1, -p - e_new)])
+        # Y = c^b tau^(-e) w^b, with the root w on the prec(T) - p rows of T
+        pa, pb = power_precision(datum.ring, _bezout_exponents(e_new, p)[1], 0)
+        Y = net.node([(T, pa, pb - pa * p - e_new)])
         y_new = Y
         if pole_h[i]:
             y_new = net.node([(Y, 1, 0), (T, 1, -(pole_h[i] + 1) * p)])
@@ -487,12 +490,10 @@ def _plan(datum):
             sig_ytilde = net.node([(sig_ytilde, 1, 0), (sig_t, 1, (-pole_h[j] - 1) * v_t)])
         a, b = _bezout_exponents(e[j + 1], p)
         v_yt = -(p ** (n - 1 - j)) * e[j + 1]
-        sig_t = net.node(
-            [
-                (sig_ytilde, 1, (a - 1) * v_yt + b * v_t),
-                (sig_t, 1, (b - 1) * v_t + a * v_yt),
-            ]
-        )
+        # the product of the powers sigma ytilde^a and sigma t^b
+        ya, yb = power_precision(datum.ring, a, v_yt)
+        ta, tb = power_precision(datum.ring, b, v_t)
+        sig_t = net.node([(sig_ytilde, ya, yb + b * v_t), (sig_t, ta, tb + a * v_yt)])
     net.require(sig_t, e[n] + 2)
     return net, windows, stored, sig_t
 

@@ -1,5 +1,6 @@
 """Reference routes that only the tests compare the package against: box
-scans, enumerations and splits that no report of the package runs."""
+scans, enumerations, splits and the binary power route that no report of
+the package runs."""
 
 import itertools
 
@@ -251,3 +252,49 @@ def adjust_decompose(tower, x, level=None):
             f"adjustment exponent {mu_obs} != stored mu_{i} = {tower.stages[i].mu[i]}"
         )
     return g, h, mu_obs
+
+
+def frobenius_pth_power(x):
+    """x^p over F_q on its own rows: Frobenius on the coefficients, the
+    exponents times p, and the precision times p."""
+    ring, p = x.ring, x.ring.p
+    prec = x.prec if x.prec == INF else x.prec * p
+    if not len(x.coeffs):
+        return TruncatedLaurentSeries.zero_to(ring, prec)
+    arr = np.zeros(((len(x.coeffs) - 1) * p + 1, ring.f), dtype=np.int64)
+    arr[::p] = (x.coeffs @ ring.frobenius_matrix) % p
+    return TruncatedLaurentSeries(ring, x.v * p, arr, INF).truncate(prec)
+
+
+def binary_power(x, e):
+    """x^e for e >= 1 by the binary route: over F_q the p-factors of e are
+    stripped, the rest is binary on series, and each stripped factor is one
+    Frobenius p-th power."""
+    r, k = e, 0
+    if x.ring.is_field:
+        while r % x.ring.p == 0:
+            r, k = r // x.ring.p, k + 1
+    result, base = None, x
+    while r:
+        if r & 1:
+            result = base if result is None else result * base
+        r >>= 1
+        if r:
+            base = base * base
+    for _ in range(k):
+        result = frobenius_pth_power(result)
+    return result
+
+
+def binary_pole_power(g, k):
+    """g^(-k) for k >= 1 by the binary route, cut at g.prec - (k + 1) v(g):
+    with k = p^j r, g.inv()^r is cut to ceil(cap / p^i) before the last i
+    of its p-th powers."""
+    p, r, j = g.ring.p, k, 0
+    cap = g.prec - (k + 1) * g.v
+    while cap != INF and g.ring.is_field and r % p == 0:
+        r, j = r // p, j + 1
+    out = binary_power(g.inv(), r)
+    for i in range(j, 0, -1):
+        out = frobenius_pth_power(out.truncate(-(-cap // p**i)))
+    return out.truncate(cap)

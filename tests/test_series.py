@@ -22,7 +22,7 @@ from wittram.series import (
     nth_root,
 )
 
-from oracles import pth_power_decompose
+from oracles import binary_pole_power, binary_power, pth_power_decompose
 from randoms import random_series, random_unit
 
 F2 = finite_field(2)
@@ -408,10 +408,10 @@ def test_negative_power_is_inverse_of_power(R):
 
 @pytest.mark.parametrize("R", [F3, F9, F7, lift_ring(3, 3, 1)], ids=repr)
 def test_pole_power_is_cut_to_what_a_composite_reads(R):
-    # g^(-k) at k = p^j r is formed as g.inv()^r cut before each p-th
-    # power: it equals g.inv() ** k on its rows and holds none past the cap
-    # g.prec - (k + 1) v(g), whether formed from scratch or from a lower
-    # power kept on g
+    # g^(-k) is formed by the digit powers of g.inv(), cut to the rows a
+    # composite reads: it equals g.inv() ** k on its rows and holds none
+    # past the cap g.prec - (k + 1) v(g), whether formed afresh or
+    # from a lower power kept on g
     rng = random.Random(71)
     p = R.p
     for ks in [(p,), (p * p,), (2 * p * p,), (1, p * p), (2, 3 * p), (p, 2 * p * p)]:
@@ -424,6 +424,36 @@ def test_pole_power_is_cut_to_what_a_composite_reads(R):
     exact = TLS.monomial(R, 2, random_unit(R, rng))
     got = series_mod._pole_power(exact, p * p)
     assert got.prec == INF and got.terms() == (exact.inv() ** (p * p)).terms()
+
+
+def _same(got, want):
+    return (got.v, got.prec) == (want.v, want.prec) and np.array_equal(got.coeffs, want.coeffs)
+
+
+@pytest.mark.parametrize(
+    "R", [F2, F3, F4, F7, F9, lift_ring(2, 3), lift_ring(3, 2), lift_ring(2, 2, 2)], ids=repr
+)
+def test_digit_powers_match_the_binary_route(R):
+    # x^e by base-p digits and g^(-k) through the same routine equal the
+    # binary route in (v, prec, rows) on finite and exact windows, for e on
+    # both sides of every multiple of p; over a lift ring also for a lead
+    # that is a zero divisor, where the products gain precision
+    rng = random.Random(89)
+    p = R.p
+    xs = []
+    for v in (-2, 0, 3):
+        x = random_series(R, v, 7, rng)
+        xs += [x, TLS(R, v, x.coeffs[:4], INF)]
+        if not R.is_field:
+            zd = TLS.monomial(R, v, p, v + 7) + random_series(R, v + 1, 6, rng)
+            xs += [zd, TLS(R, v, zd.coeffs[:4], INF)]
+    for x in xs:
+        for e in range(1, 3 * p * p + 2):
+            assert _same(x**e, binary_power(x, e)), (x, e)
+        if x.v >= 1 and x.leading_coeff().is_unit():
+            for k in range(1, 3 * p + 1):
+                g = TLS(R, x.v, x.coeffs, x.prec)  # keeps no power yet
+                assert _same(series_mod._pole_power(g, k), binary_pole_power(g, k)), (x, k)
 
 
 def test_inv_past_the_stored_width():
@@ -480,8 +510,12 @@ def test_broken_certificates_raise(monkeypatch):
     wrong = next(x for x in map(F7.from_int, range(1, 7)) if x**3 != f.leading_coeff())
     with pytest.raises(ConsistencyFailure):
         nth_root(f, 3, leading_root=wrong)
+
+    def one_power(ring, A, k, n):  # every power the constant 1 on its n rows
+        return np.pad(series_mod._one(ring), ((0, n - 1), (0, 0)))
+
     with monkeypatch.context() as m:
-        m.setattr(series_mod, "_pow_trunc", lambda ring, A, k, n: series_mod._one(ring))
+        m.setattr(series_mod, "_pow_rows", one_power)
         with pytest.raises(ConsistencyFailure):
             nth_root(f, 3)
 
@@ -673,6 +707,7 @@ def test_certificates_survive_optimized_python():
     script = textwrap.dedent(
         """
         import sys
+        import numpy as np
         if __debug__:
             sys.exit("not running under -O")
         from wittram import series
@@ -686,7 +721,7 @@ def test_certificates_survive_optimized_python():
         F = finite_field(5, 2)
         f = TLS.from_terms(F, [(2, 1), (3, 2), (5, 3)], prec=30)
         print((nth_root(f, 2) ** 2).agrees_with(f))
-        series._pow_trunc = lambda ring, A, k, n: series._one(ring)
+        series._pow_rows = lambda ring, A, k, n: np.pad(series._one(ring), ((0, n - 1), (0, 0)))
         try:
             nth_root(f, 2)
         except ConsistencyFailure:

@@ -226,7 +226,8 @@ def test_single_stage_p2_nu1():
 
 
 def test_single_stage_p2_nu3_chain_rule():
-    tw = build(2, 1, (3,))
+    # v(ds/dt) reads past the rows the plan provides: the long tower has them
+    tw = _long_tower(2, 1, (3,))
     rep = tower_invariants(tw)
     assert rep["m"] == (3,) and rep["mu"] == (3,)
     assert rep["different_chain_rule"] == 4
@@ -428,7 +429,8 @@ def test_adjust_decompose_base_stage():
 
 
 def test_adjust_decompose_stage_one():
-    tw = build(2, 1, (3,))
+    # the oracle reads past the rows the plan provides: the long tower has them
+    tw = _long_tower(2, 1, (3,))
     rng = random.Random(5)
     for v_s in (-1, 1, 3):
         x_base = random_series(F2, v_s, 10, rng)
@@ -516,7 +518,7 @@ def test_plan_covers_the_conjugate_read():
 @pytest.mark.parametrize(
     "p, n, nu, windows",
     [
-        (2, 2, (3, 1), [9, 15]),
+        (2, 2, (3, 1), [6, 15]),
         (5, 3, (2, 1, 1), [91, 432, 1296]),
         (7, 2, (3, 1), [29, 155]),
     ],
@@ -556,8 +558,10 @@ def _stage_map_digest(tw):
 
 
 # the windows the plan gave while the chain-rule different read v(T') off
-# each stage map T itself, which asked for (p-1)(e+1) rows of it
+# each stage map T itself, which asked for (p-1)(e+1) rows of it, and
+# (2, 1, (3,)) on the window of the plan's binary power rule
 LONG_WINDOWS = {
+    (2, 1, (3,)): [6],
     (2, 2, (3, 1)): [12, 22],
     (5, 3, (2, 1, 1)): [229, 1124, 4758],
     (7, 2, (3, 1)): [131, 871],
@@ -601,7 +605,7 @@ def test_stage_maps_pinned(p, n, nu, f, digest):
 @pytest.mark.parametrize(
     "p, n, nu, f, digest",
     [
-        (2, 2, (3, 1), 1, "7bf5a1a00e3efe30b96bd36685f189208fed92202fdbfdb4982e6975b128a1d5"),
+        (2, 2, (3, 1), 1, "88b0afcd89eaff0026b42f4252d9971dd970c5fd6d6f84a4f7dfbe7b489fd3d8"),
         (5, 3, (2, 1, 1), 1, "175169a7f418866e93e04ebd024b6130ed3ae682178dd921204638639924094a"),
         (7, 2, (6, 9), 1, "f225a8446a428bb1e0501a8d4ddbc1ab93f2bcd22e7605722bcf8a9261907780"),
         (3, 2, (2, 1), 2, "63a8070cc9f6e2a04fc1d4c57639d0c7c2e33d113d211e875b402da075063a5d"),
