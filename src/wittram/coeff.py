@@ -21,6 +21,17 @@ def is_prime(p):
     return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
 
 
+def binary_power(x, e, mul):
+    """x^e, e >= 1, by repeated squaring with the product mul: the one
+    square-and-multiply loop of the package, for every ring it powers in."""
+    out = x if e & 1 else None
+    while e > 1:
+        e, x = e >> 1, mul(x, x)
+        if e & 1:
+            out = x if out is None else mul(out, x)
+    return out
+
+
 # (p, f) -> monic defining polynomial, coefficients low to high.
 DEFINING_POLYS = {
     (2, 1): (1, 1),
@@ -142,15 +153,7 @@ class CoeffRing:
         return x
 
     def _cpow(self, a, e):
-        result = (1,) + (0,) * (self.f - 1)
-        base = a
-        while e:
-            if e & 1:
-                result = self.cmul(result, base)
-            e >>= 1
-            if e:
-                base = self.cmul(base, base)
-        return result
+        return binary_power(a, e, self.cmul) if e else (1,) + (0,) * (self.f - 1)
 
     def __eq__(self, other):
         return (

@@ -40,9 +40,11 @@ from __future__ import annotations
 from collections.abc import Mapping
 from functools import reduce
 from itertools import compress
-from operator import or_
+from operator import mul, or_
 
 import numpy as np
+
+from .coeff import binary_power
 
 SHIFT = 20
 MASK = (1 << SHIFT) - 1
@@ -143,15 +145,7 @@ def p_pow(a, e):
     if e < 0:
         raise ValueError(f"negative exponent {e}")
     _exponent_check([(a, e)])
-    result = {0: 1}
-    base = a
-    while e:
-        if e & 1:
-            result = _mul(result, base)
-        e >>= 1
-        if e:
-            base = _mul(base, base)
-    return result
+    return binary_power(a, e, _mul) if e else {0: 1}
 
 
 # ---------- the sliced Kronecker product ----------
@@ -336,24 +330,36 @@ def involves(a, v):
     return any((key >> sh) & MASK for key in a)
 
 
+def _power_table(vals, product):
+    """pw(v, e) = vals[v]^e, e >= 1, memoized: pw(v, e >> 1) squared, times
+    vals[v] for an odd e, so the powers of one variable share their halves.
+    A variable with no value raises ValueError."""
+    cache = {}
+
+    def pw(v, e):
+        r = cache.get((v, e))
+        if r is None:
+            if v not in vals:
+                raise ValueError(f"no value for variable {v}")
+            if e == 1:
+                r = vals[v]
+            else:
+                h = pw(v, e >> 1)
+                r = product(h, h)
+                if e & 1:
+                    r = product(r, vals[v])
+            cache[v, e] = r
+        return r
+
+    return pw
+
+
 def p_subst(a, subs):
     """Substitute polynomials for variables: subs maps var index -> Poly.
 
     Variables absent from subs are kept as themselves.
     """
-    pow_cache = {v: {1: s} for v, s in subs.items()}
-
-    def pw(v, e):
-        cache = pow_cache[v]
-        r = cache.get(e)
-        if r is None:
-            h = pw(v, e >> 1)
-            r = p_mul(h, h)
-            if e & 1:
-                r = p_mul(r, cache[1])
-            cache[e] = r
-        return r
-
+    pw = _power_table(subs, p_mul)
     total = {}
     for key, c in a.items():
         term = None
@@ -384,24 +390,7 @@ def p_eval(a, vals, one):
     one is exact."""
     if not isinstance(vals, Mapping):
         raise ValueError(f"vals must map variable numbers to values, not a {type(vals).__name__}")
-    pow_cache = {v: {} for v in vals}
-
-    def pw(v, e):
-        cache = pow_cache.get(v)
-        if cache is None:
-            raise ValueError(f"no value for variable {v}")
-        r = cache.get(e)
-        if r is None:
-            if e == 1:
-                r = vals[v]
-            else:
-                h = pw(v, e >> 1)
-                r = h * h
-                if e & 1:
-                    r = r * vals[v]
-            cache[e] = r
-        return r
-
+    pw = _power_table(vals, mul)
     total = 0 * one
     for key, c in a.items():
         term = None

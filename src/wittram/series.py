@@ -16,9 +16,11 @@ the second state instead of guessing.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
+from .coeff import binary_power
 from .errors import ConsistencyFailure, InsufficientPrecision
 
 INF = math.inf
@@ -482,16 +484,6 @@ def _mul_trunc(ring, A, B, n):
     return _conv(ring, A[:n], B[:n])[:n]
 
 
-def _binary_power(x, e, mul):
-    """x^e, e >= 1, by repeated squaring with the product mul."""
-    out = x if e & 1 else None
-    while e > 1:
-        e, x = e >> 1, mul(x, x)
-        if e & 1:
-            out = x if out is None else mul(out, x)
-    return out
-
-
 def _pow_rows(ring, A, e, n):
     """Rows 0..n-1 of A^e, e >= 1, for a window A from t^0.
 
@@ -501,18 +493,17 @@ def _pow_rows(ring, A, e, n):
     the coefficients and multiplies the exponents by p^k.  Over a lift ring
     e is one digit."""
     q = ring.p if ring.is_field else e + 1
-    out, k = None, 0
-    while e:
-        e, d = divmod(e, q)
+    out = None
+    for k in range(e.bit_length()):  # e has at most that many base-q digits
+        d = e // q**k % q
         if d:
             m = -(-n // q**k)
-            x = _binary_power(A[:m], d, lambda a, b: _mul_trunc(ring, a, b, m))
+            x = binary_power(A[:m], d, lambda a, b: _mul_trunc(ring, a, b, m))
             for _ in range(k):
                 x = (x @ ring.frobenius_matrix) % q
             y = np.zeros((n, ring.f), dtype=np.int64)
             y[: len(x) * q**k : q**k] = x
             out = y if out is None else _mul_trunc(ring, out, y, n)
-        k += 1
     return out
 
 
@@ -535,7 +526,7 @@ def _power(x, e, cap=INF):
     if not len(x.coeffs):
         return TruncatedLaurentSeries.zero_to(ring, min(e * x.prec, cap))
     if not ring.is_field and not x.leading_coeff().is_unit():
-        return _binary_power(x, e, lambda a, b: a * b).truncate(cap)
+        return binary_power(x, e, operator.mul).truncate(cap)
     a, b = power_precision(ring, e, x.v)
     prec = min(a * x.prec + b, cap)
     n = (len(x.coeffs) - 1) * e + 1 if prec == INF else prec - e * x.v
@@ -657,9 +648,11 @@ def _compose_fast(f, g, cap, derivative=False):
     F = sum_j t^j F_j(t^p) and taking p-th roots of the F_j coefficients
     turns one composition at window N into p compositions at window ~N/p
     followed by free p-th powers, so the total cost stays at a small
-    constant times one full-window multiplication.  Short pieces, and every
-    f over a Galois ring, run Horner's rule on rows.  f' reuses the top
-    level's terms g^j F_j(g)^p with the weights j + v(f) mod p.
+    constant times one full-window multiplication.  A piece of at most
+    L = max(4, p) coefficients is read off the powers g^1..g^(L-1) kept on
+    g (Brent-Kung's baby steps); a short f, and every f over a Galois ring,
+    is one piece.  f' reuses the top level's terms g^j F_j(g)^p with the
+    weights j + v(f) mod p.
     """
     ring = f.ring
     p, mod = ring.p, ring.modulus
@@ -675,8 +668,8 @@ def _compose_fast(f, g, cap, derivative=False):
     # inside the recursion g's stored window is treated as exact; the
     # honest precision cap was computed by the caller.  Windows are raw
     # (rows, f) arrays starting at t^0; series are built only on exit.
-    gpow = _window_powers(g, n0, p if _splits(f) else 2)  # g^j, read once f is split
-    G = gpow[1]
+    split = _splits(f)
+    gpow = _window_powers(g, n0, max(4, p) if split else len(f.coeffs))
 
     def terms(arr, n):
         # (j, rows of g^j F_j(g)^p modulo t^n) for the classes j whose
@@ -699,12 +692,14 @@ def _compose_fast(f, g, cap, derivative=False):
         # sum_k arr[k] * g^k modulo t^n, or None when that is zero
         if n <= 0 or not np.count_nonzero(arr):
             return None
-        if not ring.is_field or len(arr) <= max(4, p):
-            acc = arr[-1:]
-            for row in arr[-2::-1]:
-                acc = _mul_trunc(ring, acc, G, n)
-                acc[0] = (acc[0] + row) % mod
-            return acc[:n]
+        if not split or len(arr) <= max(4, p):
+            total = np.zeros((n, ring.f), dtype=np.int64)
+            total[0], top = arr[0], 1
+            for k in np.flatnonzero(arr[1:].any(axis=1)) + 1:
+                power = gpow[k][:n]  # the powers grow with k
+                total[: len(power)] += _scale(ring, power, arr[k])
+                top = len(power)
+            return total[:top] % mod
         total = np.zeros((n, ring.f), dtype=np.int64)
         for _j, term in terms(arr, n):
             total[: len(term)] += term

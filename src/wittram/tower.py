@@ -285,9 +285,11 @@ def extend_stage(stage, budget):
     new.ring = ring
     new.t_embs = [compose(emb, T) for emb in stage.t_embs]
     new.t_embs.append(TruncatedLaurentSeries.monomial(ring, 1))
-    new.y = [compose(yj, T) for yj in stage.y]
+    # y_j is ytilde_j itself where h_j = 0, and is re-expanded once
     new.ytilde = [compose(yj, T) for yj in stage.ytilde]
-    new.y.append(Y + compose(h, T))
+    new.y = [yt if yj is stage.ytilde[j] else compose(yj, T)
+             for j, (yj, yt) in enumerate(zip(stage.y, new.ytilde))]
+    new.y.append(Y if h.is_exact_zero() else Y + compose(h, T))
     new.ytilde.append(Y)
     new.z_std = stage.z_std + [z_std]
     new.h_adj = stage.h_adj + [h]

@@ -21,7 +21,7 @@ bookkept against both shadows.
 from __future__ import annotations
 
 from . import intpoly as ip
-from .coeff import finite_field
+from .coeff import binary_power, finite_field
 from .errors import ConsistencyFailure
 from .witt import (
     WittVector,
@@ -135,17 +135,11 @@ class GradedPolynomial:
     def __pow__(self, e):
         if e < 0:
             raise ValueError("negative power")
-        acc = GradedPolynomial(
-            self.field, self.nvars, 0, {(0,) * (self.nvars + 1): self.field.one()}
-        )
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            e >>= 1
-            if e:
-                base = base * base
-        return acc
+        if e == 0:
+            return GradedPolynomial(
+                self.field, self.nvars, 0, {(0,) * (self.nvars + 1): self.field.one()}
+            )
+        return binary_power(self, e, GradedPolynomial.__mul__)
 
     def __eq__(self, other):
         return (

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import intpoly as ip
-from .coeff import is_prime, lift_ring
+from .coeff import binary_power, is_prime, lift_ring
 from .errors import ConsistencyFailure, WittTableError
 from .series import TruncatedLaurentSeries
 
@@ -385,15 +385,7 @@ def ghost_batch(X, p, j, mod):
         raise ValueError(f"int64 ghost components would overflow: modulus {mod}")
     out = np.zeros(X.shape[1], dtype=np.int64)
     for i in range(j + 1):
-        t = X[i] % mod
-        acc = np.ones_like(t)
-        e = p ** (j - i)
-        while e:
-            if e & 1:
-                acc = (acc * t) % mod
-            e >>= 1
-            if e:
-                t = (t * t) % mod
+        acc = binary_power(X[i] % mod, p ** (j - i), lambda a, b: a * b % mod)
         out = (out + (p**i % mod) * acc) % mod
     return out
 

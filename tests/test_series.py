@@ -247,10 +247,16 @@ def _compose_by_horner(f, g):
 
 
 def test_compose_fast_matches_horner():
+    # an f of L = max(4, p) coefficients is one piece, read off the powers
+    # of g; over F_q one more coefficient splits it by classes mod p
     rng = random.Random(23)
-    for R in (F2, F3, F4, F7, lift_ring(3, 3), lift_ring(2, 4, 2)):
-        for k in range(16):
-            width = rng.choice([1, 3, 7, 23, 40])  # most below 24 rows
+    for R in (F2, F3, F4, F7, F9, lift_ring(3, 3), lift_ring(2, 4, 2)):
+        L = max(4, R.p)
+        for k in range(24):
+            if k < 8:
+                width = (L, L + 1)[k // 4]
+            else:
+                width = rng.choice([1, 3, 7, 23, 40])  # most below 24 rows
             f = random_series(R, rng.randrange(-3, 2), width, rng)  # poles included
             g = random_series(R, rng.randrange(1, 3), rng.choice([2, 5, 30]), rng)
             if k % 4 == 1:  # exact f
@@ -263,6 +269,33 @@ def test_compose_fast_matches_horner():
             got, want = compose(f, g), _compose_by_horner(f, g)
             assert (got.v, got.prec) == (want.v, want.prec)
             assert np.array_equal(got.coeffs, want.coeffs)
+
+
+@pytest.mark.parametrize("R", [F2, F3, F7, F9, lift_ring(3, 3)], ids=str)
+def test_short_composition_reads_kept_powers(monkeypatch, R):
+    # a first composition through g keeps g's powers on it; a second f of
+    # at most L = max(4, p) coefficients is a linear combination of them,
+    # with no product formed
+    rng = random.Random(37)
+    L = max(4, R.p)
+    g = random_series(R, 1, 40, rng)
+
+    def exact(width):  # an exact f of exactly width coefficients
+        arr = random_series(R, 0, width, rng).coeffs.copy()
+        arr[-1, 0] = 1
+        return TLS(R, 0, arr, INF)
+
+    compose(exact(L), g)
+    calls = []
+    monkeypatch.setattr(series_mod, "_conv", lambda *a: calls.append(a) or _conv(*a))
+    fs = [exact(width) for width in range(1, L + 1)]
+    got = [compose(f, g) for f in fs]
+    assert calls == []
+    monkeypatch.undo()
+    for f, x in zip(fs, got):
+        want = _compose_by_horner(f, g)
+        assert (x.v, x.prec) == (want.v, want.prec)
+        assert np.array_equal(x.coeffs, want.coeffs)
 
 
 def test_compose_with_derivative_matches_two_compositions(monkeypatch):

@@ -451,6 +451,18 @@ def test_adjust_decompose_two_stages():
     assert h.valuation() == 4 * 1 + 15
 
 
+@pytest.mark.parametrize("nu, h1_zero", [((1, 1), True), ((1, 3), False)])
+def test_y_is_ytilde_exactly_where_h_vanishes(nu, h1_zero):
+    # y_j = ytilde_j + h_j(t_j): with h_j = 0 every stage stores the one
+    # series for both, re-expanded once
+    tw = build(2, 2, nu)
+    assert tw.top.h_adj[1].is_exact_zero() is h1_zero
+    for stage in tw.stages:
+        for j in range(stage.level):
+            assert (stage.y[j] is stage.ytilde[j]) is stage.h_adj[j].is_exact_zero(), (stage.level, j)
+            assert stage.y[j].agrees_with(stage.ytilde[j] + compose(stage.h_adj[j], stage.t_embs[j]))
+
+
 def test_adjust_decompose_rejects_divisible():
     tw = build(2, 1, (3,))
     x = compose(TLS.monomial(F2, 2, prec=14), tw.top.s)
