@@ -407,27 +407,35 @@ def _fft_sized(la, lb):
 
 
 def _int_conv(a, b):
-    """Exact convolution of 1-D int64 arrays.
+    """Exact convolution of the int64 row b with a, a row or a stack (..., la).
 
-    Large windows go through a real FFT when the worst-case rounding error
-    provably stays below 1/4, which covers field-sized coefficients; lift
-    rings with big moduli fall back to the quadratic direct method.  The
-    guard is the floating-point FFT convolution bound of Percival (Math.
-    Comp. 72, 2003), with the complex-product constant of Brent, Percival
-    and Zimmermann (Math. Comp. 76, 2007): every output errs by at most a
-    small multiple of eps log2(N) |a|_2 |b|_2, and |a|_2 |b|_2 <= N amax bmax."""
-    N = len(a) + len(b) - 1
-    if _fft_sized(len(a), len(b)):
+    Large windows go through a real FFT along the last axis when the
+    worst-case rounding error provably stays below 1/4, which covers
+    field-sized coefficients; lift rings with big moduli fall back to the
+    quadratic direct method.  The guard is the floating-point FFT
+    convolution bound of Percival (Math. Comp. 72, 2003), with the
+    complex-product constant of Brent, Percival and Zimmermann (Math. Comp.
+    76, 2007): every output errs by at most a small multiple of eps log2(N)
+    |a|_2 |b|_2, and |a|_2 |b|_2 <= N amax bmax, amax over the whole stack."""
+    N = a.shape[-1] + len(b) - 1
+    if _fft_sized(a.shape[-1], len(b)):
         amax, bmax = int(np.abs(a).max()), int(np.abs(b).max())
         if 16 * 2.3e-16 * N * math.log2(N) * amax * bmax < 0.25:
             size = 1 << (N - 1).bit_length()
             out = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)
-            return np.rint(out[:N]).astype(np.int64)
-    return np.convolve(a, b)
+            return np.rint(out[..., :N]).astype(np.int64)
+    return np.convolve(a, b) if a.ndim == 1 else _convolve_rows(a, b)
+
+
+def _convolve_rows(a, b):
+    """The direct product of a stack of rows a with the row b, row by row."""
+    rows = [np.convolve(x, b) for x in a.reshape(-1, a.shape[-1])]
+    return np.reshape(rows, a.shape[:-1] + (-1,))
 
 
 def _conv(ring, A, B):
-    """Exact convolution of coefficient windows over the ring.
+    """Exact convolution of coefficient windows over the ring: the window B
+    times A, one (rows, f) window or a stack (..., rows, f) of them.
 
     Every int64 sum below adds at most min(len) products of reduced
     coordinates (the convolution), or f - 1 of them and one coordinate (the
@@ -441,35 +449,38 @@ def _conv(ring, A, B):
     min(len) (mod - 1)^2, so s = bitlen(f min(len) (mod - 1)^2) bits keep
     the slots apart, and the 2f - 1 slots fit when (2f - 1) s <= 62."""
     mod, f = ring.modulus, ring.f
-    if (mod - 1) ** 2 * max(min(len(A), len(B)), f - 1) + mod - 1 >= 2**63:
-        raise ValueError(
-            f"int64 convolution would overflow: modulus {mod}, "
-            f"windows {len(A)} x {len(B)}"
-        )
+    if B.ndim != 2 or B.shape[1] != f:
+        raise ValueError(f"the second factor must be one (rows, {f}) window, not {B.shape}")
+    la, lb = A.shape[-2], len(B)
+    if (mod - 1) ** 2 * max(min(la, lb), f - 1) + mod - 1 >= 2**63:
+        raise ValueError(f"int64 convolution would overflow: modulus {mod}, windows {la} x {lb}")
     if f == 1:
-        return (_int_conv(A[:, 0], B[:, 0]) % mod)[:, None]
-    s = (f * min(len(A), len(B)) * (mod - 1) ** 2).bit_length()  # bits per packed slot
-    if ring.is_field and (2 * f - 1) * s <= 62 and not _fft_sized(len(A), len(B)):
-        a, b = ((X << (s * np.arange(f))).sum(axis=1) for X in (A, B))
-        full = (np.convolve(a, b)[:, None] >> (s * np.arange(2 * f - 1))) & ((1 << s) - 1)
+        return (_int_conv(A[..., 0], B[:, 0]) % mod)[..., None]
+    s = (f * min(la, lb) * (mod - 1) ** 2).bit_length()  # bits per packed slot
+    if ring.is_field and (2 * f - 1) * s <= 62 and not _fft_sized(la, lb):
+        a, b = ((X << (s * np.arange(f))).sum(axis=-1) for X in (A, B))
+        ab = np.convolve(a, b) if a.ndim == 1 else _convolve_rows(a, b)
+        full = (ab[..., None] >> (s * np.arange(2 * f - 1))) & ((1 << s) - 1)
     else:
-        full = np.zeros((len(A) + len(B) - 1, 2 * f - 1), dtype=np.int64)
+        full = np.zeros(A.shape[:-2] + (la + lb - 1, 2 * f - 1), dtype=np.int64)
         for i in range(f):
             for j in range(f):
-                full[:, i + j] += _int_conv(A[:, i], B[:, j]) % mod
+                full[..., i + j] += _int_conv(A[..., i], B[:, j]) % mod
     return (full % mod) @ ring.reduction_rows % mod
 
 
 def _scale(ring, A, c):
-    """A window times the ring element with coordinates c."""
+    """A window, or a stack of them, times the ring element with coordinates
+    c; coordinates c[j] of shape (K, 1, 1) give K multiples of one window.
+    For f > 1 that is A times the matrix of c, whose row i holds the
+    coordinates of x^i c: an entry sums f products, below f (mod - 1)^2."""
     mod = ring.modulus
     if ring.f == 1:
         return (A * c[0]) % mod
-    full = np.zeros((len(A), 2 * ring.f - 1), dtype=np.int64)
-    for j, cj in enumerate(c):
-        if cj:
-            full[:, j : j + ring.f] += A * cj
-    return (full % mod) @ ring.reduction_rows % mod
+    if ring.f * (mod - 1) ** 2 >= 2**63:
+        raise ValueError(f"int64 scaling would overflow: modulus {mod}, f = {ring.f}")
+    M = sum(cj * ring.reduction_rows[j : j + ring.f] for j, cj in enumerate(c))
+    return A @ (M % mod) % mod
 
 
 def _one(ring):
@@ -480,8 +491,8 @@ def _one(ring):
 
 
 def _mul_trunc(ring, A, B, n):
-    """Product of two windows that start at t^0, cut to its first n rows."""
-    return _conv(ring, A[:n], B[:n])[:n]
+    """Product of windows from t^0, cut to n rows; A may be a stack."""
+    return _conv(ring, A[..., :n, :], B[:n])[..., :n, :]
 
 
 def _pow_rows(ring, A, e, n):
@@ -491,18 +502,19 @@ def _pow_rows(ring, A, e, n):
     e_k of e: each digit power is binary on the ceil(n / p^k) rows that
     reach a kept row, and its p^k-th power is a free Frobenius, which maps
     the coefficients and multiplies the exponents by p^k.  Over a lift ring
-    e is one digit."""
+    e is one digit.  A stack of windows takes only e = p^k over F_q, a
+    Frobenius of each, since `_conv` multiplies a stack by one window only."""
     q = ring.p if ring.is_field else e + 1
     out = None
     for k in range(e.bit_length()):  # e has at most that many base-q digits
         d = e // q**k % q
         if d:
             m = -(-n // q**k)
-            x = binary_power(A[:m], d, lambda a, b: _mul_trunc(ring, a, b, m))
+            x = binary_power(A[..., :m, :], d, lambda a, b: _mul_trunc(ring, a, b, m))
             for _ in range(k):
                 x = (x @ ring.frobenius_matrix) % q
-            y = np.zeros((n, ring.f), dtype=np.int64)
-            y[: len(x) * q**k : q**k] = x
+            y = np.zeros(x.shape[:-2] + (n, ring.f), dtype=np.int64)
+            y[..., : x.shape[-2] * q**k : q**k, :] = x
             out = y if out is None else _mul_trunc(ring, out, y, n)
     return out
 
@@ -591,12 +603,11 @@ def compose(f, g):
 def compose_with_derivative(f, g):
     """(f(g), f'(g)); requires v(g) >= 1.
 
-    f' has the coefficient (k + v(f)) f_k at t^(k + v(f) - 1), and over F_q
-    that weight is constant on each residue class of k mod p.  So where
-    `_compose_fast` splits f by classes, both composites come from one
-    split, and only their top-level sums and pole powers differ.  A short
-    f, or one whose derivative starts above t^(v(f) - 1), is composed
-    twice."""
+    f' has the coefficient (k + v(f)) f_k at t^(k + v(f) - 1), a weight
+    constant on each class of k mod p over F_q, so where `_compose_fast`
+    splits f both composites come from one split, with their own top-level
+    sums and pole powers.  A short f, or one whose derivative starts above
+    t^(v(f) - 1), is composed twice."""
     if not _splits(f) or f.v % f.ring.p == 0 or g.is_exact_zero():
         return compose(f, g), compose(f.derivative(), g)
     return _compose(f, g, derivative=True)
@@ -642,18 +653,19 @@ def _compose(f, g, derivative=False):
 
 def _compose_fast(f, g, cap, derivative=False):
     """The composite f(g) cut at cap, built on raw windows; with derivative,
-    the pair (f(g), f'(g)), with f'(g) cut at cap - v(g).
+    the pair (f(g), f'(g)), with f'(g) cut at cap - v(g).  g's window is
+    taken as exact; the caller's cap is the honest precision.
 
-    Over F_q a long f is split by x -> x^p linearity: writing
-    F = sum_j t^j F_j(t^p) and taking p-th roots of the F_j coefficients
-    turns one composition at window N into p compositions at window ~N/p
-    followed by free p-th powers, so the total cost stays at a small
-    constant times one full-window multiplication.  A piece of at most
-    L = max(4, p) coefficients is read off the powers g^1..g^(L-1) kept on
-    g (Brent-Kung's baby steps); a short f, and every f over a Galois ring,
-    is one piece.  f' reuses the top level's terms g^j F_j(g)^p with the
-    weights j + v(f) mod p.
-    """
+    Over F_q a long f is split by x -> x^p linearity (Bernstein 1998):
+    F = sum_j t^j F_j(t^p) is p compositions of the p-th-rooted F_j at
+    window ~N/p and free p-th powers.  The classes at one depth share their
+    window, so a depth is one stack: at the least depth D with len(f) <=
+    L p^D, L = max(4, p), row i of leaf r is f_(r + i p^D), p-th-rooted D
+    times, and a leaf is read off the powers g^1..g^(L-1) kept on g
+    (Brent-Kung's baby steps).  A short f, and every f over a Galois ring,
+    is one leaf.  Each level up spreads its stack by a Frobenius, multiplies
+    class j by g^j on its nonzero windows and sums the classes; f' sums the
+    top level with the weights j + v(f) mod p."""
     ring = f.ring
     p, mod = ring.p, ring.modulus
     vg = g.valuation()
@@ -665,60 +677,48 @@ def _compose_fast(f, g, cap, derivative=False):
     if n0 <= 0:
         out = [TruncatedLaurentSeries.zero_to(ring, c) for c in caps]
         return tuple(out) if derivative else out[0]
-    # inside the recursion g's stored window is treated as exact; the
-    # honest precision cap was computed by the caller.  Windows are raw
-    # (rows, f) arrays starting at t^0; series are built only on exit.
-    split = _splits(f)
-    gpow = _window_powers(g, n0, max(4, p) if split else len(f.coeffs))
-
-    def terms(arr, n):
-        # (j, rows of g^j F_j(g)^p modulo t^n) for the classes j whose
-        # piece F_j(g) does not vanish there
-        m = -(-n // p)
+    L = max(4, p) if _splits(f) else len(f.coeffs)
+    windows = [n0]  # windows[d]: the rows each class at depth d needs
+    while len(f.coeffs) > L * p ** (len(windows) - 1):
+        windows.append(-(-windows[-1] // p))
+    K, n = p ** (len(windows) - 1), windows[-1]
+    gpow = _window_powers(g, n0, L)
+    if K == 1:  # one leaf, f's window itself, scaled by ring elements
+        C = coords = f.coeffs
+    else:  # C[i, r] is row i of leaf r, scaled as (K, 1, 1) coordinate arrays
+        C = np.zeros((L * K, ring.f), dtype=np.int64)
+        C[: len(f.coeffs)] = f.coeffs
+        for _ in windows[1:]:
+            C = C @ ring.pth_root_matrix % p
+        C = C.reshape(L, K, ring.f)
+        coords = C.transpose(0, 2, 1)[..., None, None]
+    V = np.zeros(C.shape[1:-1] + (n, ring.f), dtype=np.int64)  # (n, f) or (K, n, f)
+    V[..., 0, :] = C[0]
+    for i in np.flatnonzero(C.reshape(L, -1).any(axis=1)[1:]) + 1:
+        power = gpow[i][:n]
+        V[..., : len(power), :] += _scale(ring, power, coords[i])
+    V = V.reshape(K, n, ring.f) % mod
+    for depth in range(len(windows) - 2, -1, -1):
+        n, K = windows[depth], K // p
+        weights = [[1] * p]
+        if derivative and not depth:
+            weights.append([(j + f.v) % p for j in range(p)])
+        live = V.reshape(p, K, -1).any(axis=2).tolist()
+        W = _pow_rows(ring, V, p, n).reshape(p, K, n, ring.f)  # a Frobenius
+        V = np.zeros((len(weights), K, n, ring.f), dtype=np.int64)
         for j in range(p):
-            piece = arr[j::p]
-            if not np.count_nonzero(piece):
+            rows = [r for r, x in enumerate(live[j]) if x]
+            if len(rows) == K:  # every class: a view, and one window when K = 1
+                rows = slice(None) if K > 1 else 0
+            elif not rows:
                 continue
-            rj = rec((piece @ ring.pth_root_matrix) % p, m)
-            if rj is None:
-                continue
-            term = _pow_rows(ring, rj, p, (len(rj) - 1) * p + 1)  # a Frobenius
-            if j:
-                term = _mul_trunc(ring, term, gpow[j], n)
-            yield j, term
-
-    def rec(arr, n):
-        # arr: coefficient rows at exponents 0..len-1; returns the rows of
-        # sum_k arr[k] * g^k modulo t^n, or None when that is zero
-        if n <= 0 or not np.count_nonzero(arr):
-            return None
-        if not split or len(arr) <= max(4, p):
-            total = np.zeros((n, ring.f), dtype=np.int64)
-            total[0], top = arr[0], 1
-            for k in np.flatnonzero(arr[1:].any(axis=1)) + 1:
-                power = gpow[k][:n]  # the powers grow with k
-                total[: len(power)] += _scale(ring, power, arr[k])
-                top = len(power)
-            return total[:top] % mod
-        total = np.zeros((n, ring.f), dtype=np.int64)
-        for _j, term in terms(arr, n):
-            total[: len(term)] += term
-        return total % p
-
-    if derivative:  # f splits, so its window is nonzero
-        sums = np.zeros((2, n0, ring.f), dtype=np.int64)
-        for j, term in terms(f.coeffs, n0):
-            sums[0, : len(term)] += term
-            sums[1, : len(term)] += (j + f.v) % p * term
-        units = list(sums % p)
-    else:
-        units = [rec(f.coeffs, n0)]
+            term = _mul_trunc(ring, W[j, rows], gpow[j], n) if j else W[j, rows]
+            for s, w in enumerate(weights):
+                V[s, rows, : term.shape[-2]] += term if w[j] == 1 else w[j] * term
+        V = V.reshape(-1, n, ring.f) % p
     out = []
-    for rows, v, c in zip(units, (f.v, f.v - 1), caps):
-        unit = np.zeros((n0, ring.f), dtype=np.int64)
-        if rows is not None:
-            unit[: len(rows)] = rows
-        unit = TruncatedLaurentSeries(ring, 0, unit, INF if cap == INF else n0)
+    for rows, v, c in zip(V, (f.v, f.v - 1), caps):
+        unit = TruncatedLaurentSeries(ring, 0, rows, INF if cap == INF else n0)
         if v > 0:
             unit = unit * g**v
         elif v < 0:

@@ -335,6 +335,38 @@ def test_compose_with_derivative_matches_two_compositions(monkeypatch):
     assert shared_runs >= 20
 
 
+@pytest.mark.parametrize("R", [F2, F3, F7, F4, F9], ids=str)
+def test_deep_split_matches_horner(R, monkeypatch):
+    # f of split depth >= 3 (more than L p^2 coefficients, L = max(4, p)),
+    # with and without the derivative, against Horner's rule.  The sparse f
+    # lives on the exponents v(f) + k with p^2 | k: the classes j >= 1 of the
+    # two top levels are all-zero stacks and only some rows of the levels
+    # below are nonzero, so the split forms fewer products than for a dense f
+    rng = random.Random(41)
+    L = max(4, R.p)
+    for v, rows in [(1, 40), (-1, 120), (1, 300)]:
+        g = random_series(R, 1, rows, rng)
+        dense = random_series(R, v, L * R.p**2 + 1 + rng.randrange(2 * R.p), rng)
+        arr = np.zeros_like(dense.coeffs)
+        arr[:: R.p**2] = dense.coeffs[:: R.p**2]
+        arr[0] = dense.coeffs[0]
+        sparse = TLS(R, v, arr, dense.prec)
+        compose(dense, g)  # g keeps its powers and pole powers
+        products = []
+        mul_trunc = series_mod._mul_trunc
+        for f in (dense, sparse):
+            calls = []
+            with monkeypatch.context() as m:
+                m.setattr(series_mod, "_mul_trunc", lambda *a: calls.append(1) or mul_trunc(*a))
+                got = compose(f, g), compose_with_derivative(f, g)
+            products.append(len(calls))
+            want = _compose_by_horner(f, g), _compose_by_horner(f.derivative(), g)
+            for x, y in zip((got[0],) + got[1], (want[0],) + want):
+                assert (x.v, x.prec) == (y.v, y.prec)
+                assert np.array_equal(x.coeffs, y.coeffs)
+        assert products[1] < products[0]
+
+
 def test_inv_from_a_nearby_start():
     # a start seeds Newton with the rows of a nearby inverse that still fit;
     # right, partly right or wrong, the certified inverse is the same
@@ -612,6 +644,21 @@ def test_conv_int64_guard_counts_reduction():
     _conv(lift_ring(2, 31, 2), one_row[:, :2], one_row[:, :2])
 
 
+def test_scale_int64_guard_edge():
+    # with f > 1 an entry of a scaled window sums f coordinate products:
+    # 2 (mod - 1)^2 < 2^63 <= 3 (mod - 1)^2 for mod = 7^11, so GR(7^11, 2)
+    # is exact with every coordinate at its maximum and GR(7^11, 3) refuses
+    top = 7**11 - 1
+    assert 2 * top**2 < 2**63 <= 3 * top**2
+    R = lift_ring(7, 11, 2)
+    x = R.from_coords([top, top])
+    got = series_mod._scale(R, np.full((3, 2), top, dtype=np.int64), x.coords)
+    assert all(tuple(int(c) for c in row) == (x * x).coords for row in got)
+    R = lift_ring(7, 11, 3)
+    with pytest.raises(ValueError, match="overflow"):
+        series_mod._scale(R, np.full((3, 3), top, dtype=np.int64), (top,) * 3)
+
+
 def _edge_inputs(rng, length, top):
     """All-max and random signed int64 inputs whose largest magnitude is top."""
     signed = rng.integers(-top, top + 1, size=length)
@@ -733,6 +780,87 @@ def test_fft_crossover(la, lb, fft, monkeypatch):
     a, b = rng.integers(0, 49, la), rng.integers(0, 49, lb)
     assert np.array_equal(_int_conv(a, b), np.convolve(a, b))
     assert len(calls) == (2 if fft else 0)
+
+
+STACK_RINGS = [F2, F7, F4, F49, lift_ring(3, 3), lift_ring(2, 2, 2)]
+
+
+@pytest.mark.parametrize("R", STACK_RINGS, ids=str)
+@pytest.mark.parametrize(
+    "K, la, lb",
+    [(1, 256, 256), (3, 256, 256), (1, 256, 257), (3, 256, 257), (3, 63, 3000), (4, 64, 449)],
+)
+def test_stacked_kernels_equal_row_by_row(R, K, la, lb, monkeypatch):
+    # a (K, la, f) stack times one window is each row's product, by the FFT
+    # exactly when one row's product takes it (the sizes of
+    # test_fft_crossover); F_4 and F_49 pack their direct products and take
+    # the f^2 coordinate convolutions by the FFT, as GR(4, 2) always does
+    rng = np.random.default_rng(K * la + lb + R.modulus)
+    A = rng.integers(0, R.modulus, (K, la, R.f))
+    B = rng.integers(0, R.modulus, (lb, R.f))
+    rfft, calls = np.fft.rfft, []
+    monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: calls.append(1) or rfft(*a, **k))
+    got = _conv(R, A, B)
+    assert bool(calls) == series_mod._fft_sized(la, lb)
+    n = min(la, lb) + 5
+    cut = series_mod._mul_trunc(R, A, B, n)
+    assert got.shape == (K, la + lb - 1, R.f) and cut.shape == (K, n, R.f)
+    for k in range(K):
+        want = _conv_by_coordinates(R, A[k], B)
+        assert np.array_equal(got[k], want)
+        assert np.array_equal(cut[k], want[:n])
+    # a stack of multiples of one window, and a stack times one element
+    coords = rng.integers(0, R.modulus, (K, R.f))
+    scaled = series_mod._scale(R, B, coords.T[:, :, None, None])
+    by_row = series_mod._scale(R, A, tuple(int(c) for c in coords[0]))
+    for k in range(K):
+        assert np.array_equal(scaled[k], _conv_by_coordinates(R, B, coords[k : k + 1]))
+        assert np.array_equal(by_row[k], _conv_by_coordinates(R, A[k], coords[:1]))
+    if R.is_field:  # a p-th power of each window is its Frobenius
+        powers = series_mod._pow_rows(R, A, R.p, la)
+        for k in range(K):
+            assert np.array_equal(powers[k], series_mod._pow_rows(R, A[k], R.p, la))
+
+
+def test_rounding_guard_reads_the_whole_stack(monkeypatch):
+    # over Z/3^12 a row of small coefficients alone passes the guard, but
+    # beside a row at the modulus the stack's maximum refuses the FFT, so
+    # the whole stack is convolved directly and stays exact
+    R = lift_ring(3, 12)
+    rng = np.random.default_rng(12)
+    top = R.modulus - 1
+    B = np.full((257, 1), top, dtype=np.int64)
+    A = np.stack([rng.integers(0, 3, (256, 1)), np.full((256, 1), top)])
+    rfft, calls = np.fft.rfft, []
+    monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: calls.append(1) or rfft(*a, **k))
+    assert np.array_equal(_conv(R, A[0], B), _conv_by_coordinates(R, A[0], B))
+    assert calls
+
+    def refused(*args, **kwargs):
+        raise RuntimeError("FFT path taken past the rounding guard")
+
+    monkeypatch.setattr(np.fft, "rfft", refused)
+    got = _conv(R, A, B)
+    for k in range(2):
+        assert np.array_equal(got[k], _conv_by_coordinates(R, A[k], B))
+
+
+def test_conv_takes_one_window_as_second_factor():
+    # a stacked B would broadcast through the FFT; it is refused instead
+    A = np.ones((2, 600, 1), dtype=np.int64)
+    for B in (A, A[0, :, 0], np.ones((600, 2), dtype=np.int64)):
+        with pytest.raises(ValueError, match="one \\(rows, 1\\) window"):
+            _conv(F7, A, B)
+
+
+def test_pow_rows_on_a_stack_takes_one_digit():
+    # a stack has only its Frobenius powers: an exponent of two nonzero
+    # base-p digits, or a digit above 1, needs a stack x stack product
+    A = np.random.default_rng(7).integers(0, 7, (3, 10, 1))
+    assert series_mod._pow_rows(F7, A, 49, 400).shape == (3, 400, 1)
+    for e in (8, 50, 2):
+        with pytest.raises(ValueError, match="one \\(rows, 1\\) window"):
+            series_mod._pow_rows(F7, A, e, 40)
 
 
 def test_certificates_survive_optimized_python():
