@@ -54,11 +54,15 @@ def _parse_int_list(text):
 
 def _parse_series(ring, literal):
     """A series from a JSON literal [[exponent, coefficient], ...]; a
-    coefficient is an integer or a list of coordinates."""
+    coefficient is an integer or a list of integer coordinates."""
+
+    def coefficient(c):
+        if isinstance(c, list):
+            return [_datum_int(x, "coordinate") for x in c]
+        return _datum_int(c, "coefficient")
+
     try:
-        terms = [(int(e), c) for e, c in literal]
-        if not all(isinstance(c, (int, list)) for _e, c in terms):
-            raise TypeError
+        terms = [(_datum_int(e, "exponent"), coefficient(c)) for e, c in literal]
         return TruncatedLaurentSeries.from_terms(ring, terms)
     except TypeError as exc:
         raise ValueError(
@@ -69,7 +73,7 @@ def _parse_series(ring, literal):
 def _datum_int(value, key):
     """value when it is a JSON integer; a bool, float or string is refused."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"datum `{key}` must be an integer, got {value!r}")
+        raise ValueError(f"`{key}` must be an integer, got {value!r}")
     return value
 
 
@@ -159,7 +163,7 @@ def _var_name(v):
     return f"{'XY'[v % 2]}{v // 2}"
 
 
-def format_packed_poly(poly, nvars, var_name=_var_name):
+def format_packed_poly(poly, nvars):
     """Deterministic human form of a packed integer polynomial."""
     if not poly:
         return "0"
@@ -171,7 +175,7 @@ def format_packed_poly(poly, nvars, var_name=_var_name):
     parts = []
     for exps, coeff in rows:
         factors = [
-            f"{var_name(v)}^{e}" if e > 1 else var_name(v)
+            f"{_var_name(v)}^{e}" if e > 1 else _var_name(v)
             for v, e in enumerate(exps)
             if e
         ]

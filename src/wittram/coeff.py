@@ -23,7 +23,9 @@ def is_prime(p):
 
 def binary_power(x, e, mul):
     """x^e, e >= 1, by repeated squaring with the product mul: the one
-    square-and-multiply loop of the package, for every ring it powers in."""
+    square-and-multiply loop of the package, for every ring it powers in.
+    The one vectorized exception is `intpoly._powers`, which powers rows by
+    a whole array of exponents at once and shares the squarings."""
     out = x if e & 1 else None
     while e > 1:
         e, x = e >> 1, mul(x, x)

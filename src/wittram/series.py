@@ -194,23 +194,27 @@ class TruncatedLaurentSeries:
         if self.ring != other.ring:
             raise ValueError(f"ring mismatch: {self.ring} vs {other.ring}")
 
-    def __add__(self, other):
+    def _overlay(self, other, sign):
+        """self + other (sign 1) or self - other (sign -1) on the known
+        windows: every known coefficient outside a stored window is zero."""
         if isinstance(other, int):
             other = TruncatedLaurentSeries.monomial(self.ring, 0, other)
         self._check(other)
-        a, b = self, other
-        prec = min(a.prec, b.prec)
-        lo = min(a.val_lower_bound(), b.val_lower_bound(), prec)
-        hi = prec if prec != INF else max(a.end, b.end)
+        prec = min(self.prec, other.prec)
+        lo = min(self.val_lower_bound(), other.val_lower_bound(), prec)
+        hi = prec if prec != INF else max(self.end, other.end)
         if hi <= lo:
             return TruncatedLaurentSeries.zero_to(self.ring, prec)
         arr = np.zeros((hi - lo, self.ring.f), dtype=np.int64)
-        for s in (a, b):
-            if len(s.coeffs):
-                seg_end = min(s.end, hi)
-                if seg_end > s.v:
-                    arr[s.v - lo : seg_end - lo] += s.coeffs[: seg_end - s.v]
+        for s, op in ((self, np.add), (other, np.add if sign > 0 else np.subtract)):
+            end = min(s.end, hi)
+            if end > s.v:
+                rows = arr[s.v - lo : end - lo]
+                op(rows, s.coeffs[: end - s.v], out=rows)
         return TruncatedLaurentSeries(self.ring, lo, arr, prec)
+
+    def __add__(self, other):
+        return self._overlay(other, 1)
 
     __radd__ = __add__
 
@@ -220,9 +224,7 @@ class TruncatedLaurentSeries:
         )
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = TruncatedLaurentSeries.monomial(self.ring, 0, other)
-        return self + (-other)
+        return self._overlay(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -379,23 +381,9 @@ class TruncatedLaurentSeries:
         return TruncatedLaurentSeries(ring, self.v - 1, arr, prec)
 
     def agrees_with(self, other):
-        """True when the two series agree on the overlap of known windows."""
-        self._check(other)
-        lo = min(self.val_lower_bound(), other.val_lower_bound())
-        hi = min(self.prec, other.prec)
-        if lo == INF:
-            return True
-        if hi == INF:
-            hi = max(self.end, other.end)
-        if hi <= lo:
-            return True
-        # every known coefficient outside a stored window is zero
-        diff = np.zeros((hi - lo, self.ring.f), dtype=np.int64)
-        for s, sign in ((self, 1), (other, -1)):
-            a, b = max(s.v, lo), min(s.end, hi)
-            if a < b:
-                diff[a - lo : b - lo] += sign * s.coeffs[a - s.v : b - s.v]
-        return not (diff % self.ring.modulus).any()
+        """True when the two series agree on the overlap of known windows:
+        their difference has no stored row."""
+        return not len(self._overlay(other, -1).coeffs)
 
 
 def _fft_sized(la, lb):
@@ -597,63 +585,42 @@ def _inv_rows(ring, A, c, n, w=None):
 
 def compose(f, g):
     """Substitute g into f; requires v(g) >= 1."""
-    return _compose(f, g)[0]
-
-
-def compose_with_derivative(f, g):
-    """(f(g), f'(g)); requires v(g) >= 1.
-
-    f' has the coefficient (k + v(f)) f_k at t^(k + v(f) - 1), a weight
-    constant on each class of k mod p over F_q, so where `_compose_fast`
-    splits f both composites come from one split, with their own top-level
-    sums and pole powers.  A short f, or one whose derivative starts above
-    t^(v(f) - 1), is composed twice."""
-    if not _splits(f) or f.v % f.ring.p == 0 or g.is_exact_zero():
-        return compose(f, g), compose(f.derivative(), g)
-    return _compose(f, g, derivative=True)
-
-
-def _splits(f):
-    """True when `_compose_fast` splits f by residue classes mod p."""
-    return f.ring.is_field and len(f.coeffs) > max(4, f.ring.p)
-
-
-def _compose(f, g, derivative=False):
-    """f(g), and with derivative f'(g), as a tuple."""
-    if f.ring != g.ring:
-        raise ValueError("ring mismatch")
+    f._check(g)
     ring = f.ring
     if f.is_exact_zero():
-        return (f,)
+        return f
     if g.is_exact_zero():
         if f.val_lower_bound() < 0:
             raise ZeroDivisionError("pole composed with exact zero")
-        return (TruncatedLaurentSeries.monomial(ring, 0, f.coeff(0)),)
+        return TruncatedLaurentSeries.monomial(ring, 0, f.coeff(0))
     vg = g.valuation()  # raises InsufficientPrecision when undetermined
     if vg < 1:
         raise ValueError(f"composition requires v(g) >= 1, got {vg}")
     if not len(f.coeffs):
-        return (TruncatedLaurentSeries.zero_to(ring, f.prec * vg),)
+        return TruncatedLaurentSeries.zero_to(ring, f.prec * vg)
     vf = f.v
     cap = f.prec * vg if f.prec != INF else INF
     if g.prec != INF:
         cap = min(cap, g.prec + (vf - 1) * vg)
     if vf < 0 and g.prec == INF and len(g.coeffs) > 1:
         raise ValueError("composing a pole into an exact series: truncate g first")
-    results = _compose_fast(f, g, cap, True) if derivative else (_compose_fast(f, g, cap),)
-    lead = f.leading_coeff()
-    if g.leading_coeff().is_unit():
-        for result, v, c in zip(results, (vf, vf - 1), (lead, lead * vf)):
-            if v and c.is_unit() and result.valuation() != v * vg:
-                raise ConsistencyFailure(
-                    f"composite has valuation {result.valuation()}, expected {v * vg}"
-                )
-    return results
+    result = _compose_fast(f, g, cap)
+    if vf and g.leading_coeff().is_unit() and f.leading_coeff().is_unit():
+        if result.valuation() != vf * vg:
+            raise ConsistencyFailure(
+                f"composite has valuation {result.valuation()}, expected {vf * vg}"
+            )
+    return result
 
 
-def _compose_fast(f, g, cap, derivative=False):
-    """The composite f(g) cut at cap, built on raw windows; with derivative,
-    the pair (f(g), f'(g)), with f'(g) cut at cap - v(g).  g's window is
+def compose_with_derivative(f, g):
+    """(f(g), f'(g)) for v(g) >= 1, as two compositions; the second reads
+    the powers and pole powers of g that the first one kept."""
+    return compose(f, g), compose(f.derivative(), g)
+
+
+def _compose_fast(f, g, cap):
+    """The composite f(g) cut at cap, built on raw windows.  g's window is
     taken as exact; the caller's cap is the honest precision.
 
     Over F_q a long f is split by x -> x^p linearity (Bernstein 1998):
@@ -664,8 +631,7 @@ def _compose_fast(f, g, cap, derivative=False):
     times, and a leaf is read off the powers g^1..g^(L-1) kept on g
     (Brent-Kung's baby steps).  A short f, and every f over a Galois ring,
     is one leaf.  Each level up spreads its stack by a Frobenius, multiplies
-    class j by g^j on its nonzero windows and sums the classes; f' sums the
-    top level with the weights j + v(f) mod p."""
+    class j by g^j on its nonzero windows and sums the classes."""
     ring = f.ring
     p, mod = ring.p, ring.modulus
     vg = g.valuation()
@@ -673,11 +639,9 @@ def _compose_fast(f, g, cap, derivative=False):
         n0 = (len(f.coeffs) - 1) * (g.end - 1) + 1
     else:
         n0 = cap - f.v * vg  # window needed for the unit-part composition
-    caps = (cap, cap - vg) if derivative else (cap,)
     if n0 <= 0:
-        out = [TruncatedLaurentSeries.zero_to(ring, c) for c in caps]
-        return tuple(out) if derivative else out[0]
-    L = max(4, p) if _splits(f) else len(f.coeffs)
+        return TruncatedLaurentSeries.zero_to(ring, cap)
+    L = max(4, p) if ring.is_field and len(f.coeffs) > max(4, p) else len(f.coeffs)
     windows = [n0]  # windows[d]: the rows each class at depth d needs
     while len(f.coeffs) > L * p ** (len(windows) - 1):
         windows.append(-(-windows[-1] // p))
@@ -698,14 +662,11 @@ def _compose_fast(f, g, cap, derivative=False):
         power = gpow[i][:n]
         V[..., : len(power), :] += _scale(ring, power, coords[i])
     V = V.reshape(K, n, ring.f) % mod
-    for depth in range(len(windows) - 2, -1, -1):
-        n, K = windows[depth], K // p
-        weights = [[1] * p]
-        if derivative and not depth:
-            weights.append([(j + f.v) % p for j in range(p)])
+    for n in windows[-2::-1]:
+        K //= p
         live = V.reshape(p, K, -1).any(axis=2).tolist()
         W = _pow_rows(ring, V, p, n).reshape(p, K, n, ring.f)  # a Frobenius
-        V = np.zeros((len(weights), K, n, ring.f), dtype=np.int64)
+        V = np.zeros((K, n, ring.f), dtype=np.int64)
         for j in range(p):
             rows = [r for r, x in enumerate(live[j]) if x]
             if len(rows) == K:  # every class: a view, and one window when K = 1
@@ -713,18 +674,14 @@ def _compose_fast(f, g, cap, derivative=False):
             elif not rows:
                 continue
             term = _mul_trunc(ring, W[j, rows], gpow[j], n) if j else W[j, rows]
-            for s, w in enumerate(weights):
-                V[s, rows, : term.shape[-2]] += term if w[j] == 1 else w[j] * term
-        V = V.reshape(-1, n, ring.f) % p
-    out = []
-    for rows, v, c in zip(V, (f.v, f.v - 1), caps):
-        unit = TruncatedLaurentSeries(ring, 0, rows, INF if cap == INF else n0)
-        if v > 0:
-            unit = unit * g**v
-        elif v < 0:
-            unit = unit * _pole_power(g, -v)
-        out.append(unit.truncate(c))
-    return tuple(out) if derivative else out[0]
+            V[rows, : term.shape[-2]] += term
+        V %= p
+    unit = TruncatedLaurentSeries(ring, 0, V[0], INF if cap == INF else n0)
+    if f.v > 0:
+        unit = unit * g**f.v
+    elif f.v < 0:
+        unit = unit * _pole_power(g, -f.v)
+    return unit.truncate(cap)
 
 
 def _window_powers(g, n, count):

@@ -129,13 +129,24 @@ def test_tower_malformed_datum_is_usage_error(argv):
         ((), ["witt", "add", "--p", "3", "--n", "2", "--x", "1,,2", "--y", "1,1"]),
         ((), ["grid", "--p", "2,,3", "--n", "1", "--nu-max", "1"]),
         ((), ["grid", "--p", "2", "--n", "1", "--nu-max", "0"]),
+        ((), ["local-symbol", "--p", "2", "--n", "1", "--nu", "3", "--alpha", "[[0,1],[1.9,1]]"]),
+        ((), ["tower", "--datum", '{"p": 2, "n": 1, "u": [[["-3", 1]]]}']),
+        ((), ["local-symbol", "--p", "2", "--n", "1", "--nu", "3", "--alpha", "[[0,true]]"]),
+        ((), ["tower", "--datum", '{"p": 2, "n": 1, "field": 2, "u": [[[-3, [1, 0.5]]]]}']),
+        (
+            (),
+            ["local-symbol", "--p", "2", "--n", "1", "--nu", "1", "--field", "2",
+             "--alpha", "[[0,[1,0.5]]]"],
+        ),
     ],
     ids=["alpha-coords", "alpha-coords-optimized", "alpha-not-a-list", "witt-short-vector",
          "witt-missing-x", "p-not-prime", "probe-no-trials", "probe-negative-trials",
          "datum-nu-not-a-list", "datum-p-null", "datum-n-a-list", "datum-field-null",
          "datum-nu-a-string", "datum-nu-float", "datum-p-float", "datum-n-bool",
          "witt-p-not-prime", "witt-n-zero", "wbar-p-not-prime", "wbar-negative-weight",
-         "nu-empty-item", "witt-empty-item", "grid-empty-item", "grid-nu-max-zero"],
+         "nu-empty-item", "witt-empty-item", "grid-empty-item", "grid-nu-max-zero",
+         "alpha-exponent-float", "datum-u-exponent-string", "alpha-coefficient-bool",
+         "datum-u-coordinate-float", "alpha-coordinate-float"],
 )
 def test_malformed_input_is_usage_error(flags, argv, tmp_path):
     # a datum document is written inline in the row and handed over as a file
