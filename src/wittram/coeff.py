@@ -1,8 +1,9 @@
-"""Finite fields F_q (q = p^f, small p) and their unramified Z/p^m lifts.
+"""The Galois rings GR(p^m, f) (small p): finite fields F_q, q = p^f, at
+m = 1, and their unramified Z/p^m lifts above.
 
 Elements are coordinate vectors over a fixed defining polynomial shipped with
-the package (Conway-style, one polynomial per (p, f) forever).  The lift ring
-for (p, m, f) uses the *same* polynomial with coefficients read mod p^m, so
+the package (Conway-style, one polynomial per (p, f) forever).  Every level m
+of (p, f) uses the *same* polynomial with coefficients read mod p^m, so
 reduction mod p is literally coordinate-wise.
 """
 
@@ -53,10 +54,12 @@ DEFINING_POLYS = {
 
 
 class CoeffRing:
-    """Common machinery for F_q and its Galois-ring lifts.
+    """The Galois ring GR(p^m, f) = (Z/p^m)[x]/(poly), with poly the shipped
+    defining polynomial of (p, f): Z/p^m when f = 1, and the finite field
+    F_q, q = p^f, exactly when m = 1.
 
-    Coordinates are tuples of ints in [0, modulus); modulus = p^m with m = 1
-    for the field itself.
+    Coordinates are tuples of ints in [0, modulus), modulus = p^m.  Rings
+    are equal when (p, m, f) are.
     """
 
     def __init__(self, p, m, f):
@@ -83,22 +86,42 @@ class CoeffRing:
                 for i in range(f):
                     cur[i] = (cur[i] - lead * self.poly[i]) % self.modulus
         self.reduction_rows = np.array(rows, dtype=np.int64)
+        if self.is_field:
+            self.q = p**f
+            # frobenius_matrix[i] = coordinates of (x^i)^p; pth_root = its
+            # inverse, which is frobenius^(f-1) since Frobenius has order f
+            rows = []
+            for i in range(f):
+                xi = tuple(1 if j == i else 0 for j in range(f))
+                rows.append(self._cpow(xi, p))
+            self.frobenius_matrix = np.array(rows, dtype=np.int64)
+            mat = np.eye(f, dtype=np.int64)
+            for _ in range(f - 1):
+                mat = (mat @ self.frobenius_matrix) % p
+            self.pth_root_matrix = mat
 
     @property
     def is_field(self):
         return self.m == 1
 
-    def _wrap(self, coords):
-        raise NotImplementedError
-
     def from_coords(self, coords):
         coords = tuple(int(c) % self.modulus for c in coords)
         if len(coords) != self.f:
             raise ValueError(f"an element of {self} has {self.f} coordinates, got {len(coords)}")
-        return self._wrap(coords)
+        return _Element(self, coords)
 
     def from_int(self, n):
-        return self._wrap((n % self.modulus,) + (0,) * (self.f - 1))
+        return _Element(self, (n % self.modulus,) + (0,) * (self.f - 1))
+
+    def element(self, c):
+        """c as an element of this ring: an int, or an element of this ring;
+        anything else raises ValueError."""
+        if isinstance(c, int):
+            return self.from_int(c)
+        if isinstance(c, _Element) and c.ring == self:
+            return c
+        other = c.ring if isinstance(c, _Element) else type(c).__name__
+        raise ValueError(f"ring mismatch: {self} vs {other}")
 
     def zero(self):
         return self.from_int(0)
@@ -110,10 +133,10 @@ class CoeffRing:
         """The class of x (a root of the defining polynomial)."""
         if self.f < 2:
             raise ValueError(f"{self} has no generator beyond the prime field")
-        return self._wrap((0, 1) + (0,) * (self.f - 2))
+        return _Element(self, (0, 1) + (0,) * (self.f - 2))
 
     def random(self, rng):
-        return self._wrap(tuple(rng.randrange(self.modulus) for _ in range(self.f)))
+        return _Element(self, tuple(rng.randrange(self.modulus) for _ in range(self.f)))
 
     # -- raw coordinate arithmetic (shared with the series backend) --
 
@@ -159,55 +182,26 @@ class CoeffRing:
 
     def __eq__(self, other):
         return (
-            type(self) is type(other)
+            isinstance(other, CoeffRing)
             and (self.p, self.m, self.f) == (other.p, other.m, other.f)
         )
 
     def __hash__(self):
-        return hash((type(self).__name__, self.p, self.m, self.f))
-
-
-class FiniteField(CoeffRing):
-    def __init__(self, p, f=1):
-        super().__init__(p, 1, f)
-        self.q = p**f
-        # frobenius_matrix[i] = coordinates of (x^i)^p; pth_root = its inverse,
-        # which is frobenius^(f-1) since Frobenius has order f
-        rows = []
-        for i in range(f):
-            xi = tuple(1 if j == i else 0 for j in range(f))
-            rows.append(self._cpow(xi, p))
-        self.frobenius_matrix = np.array(rows, dtype=np.int64)
-        mat = np.eye(f, dtype=np.int64)
-        for _ in range(f - 1):
-            mat = (mat @ self.frobenius_matrix) % p
-        self.pth_root_matrix = mat
-
-    def _wrap(self, coords):
-        return FiniteFieldElement(self, coords)
+        return hash((self.p, self.m, self.f))
 
     def __repr__(self):
-        return f"F{self.q}"
-
-
-class LiftRing(CoeffRing):
-    """Z/p^m when f = 1; the unramified degree-f extension GR(p^m, f) otherwise."""
-
-    def _wrap(self, coords):
-        return LiftRingElement(self, coords)
-
-    def __repr__(self):
+        if self.is_field:
+            return f"F{self.q}"
         return f"GR({self.p}^{self.m},{self.f})" if self.f > 1 else f"Z/{self.modulus}"
 
 
 @lru_cache(maxsize=None)
-def finite_field(p, f=1):
-    return FiniteField(p, f)
-
-
-@lru_cache(maxsize=None)
 def lift_ring(p, m, f=1):
-    return LiftRing(p, m, f)
+    return CoeffRing(p, m, f)
+
+
+def finite_field(p, f=1):
+    return lift_ring(p, 1, f)
 
 
 class _Element:
@@ -217,56 +211,44 @@ class _Element:
         self.ring = ring
         self.coords = coords
 
-    def _check(self, other):
-        if isinstance(other, int):
-            return self.ring.from_int(other)
-        if self.ring != other.ring:
-            raise ValueError(f"ring mismatch: {self.ring} vs {other.ring}")
-        return other
-
     def __add__(self, other):
-        other = self._check(other)
+        other = self.ring.element(other)
         mod = self.ring.modulus
-        return self.ring._wrap(
-            tuple((a + b) % mod for a, b in zip(self.coords, other.coords))
-        )
+        return _Element(self.ring, tuple((a + b) % mod for a, b in zip(self.coords, other.coords)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._check(other)
+        other = self.ring.element(other)
         mod = self.ring.modulus
-        return self.ring._wrap(
-            tuple((a - b) % mod for a, b in zip(self.coords, other.coords))
-        )
+        return _Element(self.ring, tuple((a - b) % mod for a, b in zip(self.coords, other.coords)))
 
     def __rsub__(self, other):
-        return self._check(other).__sub__(self)
+        return self.ring.element(other).__sub__(self)
 
     def __neg__(self):
         mod = self.ring.modulus
-        return self.ring._wrap(tuple(-a % mod for a in self.coords))
+        return _Element(self.ring, tuple(-a % mod for a in self.coords))
 
     def __mul__(self, other):
         if isinstance(other, int):
             mod = self.ring.modulus
-            return self.ring._wrap(tuple((a * other) % mod for a in self.coords))
-        other = self._check(other)
-        return self.ring._wrap(self.ring.cmul(self.coords, other.coords))
+            return _Element(self.ring, tuple((a * other) % mod for a in self.coords))
+        other = self.ring.element(other)
+        return _Element(self.ring, self.ring.cmul(self.coords, other.coords))
 
     __rmul__ = __mul__
 
     def inv(self):
-        return self.ring._wrap(self.ring.cinv(self.coords))
+        return _Element(self.ring, self.ring.cinv(self.coords))
 
     def __truediv__(self, other):
-        other = self._check(other)
-        return self * other.inv()
+        return self * self.ring.element(other).inv()
 
     def __pow__(self, e):
         if e < 0:
             return self.inv() ** (-e)
-        return self.ring._wrap(self.ring._cpow(self.coords, e))
+        return _Element(self.ring, self.ring._cpow(self.coords, e))
 
     def is_unit(self):
         return any(c % self.ring.p for c in self.coords)
@@ -303,14 +285,6 @@ class _Element:
                 else:
                     terms.append(f"{c}*{names[i]}")
         return "+".join(terms) if terms else "0"
-
-
-class FiniteFieldElement(_Element):
-    pass
-
-
-class LiftRingElement(_Element):
-    pass
 
 
 def pth_root(a):

@@ -138,7 +138,7 @@ class TruncatedLaurentSeries:
 
     @classmethod
     def monomial(cls, ring, e, c=1, prec=INF):
-        c = ring.from_int(c) if isinstance(c, int) else c
+        c = ring.element(c)
         if not c:
             return cls.zero_to(ring, prec)
         if e >= prec:
@@ -150,14 +150,11 @@ class TruncatedLaurentSeries:
     @classmethod
     def from_terms(cls, ring, terms, prec=INF):
         """terms: iterable of (exponent, coefficient); coefficient an int,
-        a coordinate list, or a ring element."""
-        pairs = []
-        for e, c in terms:
-            if isinstance(c, int):
-                c = ring.from_int(c)
-            elif isinstance(c, (list, tuple)):
-                c = ring.from_coords(c)
-            pairs.append((e, c))
+        a coordinate list, or an element of ring."""
+        pairs = [
+            (e, ring.from_coords(c) if isinstance(c, (list, tuple)) else ring.element(c))
+            for e, c in terms
+        ]
         if not pairs:
             return cls.zero_to(ring, prec)
         lo = min(e for e, _ in pairs)
@@ -230,10 +227,9 @@ class TruncatedLaurentSeries:
         return (-self) + other
 
     def scalar_mul(self, c):
-        """Multiply by a ring element (or int), coefficient-wise."""
+        """Multiply by an element of the series' ring (or int), coefficient-wise."""
         ring = self.ring
-        if isinstance(c, int):
-            c = ring.from_int(c)
+        c = ring.element(c)
         if not c:
             return TruncatedLaurentSeries.zero_to(ring, self.prec)
         if not len(self.coeffs):
@@ -242,8 +238,6 @@ class TruncatedLaurentSeries:
         return TruncatedLaurentSeries(ring, self.v, arr, self.prec)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scalar_mul(other)
         if not isinstance(other, TruncatedLaurentSeries):
             return self.scalar_mul(other)
         self._check(other)
@@ -355,10 +349,8 @@ class TruncatedLaurentSeries:
         self._poles[k] = x
 
     def __truediv__(self, other):
-        if isinstance(other, int):
-            return self.scalar_mul(self.ring.from_int(other).inv())
         if not isinstance(other, TruncatedLaurentSeries):
-            return self.scalar_mul(other.inv())
+            return self.scalar_mul(self.ring.element(other).inv())
         self._check(other)
         if other.is_exact_zero():
             raise ZeroDivisionError("division by exact zero")

@@ -4,8 +4,8 @@ import pytest
 
 from wittram.coeff import (
     DEFINING_POLYS,
-    FiniteField,
-    FiniteFieldElement,
+    CoeffRing,
+    _Element,
     finite_field,
     lift,
     lift_ring,
@@ -13,8 +13,9 @@ from wittram.coeff import (
     reduce_mod_p,
 )
 from wittram.errors import ConsistencyFailure
+from wittram.series import TruncatedLaurentSeries, compose
 
-from randoms import random_unit
+from randoms import random_series, random_unit
 
 
 def test_char_two_addition():
@@ -179,7 +180,7 @@ def test_hensel_inverse_check_raises(monkeypatch):
     R = lift_ring(3, 4)
     assert R.cmul((2,), R.cinv((2,))) == (1,)
     # a wrong inverse mod p cannot be lifted into an inverse mod 3^4
-    monkeypatch.setattr(FiniteField, "_cpow", lambda self, a, e: (1,))
+    monkeypatch.setattr(CoeffRing, "_cpow", lambda self, a, e: (1,))
     with pytest.raises(ConsistencyFailure, match="Hensel"):
         R.cinv((2,))
 
@@ -189,9 +190,27 @@ def test_pth_root_check_raises(monkeypatch):
     g = F8.gen()
     assert pth_root(g) ** 2 == g
     # the root is g^(2^2); a power map that is off at that exponent only
-    power = FiniteFieldElement.__pow__
-    monkeypatch.setattr(
-        FiniteFieldElement, "__pow__", lambda self, e: power(self, e + (e == 4))
-    )
+    power = _Element.__pow__
+    monkeypatch.setattr(_Element, "__pow__", lambda self, e: power(self, e + (e == 4)))
     with pytest.raises(ConsistencyFailure, match="p-th root"):
         pth_root(g)
+
+
+@pytest.mark.parametrize("p, f", sorted(DEFINING_POLYS))
+def test_level_one_lift_ring_is_the_field(p, f):
+    F, R = finite_field(p, f), lift_ring(p, 1, f)
+    assert R == F and hash(R) == hash(F)
+    rng = random.Random(10 * p + f)
+    for _ in range(5):
+        a = F.random(rng)
+        assert lift(a, 1) == a
+    # a series over R powers and composes as the same series over F
+    x, g = random_series(F, -1, 6, rng), random_series(F, 1, 6, rng)
+
+    def over(ring, s):
+        return TruncatedLaurentSeries(ring, s.v, s.coeffs, s.prec)
+
+    for op in (lambda x, g: x.pth_power(), lambda x, g: x**p, compose):
+        want, got = op(x, g), op(over(R, x), over(R, g))
+        assert got.ring == want.ring
+        assert (got.v, got.prec, got.coeffs.tolist()) == (want.v, want.prec, want.coeffs.tolist())

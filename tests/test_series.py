@@ -28,6 +28,7 @@ from randoms import random_series, random_unit
 F2 = finite_field(2)
 F3 = finite_field(3)
 F4 = finite_field(2, 2)
+F5 = finite_field(5)
 F7 = finite_field(7)
 F9 = finite_field(3, 2)
 F25 = finite_field(5, 2)
@@ -93,6 +94,24 @@ def test_division_errors():
     with pytest.raises(ValueError):
         # exact/exact non-monomial division has no finite answer
         ser(F2, [(0, 1)]) / ser(F2, [(0, 1), (1, 1)])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ser(F2, [(0, 1), (1, 1)]) * F4.gen(),
+        lambda: ser(F3, [(0, 1), (2, 1)]) / F5.from_int(2),
+        lambda: ser(F3, [(0, 1)]).scalar_mul(F9.gen()),
+        lambda: ser(lift_ring(3, 2), [(0, 1)]) * F3.one(),
+        lambda: TLS.monomial(F3, 1, F5.from_int(4)),
+        lambda: ser(F3, [(0, F5.from_int(4))]),
+        lambda: ser(F2, [(0, 1.5)]),
+    ],
+    ids=["mul", "div", "scalar_mul", "mul-lift", "monomial", "from_terms", "from_terms-float"],
+)
+def test_coefficient_from_another_ring_is_refused(build):
+    with pytest.raises(ValueError, match="ring mismatch"):
+        build()
 
 
 def test_compose_pole_into_cubic():
