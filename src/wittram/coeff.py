@@ -212,14 +212,24 @@ class _Element:
         self.coords = coords
 
     def __add__(self, other):
-        other = self.ring.element(other)
+        try:
+            other = self.ring.element(other)
+        except ValueError:
+            if isinstance(other, _Element):
+                raise
+            return NotImplemented
         mod = self.ring.modulus
         return _Element(self.ring, tuple((a + b) % mod for a, b in zip(self.coords, other.coords)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self.ring.element(other)
+        try:
+            other = self.ring.element(other)
+        except ValueError:
+            if isinstance(other, _Element):
+                raise
+            return NotImplemented
         mod = self.ring.modulus
         return _Element(self.ring, tuple((a - b) % mod for a, b in zip(self.coords, other.coords)))
 
@@ -234,7 +244,12 @@ class _Element:
         if isinstance(other, int):
             mod = self.ring.modulus
             return _Element(self.ring, tuple((a * other) % mod for a in self.coords))
-        other = self.ring.element(other)
+        try:
+            other = self.ring.element(other)
+        except ValueError:
+            if isinstance(other, _Element):
+                raise
+            return NotImplemented
         return _Element(self.ring, self.ring.cmul(self.coords, other.coords))
 
     __rmul__ = __mul__
@@ -243,7 +258,13 @@ class _Element:
         return _Element(self.ring, self.ring.cinv(self.coords))
 
     def __truediv__(self, other):
-        return self * self.ring.element(other).inv()
+        try:
+            other = self.ring.element(other)
+        except ValueError:
+            if isinstance(other, _Element):
+                raise
+            return NotImplemented
+        return self * other.inv()
 
     def __pow__(self, e):
         if e < 0:

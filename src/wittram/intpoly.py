@@ -29,10 +29,17 @@ terms fall into blocks, the connected components of the X/Y incidence.  The
 Witt polynomials are isobaric, so a block is a weight class and nearly dense:
 S_3 for p=5 is 37,760 terms in 126 blocks.  A block is a coefficient matrix
 C, and its value at the points is the column sum of (C @ MY) * MX over the
-values MX, MY of its distinct X and Y monomials: one int64 matmul per block
-shape.  It is exact: every entry is a residue below m and m**2 < 2**63, so
-each product fits int64, and every sum of products runs in chunks of c terms
-with c*(m-1)**2 + m-1 < 2**63, reduced after each chunk.
+values MX, MY of its distinct X and Y monomials: one matmul per block shape.
+Everything that does not depend on the points is a plan (_batch_plan), made
+once per polynomial, number of variables and modulus; the Witt tables keep
+one per component.  It is exact: every entry is a residue below m and
+m**2 < 2**63, so each product fits int64.  The matmul runs in float64, on
+BLAS, when k*(m-1)**2 < 2**53 for the widest block of k columns, since every
+partial sum is then an integer below 2**53; otherwise it runs in int64.  An
+int64 sum of products runs in chunks of c terms with c*(m-1)**2 + m-1 < 2**63,
+reduced after each chunk.  The points run in tiles of 2**15 elements of the
+plan's widest array, at least 128 points, so a small polynomial takes a
+batch of 1000 points in one tile.
 """
 
 from __future__ import annotations
@@ -413,8 +420,17 @@ def p_eval(a, vals, one):
 
 # ---------- batched evaluation over Z/mod: the graded bilinear block kernel ----------
 
-# points per column block: bounds the (monomials x points) arrays of one pass
-_COLS = 128
+# a column tile holds this many elements of the plan's widest array, and at
+# least _MIN_COLS points: small components run in one tile, and the peak
+# memory of a large one stays flat
+_TILE_ELEMENTS = 2**15
+_MIN_COLS = 128
+
+# multiply-adds per float64 matmul call.  OpenBLAS runs a product of at most
+# 2**18 on one thread and hands a larger one to its thread pool, whose
+# wake-up cost up to ten times the product on a 2-CPU x86 VM: a 202 x 202
+# block took 48 ms per 1000 points in one call and 4.7 ms in calls of 6
+_GEMM_TERMS = 2**18
 
 
 def _components(u, v, n):
@@ -548,11 +564,72 @@ def _powers(x, e, mod):
     return out
 
 
-def p_eval_batch_mod(a, vals, mod):
+class _BatchPlan:
+    """What p_eval_batch_mod does not need the points for, made by _batch_plan.
+
+    key is (len(a), nv, mod).  xlevels and ylevels hold, per trie level but
+    the last, (parent, v, used, where): the parents of its prefixes, its
+    variable (None on the level of the monomial 1), its distinct exponents
+    and each prefix's exponent among them; xlast and ylast hold (v, used) of
+    the last level.  groups holds, per block shape, (xp, xw, yp, yw, C, sub):
+    the parent and the exponent place of each block's X and Y monomials in
+    the last levels, the coefficients in `dtype`, and the points per matmul
+    call.  A matmul sums `step` products at a time, every other sum `chunk`,
+    and the points run in tiles of `cols`."""
+
+    __slots__ = ("key", "xlevels", "ylevels", "xlast", "ylast", "groups", "dtype", "step", "chunk", "cols")
+
+
+def _batch_plan(a, nv, mod):
+    """The plan of p_eval_batch_mod(a, vals, mod) for vals of nv rows."""
+    if mod * mod >= 2**63:
+        raise ValueError(f"int64 evaluation would overflow: modulus {mod}")
+    plan = _BatchPlan()
+    plan.key = (len(a), nv, mod)
+    plan.chunk = (2**63 - mod) // max((mod - 1) ** 2, 1)
+    plan.groups = []
+    if not a:
+        return plan
+    xsteps, ysteps, groups = _block_plan(a, nv, mod)
+
+    def levels(steps):
+        out = []
+        for v, parent, e in steps:
+            used, where = np.unique(e, return_inverse=True)
+            out.append((parent, v if used[-1] else None, used, where))
+        return out
+
+    xlevels, ylevels = levels(xsteps), levels(ysteps)
+    (xpar, xv, xused, xwhere), (ypar, yv, yused, ywhere) = xlevels.pop(), ylevels.pop()
+    plan.xlevels, plan.ylevels = xlevels, ylevels
+    plan.xlast, plan.ylast = (xv, xused), (yv, yused)
+    # float64 when every matmul sum is exact in one step, else int64
+    widest_k = max(C.shape[2] for _, _, C in groups)
+    exact = widest_k * (mod - 1) ** 2 < 2**53
+    plan.dtype = np.float64 if exact else np.int64
+    plan.step = widest_k if exact else plan.chunk
+    # the widest array of a tile: a prefix level, a power table, or a
+    # group's stacked X or Y monomials (the last levels are never whole)
+    widest = max(
+        [len(lv[0]) for lv in xlevels + ylevels]
+        + [len(lv[2]) for lv in xlevels + ylevels]
+        + [len(xused), len(yused)]
+        + [C.shape[0] * max(C.shape[1:]) for _, _, C in groups]
+    )
+    plan.cols = max(_MIN_COLS, _TILE_ELEMENTS // widest)
+    for xr, yr, C in groups:
+        sub = max(1, _GEMM_TERMS // (C.shape[1] * C.shape[2])) if exact else plan.cols
+        plan.groups.append((xpar[xr], xwhere[xr], ypar[yr], ywhere[yr], C.astype(plan.dtype), sub))
+    return plan
+
+
+def p_eval_batch_mod(a, vals, mod, plan=None):
     """Vectorized evaluation at many points of Z/mod at once.
 
     vals is an int64 array of shape (nvars, B), one column per point;
-    returns shape (B,).
+    returns shape (B,).  plan, from _batch_plan(a, nvars, mod), skips the
+    work that does not depend on the points; a plan of another length,
+    number of variables or modulus raises ValueError.
 
     The kernel is bilinear and graded.  Each monomial is (X-part)(Y-part),
     its even and its odd variables, and the terms fall into blocks, the
@@ -560,66 +637,70 @@ def p_eval_batch_mod(a, vals, mod):
     these are the weight classes, and they are nearly dense.  Per block, with
     C its coefficient matrix and MX, MY the values of its distinct X and Y
     monomials at the points, the block's value is the column sum of
-    (C @ MY) * MX.  Blocks of one shape run as one stacked int64 matmul, and
-    the points run in column blocks of _COLS.
+    (C @ MY) * MX.  Blocks of one shape run as one stacked matmul, and the
+    points run in tiles of _TILE_ELEMENTS over the plan's widest array, at
+    least _MIN_COLS points.
 
-    Exactness: every entry is reduced into 0..mod-1, so a product of two is
-    at most (mod-1)**2 < 2**63 while mod**2 < 2**63, which the guard below
-    demands.  Each sum of products (the matmul's inner dimension, and the
-    sum over a block's X monomials) adds `chunk` of them to an accumulator
-    below mod, with chunk*(mod-1)**2 + mod-1 < 2**63, and reduces after every
-    chunk; at the edge modulus 3037000499 the chunk is 1.  No float64 or BLAS
-    is used.
+    Exactness: every entry is reduced into 0..mod-1, and mod**2 < 2**63,
+    which the guard demands, so a product of two fits int64.  The matmul
+    runs in float64 (BLAS) when k*(mod-1)**2 < 2**53 for the widest inner
+    dimension k: every product and partial sum is then an integer below
+    2**53, exact in float64.  Otherwise it runs in int64, like every other
+    sum of products: `chunk` of them at a time are added to an accumulator
+    below mod, with chunk*(mod-1)**2 + mod-1 < 2**63, and reduced after
+    every chunk; at the edge modulus 3037000499 the chunk is 1.
     """
-    if mod * mod >= 2**63:
-        raise ValueError(f"int64 evaluation would overflow: modulus {mod}")
-    vals = np.asarray(vals, dtype=np.int64) % mod
+    vals = np.asarray(vals, dtype=np.int64)
     nv, B = vals.shape
+    if plan is None:
+        plan = _batch_plan(a, nv, mod)
+    elif plan.key != (len(a), nv, mod):
+        raise ValueError(f"plan of {plan.key} used for {(len(a), nv, mod)}")
+    vals = vals % mod
     out = np.zeros(B, dtype=np.int64)
-    if not a:
+    if not plan.groups:
         return out
-    xsteps, ysteps, groups = _block_plan(a, nv, mod)
-    chunk = (2**63 - mod) // max((mod - 1) ** 2, 1)
+    ones = np.ones(B, dtype=np.int64)
 
-    def levels(steps):
-        # per level: parents, the values of its variable, its distinct
-        # exponents, and the exponent of each prefix among them
-        out = []
-        for v, parent, e in steps:
-            used, where = np.unique(e, return_inverse=True)
-            # the level of the monomial 1 has exponent 0 and no variable
-            x = vals[v] if used[-1] else np.ones(B, dtype=np.int64)
-            out.append((parent, x, used, where))
-        return out
+    def powers(v, used, c0, c1):
+        return _powers((ones if v is None else vals[v])[c0:c1], used, mod)
 
     def prefixes(levels, c0, c1):
         m = np.ones((1, c1 - c0), dtype=np.int64)
-        for parent, x, used, where in levels:
+        for parent, v, used, where in levels:
             m = m[parent]
-            m *= _powers(x[c0:c1], used, mod)[where]
+            m *= powers(v, used, c0, c1)[where]
             _rem(m, mod)
         return m
 
     # the last level of each side is formed block by block, never whole
-    xlevels, ylevels = levels(xsteps), levels(ysteps)
-    (xpar, xval, xused, xwhere), (ypar, yval, yused, ywhere) = xlevels.pop(), ylevels.pop()
-    groups = [(xpar[xr], xwhere[xr], ypar[yr], ywhere[yr], C) for xr, yr, C in groups]
-    for c0 in range(0, B, _COLS):
-        c1 = min(c0 + _COLS, B)
-        PX, PY = prefixes(xlevels, c0, c1), prefixes(ylevels, c0, c1)
-        xtab, ytab = _powers(xval[c0:c1], xused, mod), _powers(yval[c0:c1], yused, mod)
-        total = np.zeros(c1 - c0, dtype=np.int64)
-        for xp, xw, yp, yw, C in groups:
+    step, chunk = plan.step, plan.chunk
+    for c0 in range(0, B, plan.cols):
+        c1 = min(c0 + plan.cols, B)
+        w = c1 - c0
+        PX, PY = prefixes(plan.xlevels, c0, c1), prefixes(plan.ylevels, c0, c1)
+        xtab, ytab = powers(*plan.xlast, c0, c1), powers(*plan.ylast, c0, c1)
+        total = np.zeros(w, dtype=np.int64)
+        for xp, xw, yp, yw, C, sub in plan.groups:
             MY = PY[yp]
             MY *= ytab[yw]
             _rem(MY, mod)
-            Q = np.zeros(C.shape[:2] + (c1 - c0,), dtype=np.int64)
-            for k0 in range(0, C.shape[2], chunk):
-                Q += C[:, :, k0 : k0 + chunk] @ MY[:, k0 : k0 + chunk]
+            MY = MY.astype(plan.dtype, copy=False)
+            Q = None
+            for k0 in range(0, C.shape[2], step):
+                part = np.empty(C.shape[:2] + (w,), dtype=plan.dtype)
+                for j0 in range(0, w, sub):
+                    np.matmul(
+                        C[:, :, k0 : k0 + step],
+                        MY[:, k0 : k0 + step, j0 : j0 + sub],
+                        out=part[:, :, j0 : j0 + sub],
+                    )
+                part = part.astype(np.int64, copy=False)
+                Q = part if Q is None else Q + part
                 _rem(Q, mod)
             Q *= PX[xp]
             _rem(Q, mod)
-            Q = Q.reshape(-1, c1 - c0)
+            Q = Q.reshape(-1, w)
             MX = xtab[xw.reshape(-1)]
             for r0 in range(0, len(Q), chunk):
                 total += np.einsum("ij,ij->j", Q[r0 : r0 + chunk], MX[r0 : r0 + chunk])

@@ -194,7 +194,7 @@ class TruncatedLaurentSeries:
     def _overlay(self, other, sign):
         """self + other (sign 1) or self - other (sign -1) on the known
         windows: every known coefficient outside a stored window is zero."""
-        if isinstance(other, int):
+        if not isinstance(other, TruncatedLaurentSeries):  # an int or a ring element
             other = TruncatedLaurentSeries.monomial(self.ring, 0, other)
         self._check(other)
         prec = min(self.prec, other.prec)
@@ -670,7 +670,7 @@ def _compose_fast(f, g, cap):
         V %= p
     unit = TruncatedLaurentSeries(ring, 0, V[0], INF if cap == INF else n0)
     if f.v > 0:
-        unit = unit * g**f.v
+        unit = unit * _power(g, f.v, cap)
     elif f.v < 0:
         unit = unit * _pole_power(g, -f.v)
     return unit.truncate(cap)

@@ -3,6 +3,7 @@ the graded bilinear block kernel, against p_eval over the integers at every
 point, reduced afterwards; p_mul_sliced and p_pow_sliced, the sliced
 Kronecker product, against the term-by-term p_mul and p_pow."""
 
+import math
 import random
 
 import numpy as np
@@ -67,6 +68,52 @@ def test_random_polynomials_match_reference(B):
             got = ip.p_eval_batch_mod(a, vals, mod)
             assert got.shape == (B,) and got.dtype == np.int64
             assert got.tolist() == _reference(a, vals, mod), (name, mod)
+
+
+def _block(k):
+    # a full k x k block, every coefficient -1: at residues m - 1 its matmul
+    # sums k products of (m - 1)**2, the largest sum a modulus m admits
+    return {ip.var(2 * i) + ip.var(2 * j + 1): -1 for i in range(k) for j in range(k)}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+def test_float_and_int_matmul_at_their_boundary(k):
+    # the largest m with k*(m-1)**2 < 2**53 takes float64, the next int64;
+    # both are exact with every residue at its maximum
+    top = math.isqrt((2**53 - 1) // k) + 1
+    for mod, dtype in ((top, np.float64), (top + 1, np.int64)):
+        a = _block(k)
+        assert ip._batch_plan(a, 2 * k, mod).dtype == dtype
+        vals = np.full((2 * k, 3), mod - 1, dtype=np.int64)
+        want = k * k * -((mod - 1) ** 2) % mod
+        assert ip.p_eval_batch_mod(a, vals, mod).tolist() == [want] * 3
+        assert _reference(a, vals, mod) == [want] * 3
+
+
+@pytest.mark.parametrize("r, cols", [(200, 163), (300, 128)])
+def test_batch_widths_around_the_tile(r, cols):
+    # r terms x0^i y0^(i % 3): the power table of x0 has r rows, so a tile
+    # is 2**15 // r points, never below 128; B one short of, at, one past
+    # and past twice the tile
+    a = {ip.mono(i, i % 3): i % 7 + 1 for i in range(r)}
+    assert ip._batch_plan(a, 2, 7**5).cols == cols
+    rng = np.random.default_rng(cols)
+    for B in (cols - 1, cols, cols + 1, 2 * cols + 1):
+        vals = rng.integers(0, 7**5, size=(2, B), dtype=np.int64)
+        exact = [ip.p_eval(a, dict(enumerate(map(int, col))), 1) for col in vals.T]
+        for mod in (7**5, EDGE):
+            want = [x % mod for x in exact]
+            assert ip.p_eval_batch_mod(a, vals, mod).tolist() == want, (B, mod)
+
+
+def test_a_plan_serves_only_its_polynomial():
+    a, b = build_table(3, 2).S[1], build_table(3, 2).P[1]
+    plan = ip._batch_plan(a, 4, 27)
+    vals = np.arange(12, dtype=np.int64).reshape(4, 3)
+    assert ip.p_eval_batch_mod(a, vals, 27, plan=plan).tolist() == _reference(a, vals, 27)
+    for args in ((b, vals, 27), (a, vals, 81), (a, np.vstack([vals, vals]), 27)):
+        with pytest.raises(ValueError, match="plan"):
+            ip.p_eval_batch_mod(*args, plan=plan)
 
 
 # ---------- the sliced Kronecker product against the term-by-term product ----------

@@ -114,6 +114,26 @@ def test_coefficient_from_another_ring_is_refused(build):
         build()
 
 
+@pytest.mark.parametrize("R", [F3, F9, lift_ring(3, 2)], ids=repr)
+def test_ring_element_on_the_left_of_a_series(R):
+    # c op s hands the series to its reflected method, as 3 op s does, and
+    # s + c adds c as the constant term, as s + 3 does; an element of
+    # another ring is still refused
+    rng = random.Random(41)
+    s = random_series(R, -1, 6, rng)
+    for c in (random_unit(R, rng), R.from_int(2)):
+        assert _same(c * s, s * c)
+        one = TLS.monomial(R, 0, c)
+        assert _same(c + s, s + one) and _same(s + c, s + one)
+        assert _same(c - s, one - s) and _same(s - c, s - one)
+    with pytest.raises(ValueError, match="ring mismatch"):
+        ser(F3, [(1, 1)]) + F5.from_int(2)
+    with pytest.raises(ValueError, match="ring mismatch"):
+        F5.from_int(2) * ser(F3, [(1, 1)])
+    with pytest.raises(ValueError, match="ring mismatch"):
+        F5.from_int(2) + F3.one()
+
+
 def test_compose_pole_into_cubic():
     f = TLS.monomial(F2, -2)
     g = ser(F2, [(3, 1), (4, 1)], prec=12)
@@ -555,6 +575,29 @@ def test_digit_powers_match_the_binary_route(R):
             for k in range(1, 3 * p + 1):
                 g = TLS(R, x.v, x.coeffs, x.prec)  # keeps no power yet
                 assert _same(series_mod._pole_power(g, k), binary_pole_power(g, k)), (x, k)
+
+
+@pytest.mark.parametrize("R", [F2, F3, F9, lift_ring(3, 2), lift_ring(2, 2, 2)], ids=repr)
+def test_capped_power_keeps_the_uncapped_rows(R):
+    # the positive power a composite multiplies by, g^v(f) cut at the cap,
+    # equals the uncut power cut there: in (v, prec, rows) for every cap
+    # between its valuation and past its precision, on finite and exact
+    # windows, and over a lift ring also for a lead that is a zero divisor
+    rng = random.Random(97)
+    p = R.p
+    xs = []
+    for v in (1, 2):
+        x = random_series(R, v, 9, rng)
+        xs += [x, TLS(R, v, x.coeffs[:4], INF)]
+        if not R.is_field:
+            xs.append(TLS.monomial(R, v, p, v + 9) + random_series(R, v + 1, 8, rng))
+    for x in xs:
+        for e in (1, 2, p, p + 1, p * p, 2 * p * p + 1):
+            full = x**e
+            for cap in range(e * x.v + 1, e * x.v + 24, 3):
+                got = series_mod._power(x, e, cap)
+                assert _same(got, full.truncate(cap)), (x, e, cap)
+            assert _same(series_mod._power(x, e, INF), full)
 
 
 def test_inv_past_the_stored_width():
