@@ -30,9 +30,8 @@ Witt polynomials are isobaric, so a block is a weight class and nearly dense:
 S_3 for p=5 is 37,760 terms in 126 blocks.  A block is a coefficient matrix
 C, and its value at the points is the column sum of (C @ MY) * MX over the
 values MX, MY of its distinct X and Y monomials: one matmul per block shape.
-Everything that does not depend on the points is a plan (_batch_plan), made
-once per polynomial, number of variables and modulus; the Witt tables keep
-one per component.  It is exact: every entry is a residue below m and
+Everything that does not depend on the points is made first, as a plan
+(_batch_plan).  It is exact: every entry is a residue below m and
 m**2 < 2**63, so each product fits int64.  The matmul runs in float64, on
 BLAS, when k*(m-1)**2 < 2**53 for the widest block of k columns, since every
 partial sum is then an integer below 2**53; otherwise it runs in int64.  An
@@ -485,16 +484,17 @@ def _block_plan(a, nv, mod):
     even = sum(MASK << (SHIFT * v) for v in range(0, nv, 2))
 
     def split(part, first):
-        # the distinct parts and each term's part number, then the parts' trie
-        parts = list(map(part.__and__, a))
-        keys = {k: i for i, k in enumerate(dict.fromkeys(parts))}
+        # each term's part number, numbering the distinct parts in order of
+        # appearance, then the parts' trie
+        keys = {}
+        index = np.array([keys.setdefault(k & part, len(keys)) for k in a], dtype=np.intp)
         vs = range(first, nv, 2)
         exps = np.zeros((len(keys), len(vs)), dtype=np.intp)
         for j, v in enumerate(vs):
             exps[:, j] = np.fromiter(((k >> (SHIFT * v)) & MASK for k in keys), np.intp)
         steps, rows = _trie(exps)
         steps = [(first + 2 * j, parent, e) for j, parent, e in steps]
-        return np.fromiter(map(keys.__getitem__, parts), np.intp, len(a)), steps, rows
+        return index, steps, rows
 
     xi, xsteps, xrow = split(even, 0)
     yi, ysteps, yrow = split(~even, 1)
@@ -549,13 +549,14 @@ def _rem(x, mod):
     x -= q
 
 
-def _powers(x, e, mod):
-    """The rows x**e[i] mod `mod`, by binary powering over all of e at once."""
-    out = np.ones((len(e), len(x)), dtype=np.int64)
+def _powers(x, var, e, mod):
+    """The rows x[var[i]]**e[i] mod `mod`, by binary powering over all rows
+    at once: each variable is squared once per bit of the largest e."""
+    out = np.ones((len(e), x.shape[1]), dtype=np.int64)
     e = e.copy()
     while e.any():
         odd = np.flatnonzero(e & 1)
-        t = out[odd] * x
+        t = out[odd] * x[var[odd]]
         _rem(t, mod)
         out[odd] = t
         e >>= 1
@@ -567,17 +568,17 @@ def _powers(x, e, mod):
 class _BatchPlan:
     """What p_eval_batch_mod does not need the points for, made by _batch_plan.
 
-    key is (len(a), nv, mod).  xlevels and ylevels hold, per trie level but
-    the last, (parent, v, used, where): the parents of its prefixes, its
-    variable (None on the level of the monomial 1), its distinct exponents
-    and each prefix's exponent among them; xlast and ylast hold (v, used) of
-    the last level.  groups holds, per block shape, (xp, xw, yp, yw, C, sub):
-    the parent and the exponent place of each block's X and Y monomials in
-    the last levels, the coefficients in `dtype`, and the points per matmul
-    call.  A matmul sums `step` products at a time, every other sum `chunk`,
-    and the points run in tiles of `cols`."""
+    var and exp list the powers a tile needs, one row each: the distinct
+    exponents of every trie level, level after level.  xlevels and ylevels
+    hold, per trie level but the last, (parent, where): the parent of each
+    prefix in the level before and the power row it is multiplied by.
+    groups holds, per block shape, (xp, xw, yp, yw, C, sub): the parent and
+    the power row of each block's X and Y monomials in the last levels, the
+    coefficients in `dtype`, and the points per matmul call.  A matmul sums
+    `step` products at a time, every other sum `chunk`, and the points run
+    in tiles of `cols`."""
 
-    __slots__ = ("key", "xlevels", "ylevels", "xlast", "ylast", "groups", "dtype", "step", "chunk", "cols")
+    __slots__ = ("var", "exp", "xlevels", "ylevels", "groups", "dtype", "step", "chunk", "cols")
 
 
 def _batch_plan(a, nv, mod):
@@ -585,35 +586,38 @@ def _batch_plan(a, nv, mod):
     if mod * mod >= 2**63:
         raise ValueError(f"int64 evaluation would overflow: modulus {mod}")
     plan = _BatchPlan()
-    plan.key = (len(a), nv, mod)
     plan.chunk = (2**63 - mod) // max((mod - 1) ** 2, 1)
     plan.groups = []
     if not a:
         return plan
     xsteps, ysteps, groups = _block_plan(a, nv, mod)
+    var, exp = [], []
 
     def levels(steps):
+        # each level's distinct exponents become power rows; the level of
+        # the monomial 1 (exponent 0) may name any variable
         out = []
         for v, parent, e in steps:
             used, where = np.unique(e, return_inverse=True)
-            out.append((parent, v if used[-1] else None, used, where))
+            out.append((parent, where + sum(map(len, exp))))
+            var.append(np.full(len(used), v if used[-1] else 0))
+            exp.append(used)
         return out
 
     xlevels, ylevels = levels(xsteps), levels(ysteps)
-    (xpar, xv, xused, xwhere), (ypar, yv, yused, ywhere) = xlevels.pop(), ylevels.pop()
+    (xpar, xwhere), (ypar, ywhere) = xlevels.pop(), ylevels.pop()
     plan.xlevels, plan.ylevels = xlevels, ylevels
-    plan.xlast, plan.ylast = (xv, xused), (yv, yused)
+    plan.var, plan.exp = np.concatenate(var), np.concatenate(exp)
     # float64 when every matmul sum is exact in one step, else int64
     widest_k = max(C.shape[2] for _, _, C in groups)
     exact = widest_k * (mod - 1) ** 2 < 2**53
     plan.dtype = np.float64 if exact else np.int64
     plan.step = widest_k if exact else plan.chunk
-    # the widest array of a tile: a prefix level, a power table, or a
+    # the widest array of a tile: a prefix level, the power rows, or a
     # group's stacked X or Y monomials (the last levels are never whole)
     widest = max(
-        [len(lv[0]) for lv in xlevels + ylevels]
-        + [len(lv[2]) for lv in xlevels + ylevels]
-        + [len(xused), len(yused)]
+        [len(parent) for parent, _ in xlevels + ylevels]
+        + [len(plan.exp)]
         + [C.shape[0] * max(C.shape[1:]) for _, _, C in groups]
     )
     plan.cols = max(_MIN_COLS, _TILE_ELEMENTS // widest)
@@ -623,13 +627,12 @@ def _batch_plan(a, nv, mod):
     return plan
 
 
-def p_eval_batch_mod(a, vals, mod, plan=None):
+def p_eval_batch_mod(a, vals, mod):
     """Vectorized evaluation at many points of Z/mod at once.
 
     vals is an int64 array of shape (nvars, B), one column per point;
-    returns shape (B,).  plan, from _batch_plan(a, nvars, mod), skips the
-    work that does not depend on the points; a plan of another length,
-    number of variables or modulus raises ValueError.
+    returns shape (B,).  What does not depend on the points is made first,
+    as a plan (_batch_plan).
 
     The kernel is bilinear and graded.  Each monomial is (X-part)(Y-part),
     its even and its odd variables, and the terms fall into blocks, the
@@ -652,24 +655,17 @@ def p_eval_batch_mod(a, vals, mod, plan=None):
     """
     vals = np.asarray(vals, dtype=np.int64)
     nv, B = vals.shape
-    if plan is None:
-        plan = _batch_plan(a, nv, mod)
-    elif plan.key != (len(a), nv, mod):
-        raise ValueError(f"plan of {plan.key} used for {(len(a), nv, mod)}")
+    plan = _batch_plan(a, nv, mod)
     vals = vals % mod
     out = np.zeros(B, dtype=np.int64)
     if not plan.groups:
         return out
-    ones = np.ones(B, dtype=np.int64)
 
-    def powers(v, used, c0, c1):
-        return _powers((ones if v is None else vals[v])[c0:c1], used, mod)
-
-    def prefixes(levels, c0, c1):
-        m = np.ones((1, c1 - c0), dtype=np.int64)
-        for parent, v, used, where in levels:
+    def prefixes(levels, pw):
+        m = np.ones((1, pw.shape[1]), dtype=np.int64)
+        for parent, where in levels:
             m = m[parent]
-            m *= powers(v, used, c0, c1)[where]
+            m *= pw[where]
             _rem(m, mod)
         return m
 
@@ -678,12 +674,12 @@ def p_eval_batch_mod(a, vals, mod, plan=None):
     for c0 in range(0, B, plan.cols):
         c1 = min(c0 + plan.cols, B)
         w = c1 - c0
-        PX, PY = prefixes(plan.xlevels, c0, c1), prefixes(plan.ylevels, c0, c1)
-        xtab, ytab = powers(*plan.xlast, c0, c1), powers(*plan.ylast, c0, c1)
+        pw = _powers(vals[:, c0:c1], plan.var, plan.exp, mod)
+        PX, PY = prefixes(plan.xlevels, pw), prefixes(plan.ylevels, pw)
         total = np.zeros(w, dtype=np.int64)
         for xp, xw, yp, yw, C, sub in plan.groups:
             MY = PY[yp]
-            MY *= ytab[yw]
+            MY *= pw[yw]
             _rem(MY, mod)
             MY = MY.astype(plan.dtype, copy=False)
             Q = None
@@ -701,7 +697,7 @@ def p_eval_batch_mod(a, vals, mod, plan=None):
             Q *= PX[xp]
             _rem(Q, mod)
             Q = Q.reshape(-1, w)
-            MX = xtab[xw.reshape(-1)]
+            MX = pw[xw.reshape(-1)]
             for r0 in range(0, len(Q), chunk):
                 total += np.einsum("ij,ij->j", Q[r0 : r0 + chunk], MX[r0 : r0 + chunk])
                 _rem(total, mod)

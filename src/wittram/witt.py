@@ -40,15 +40,14 @@ def _weights(p, upto):
 
 
 # per-prime build state: families grow monotonically and are never mutated
-# after append, so cached polynomials can be shared freely, and so can the
-# batch plans of their components, keyed by (family, i, nv, mod)
+# after append, so cached polynomials can be shared freely
 _STATE = {}
 
 
 def _state(p):
     st = _STATE.get(p)
     if st is None:
-        st = {"S": [], "c": [], "I": [], "P": [], "plans": {}}
+        st = {"S": [], "c": [], "I": [], "P": []}
         _STATE[p] = st
     return st
 
@@ -363,11 +362,8 @@ def witt_sum_component(ring, i, add, sub=()):
 
 
 def witt_batch_op(table, op, A, B, mod):
-    """Evaluate S/P/I tables on (n, B)-shaped int64 entry arrays mod `mod`.
-
-    Each component's batch plan is made at its first batch and kept."""
-    name = {"add": "S", "mul": "P", "neg": "I"}[op]
-    polys = getattr(table, name)
+    """Evaluate S/P/I tables on (n, B)-shaped int64 entry arrays mod `mod`."""
+    polys = {"add": table.S, "mul": table.P, "neg": table.I}[op]
     n = A.shape[0]
     nv = 2 * n
     Bc = A.shape[1]
@@ -379,15 +375,7 @@ def witt_batch_op(table, op, A, B, mod):
             raise ValueError(f"{op} needs a second operand shaped like A {A.shape}")
         vals[0::2, :] = A
         vals[1::2, :] = B
-    plans = _state(table.p)["plans"]
-    out = []
-    for i in range(n):
-        a = polys[i]
-        plan = plans.get((name, i, nv, mod))
-        if plan is None:
-            plan = plans[name, i, nv, mod] = ip._batch_plan(a, nv, mod)
-        out.append(ip.p_eval_batch_mod(a, vals, mod, plan=plan))
-    return np.stack(out)
+    return np.stack([ip.p_eval_batch_mod(polys[i], vals, mod) for i in range(n)])
 
 
 def ghost_batch(X, p, j, mod):

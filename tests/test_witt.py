@@ -192,25 +192,6 @@ def test_ghost_homomorphism_over_lift_rings():
                 assert ghost_eval(z, j) == -ghost_eval(a, j)
 
 
-def test_batch_plans_each_component_once(monkeypatch):
-    # a table's components are planned at their first batch, not when they
-    # are built, and a second batch of another size reuses the plans
-    p, n, mod = 5, 3, 5**5
-    monkeypatch.setitem(witt_mod._state(p), "plans", {})
-    calls = []
-    block_plan = ip._block_plan
-    monkeypatch.setattr(ip, "_block_plan", lambda *args: calls.append(args) or block_plan(*args))
-    t = build_table(p, n)
-    for i in range(n):
-        t.S[i], t.P[i], t.I[i]
-    assert not calls
-    A, C = np.random.default_rng(5).integers(0, mod, size=(2, n, 300))
-    for op in ("add", "mul"):
-        head = witt_batch_op(t, op, A[:, :50], C[:, :50], mod)
-        assert np.array_equal(witt_batch_op(t, op, A, C, mod)[:, :50], head)
-    assert len(calls) == 2 * n
-
-
 def test_batch_ops_match_elementwise():
     rng = random.Random(9)
     p, n, m = 3, 3, 5
