@@ -8,19 +8,26 @@ per call from their operands' degrees and raise ValueError, rather than let
 an exponent carry into the next variable.
 
 p_mul multiplies term by term and is the reference.  The Witt tables are
-built with the sliced Kronecker product (p_mul_sliced, p_pow_sliced) on a
-plane (u, v, lam): a term goes to the slice keyed by (its key without u and
-v, e_u + lam*e_v) at slot e_v, which is exact for any polynomial, and each
-slice is packed into one Python int of B bits per slot.  Slice pairs
-multiply with one bigint multiply each, summed per output slice, and every
-output slice is unpacked once.  The bit bound: no coefficient of a*b exceeds
-|a|_1*|b|_1, the product of the sums of absolute coefficients, so B =
-bitlen(|a|_1*|b|_1) + 2, rounded up to whole bytes, holds every slot as a
-balanced digit within +-(2**(B-1) - 1); a power a**e stays packed from end
-to end under the bound |a|_1**e.  When the rest of a monomial fixes its
-weight on the plane, as the gradings of the Witt tables do, the slices are
-few and long: S_2 for p=5 is 134 terms in 21 slices, and its fifth power
-37,604 terms in 1,456.
+built with the sliced Kronecker product (p_mul_sliced, p_pow_sum_sliced) on
+a plane (u, v, lam): a term goes to the slice of (its key without u and v,
+e_u + lam*e_v) at slot e_v, which is exact for any polynomial.  Each slice
+is packed into one Python int of B bits per slot and keyed by one int, so
+the key of a product of two slices is the sum of theirs, and slice pairs
+multiply with one bigint multiply each, summed per output slice.  The bit
+bound: no coefficient of a*b exceeds |a|_1*|b|_1, the product of the sums of
+absolute coefficients, so B = bitlen(|a|_1*|b|_1) + 2, rounded up to whole
+bytes, holds every slot as a balanced digit within +-(2**(B-1) - 1).
+p_pow_sum_sliced forms a sum of c*a**e, as the numerator of a Witt component
+is one, packed from end to end under the bound sum |c|*|a|_1**e, and
+unpacks it once: numpy reads every slot of every slice off one buffer in
+64-bit limbs and divides each exactly, from the top limb down.  When the
+rest of a monomial fixes its weight on the plane, as the gradings of the
+Witt tables do, the slices are few and long: S_2 for p=5 is 134 terms in 21
+slices, and its fifth power 37,604 terms in 1,456.  On a plane (X_i, Y_i, 1)
+the powers of a polynomial that the X/Y swap fixes, as every S_l is, are
+formed half: each multiply by the polynomial forms only the slices whose
+rest has X-exponents minus Y-exponents >= 0, and the others are theirs with
+the slots reversed.
 
 Batched evaluation mod m (p_eval_batch_mod) is one graded bilinear block
 kernel.  Each monomial splits into its even-variable part X and its
@@ -45,8 +52,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import reduce
-from itertools import compress
-from operator import mul, or_
+from itertools import chain, compress, islice, repeat
+from operator import add, itemgetter, lshift, mul, or_
 
 import numpy as np
 
@@ -156,6 +163,12 @@ def p_pow(a, e):
 
 # ---------- the sliced Kronecker product ----------
 
+# a slice is keyed by one int, rest * 2**_SLICE + s: s = e_u + lam*e_v is at
+# most MASK*(1 + lam) < 2**_SLICE for any lam <= MASK, so the key of a
+# product of two slices is the sum of their keys
+_SLICE = 2 * SHIFT
+_S_MASK = (1 << _SLICE) - 1
+
 
 def _plane_check(plane):
     u, v, lam = plane
@@ -174,9 +187,9 @@ def _slot_bits(bound):
 def _slices(a, plane, B):
     """a cut into slices on plane = (u, v, lam), each packed into one int.
 
-    A term goes to the slice keyed by (its key without u and v, e_u + lam*e_v)
-    at slot e_v, so that key and slot give back e_u; slot j of a slice is
-    worth 2**(B*j)."""
+    A term goes to the slice of (its key without u and v, e_u + lam*e_v) at
+    slot e_v, so that key and slot give back e_u; slot j of a slice is worth
+    2**(B*j)."""
     u, v, lam = plane
     su, sv = SHIFT * u, SHIFT * v
     drop = ~((MASK << su) | (MASK << sv))
@@ -184,36 +197,88 @@ def _slices(a, plane, B):
     for key, c in a.items():
         ev = (key >> sv) & MASK
         s = ((key >> su) & MASK) + lam * ev
-        slots.setdefault((key & drop, s), []).append(c << (B * ev))
+        slots.setdefault(((key & drop) << _SLICE) + s, []).append(c << (B * ev))
     return {k: sum(terms) for k, terms in slots.items()}
 
 
+def _unpack_all(xs, B):
+    """The base-2**B digits of every x in xs, x after x, lowest first, each
+    in +-(2**(B-1) - 1), as 64-bit limbs: (limbs, counts), with limbs[i] the
+    int64 array of every digit's i-th limb, the top one signed, and counts
+    the number of slots of each x.
+
+    B is a multiple of 8, and each x must have such digits.  Adding 2**(B-1)
+    to every digit makes them all positive with no carry between slots, so
+    the sums are laid end to end in one buffer and numpy reads each slot off
+    its B/8 bytes, widened to whole limbs; the top limb is then taken back by
+    its share of 2**(B-1), mod 2**64, which is the signed limb in two's
+    complement."""
+    m = B // 8
+    nl = -(-m // 8)
+    counts = [x.bit_length() // B + 1 for x in xs]
+    offset = {n: int.from_bytes((bytes(m - 1) + b"\x80") * n, "little") for n in set(counts)}
+    buf = b"".join([(x + offset[n]).to_bytes(n * m, "little") for x, n in zip(xs, counts)])
+    wide = np.zeros((len(buf) // m, 8 * nl), dtype=np.uint8)
+    wide[:, :m] = np.frombuffer(buf, dtype=np.uint8).reshape(-1, m)
+    limbs = list(wide.view("<u8").T)
+    limbs[-1] = (limbs[-1] - np.uint64(1 << (B - 1 - 64 * (nl - 1)))).view(np.int64)
+    return limbs, counts
+
+
+def _quotients(limbs, d):
+    """_unpack_all's limbs of every digit divided by d, 1 <= d < 2**31, as
+    limbs again.  numpy divides from the top limb down, the signed top limb
+    floored, then every lower limb 32 bits at a time, so that no dividend
+    reaches d * 2**32 <= 2**63.  A remainder raises ArithmeticError."""
+    if d == 1:
+        return limbs
+    q, r = np.divmod(limbs[-1], d)
+    out = [q]
+    for limb in reversed(limbs[:-1]):
+        q1, r = np.divmod((r << 32) | (limb >> 32).astype(np.int64), d)
+        q0, r = np.divmod((r << 32) | (limb & 0xFFFFFFFF).astype(np.int64), d)
+        out.append((q1.astype(np.uint64) << 32) | q0.astype(np.uint64))
+    if r.any():
+        raise ArithmeticError(f"non-exact division by {d}")
+    return out[::-1]
+
+
+def _ints(limbs):
+    """The digits of limbs as Python ints."""
+    digits = limbs[-1].tolist()
+    for limb in reversed(limbs[:-1]):
+        digits = list(map(add, map(lshift, digits, repeat(64)), limb.tolist()))
+    return digits
+
+
 def _unpack(x, B):
-    """The base-2**B digits of x, lowest first, each in +-(2**(B-1) - 1).
-
-    B is a multiple of 8, and x must have such digits.  Adding 2**(B-1) to
-    every digit makes them all positive with no carry between slots, so they
-    are read off the bytes of the sum, B/8 at a time."""
-    n, m = x.bit_length() // B + 1, B // 8
-    half = 1 << (B - 1)
-    buf = (x + int.from_bytes((bytes(m - 1) + b"\x80") * n, "little")).to_bytes(n * m, "little")
-    return [int.from_bytes(buf[i : i + m], "little") - half for i in range(0, n * m, m)]
+    """The base-2**B digits of x, lowest first, each in +-(2**(B-1) - 1)."""
+    return _ints(_unpack_all([x], B)[0])
 
 
-def _unslice(slices, plane, B):
-    """The polynomial of packed slices: slot j of slice (rest, s) is the
-    coefficient of rest * u**(s - lam*j) * v**j, whose key steps by
-    2**(SHIFT*v) - lam * 2**(SHIFT*u) from slot to slot."""
+def _unslice(slices, plane, B, divisor=1):
+    """The polynomial of packed slices, every coefficient divided by
+    divisor: slot j of the slice of (rest, s) holds the coefficient of
+    rest * u**(s - lam*j) * v**j, whose key steps by
+    2**(SHIFT*v) - lam * 2**(SHIFT*u) from slot to slot.  A division that
+    leaves a remainder raises ArithmeticError.  All slices are read and
+    divided at once (_unpack_all, _quotients), and slot j's key is its
+    slice's first key plus j steps."""
     u, v, lam = plane
     su = SHIFT * u
     step = (1 << (SHIFT * v)) - (lam << su)
-    out = {}
-    for (rest, s), x in slices.items():
-        digits = _unpack(x, B)
-        start = rest + (s << su)
-        keys = range(start, start + len(digits) * step, step)
-        out.update(compress(zip(keys, digits), digits))
-    return out
+    limbs, counts = _unpack_all(list(slices.values()), B)
+    limbs = _quotients(limbs, divisor)
+    coeffs = _ints(limbs)
+    del limbs
+    starts = [(k >> _SLICE) + ((k & _S_MASK) << su) for k in slices]
+    steps = list(range(0, max(counts, default=0) * step, step))
+    keys = map(
+        add,
+        chain.from_iterable(map(repeat, starts, counts)),
+        chain.from_iterable(map(islice, repeat(steps), counts)),
+    )
+    return dict(compress(zip(keys, coeffs), coeffs))
 
 
 def _slice_mul(a, b):
@@ -221,9 +286,10 @@ def _slice_mul(a, b):
     pair, summed into the output slice."""
     out = {}
     get = out.get
-    for (ra, sa), xa in a.items():
-        for (rb, sb), xb in b.items():
-            k = (ra + rb, sa + sb)
+    b = list(b.items())
+    for ka, xa in a.items():
+        for kb, xb in b:
+            k = ka + kb
             out[k] = get(k, 0) + xa * xb
     return out
 
@@ -233,13 +299,92 @@ def _slice_square(a):
     out = {}
     get = out.get
     items = list(a.items())
-    for i, ((ra, sa), xa) in enumerate(items):
-        k = (ra + ra, sa + sa)
+    for i, (ka, xa) in enumerate(items):
+        k = ka + ka
         out[k] = get(k, 0) + xa * xa
-        for (rb, sb), xb in items[i + 1 :]:
-            k = (ra + rb, sa + sb)
+        for kb, xb in items[i + 1 :]:
+            k = ka + kb
             out[k] = get(k, 0) + ((xa * xb) << 1)
     return out
+
+
+def _phi(k, even):
+    """The X-exponents minus the Y-exponents of a slice's rest, field by
+    field (even marks the X fields): the X/Y swap negates it, and the slice
+    of a product of two slices has the sum of theirs."""
+    rest = k >> _SLICE
+    return (rest & even) - ((rest >> SHIFT) & even)
+
+
+def _half_mul(a, b, even):
+    """The slices of _slice_mul(a, b) with phi >= 0: only the pairs whose
+    phi add up to >= 0 are multiplied."""
+    bs = sorted(((_phi(k, even), k, x) for k, x in b.items()), key=itemgetter(0), reverse=True)
+    out = {}
+    get = out.get
+    for ka, xa in a.items():
+        low = -_phi(ka, even)
+        for fb, kb, xb in bs:
+            if fb < low:
+                break
+            k = ka + kb
+            out[k] = get(k, 0) + xa * xb
+    return out
+
+
+def _mirror(half, even, B):
+    """The slices of a polynomial fixed by the X/Y swap, on a plane (u, v, 1)
+    with u, v a swapped pair, from those with phi >= 0: the swap takes the
+    slice of (rest, s) to that of (swap(rest), s), and its slot j, of
+    e_v = j and e_u = s - j, to slot s - j.  The s + 1 slots of every slice
+    to mirror are laid end to end as in _unpack_all, and numpy reverses
+    them in one gather."""
+    m = B // 8
+    twins, xs, ns = [], [], []
+    for k, x in half.items():
+        rest, s = k >> _SLICE, k & _S_MASK
+        xf, yf = rest & even, (rest >> SHIFT) & even
+        if xf > yf:
+            twins.append((((xf << SHIFT) | yf) << _SLICE) + s)
+            xs.append(x)
+            ns.append(s + 1)
+    if not twins:
+        return half
+    offset = {n: int.from_bytes((bytes(m - 1) + b"\x80") * n, "little") for n in set(ns)}
+    buf = b"".join([(x + offset[n]).to_bytes(n * m, "little") for x, n in zip(xs, ns)])
+    slots = np.frombuffer(buf, dtype=np.uint8).reshape(-1, m)
+    # slot i of a slice of n slots ending at `end` goes to 2*end - n - 1 - i
+    sizes = np.array(ns, dtype=np.intp)
+    flipped = slots[np.repeat(2 * np.cumsum(sizes) - sizes - 1, sizes) - np.arange(len(slots))]
+    flipped = flipped.tobytes()
+    at = 0
+    for twin, n in zip(twins, ns):
+        half[twin] = int.from_bytes(flipped[at : at + n * m], "little") - offset[n]
+        at += n * m
+    return half
+
+
+def _slice_power(base, e, even=None, B=None):
+    """base**e for e >= 1: the square forms each product of two distinct
+    slices once, and every further power is one multiply by base, e - 1
+    steps in all.  Each step pairs the growing power with the few slices of
+    base, where binary powering would pair two large powers: S_1**49 for
+    p=7 takes 0.8 s this way and 10 s that way.  When base is fixed by the
+    X/Y swap (even given, slots of B bits), so is every power, and each step
+    after the square forms only its slices of phi >= 0 and mirrors the
+    others."""
+    power = _slice_square(base) if e > 1 else base
+    for _ in range(e - 2):
+        if even is None:
+            power = _slice_mul(power, base)
+        else:
+            power = _mirror(_half_mul(power, base, even), even, B)
+    return power
+
+
+def _swap(a, even):
+    """a with X_i and Y_i exchanged: even marks the fields of X_0, X_1, ..."""
+    return {((k & even) << SHIFT) | ((k >> SHIFT) & even): c for k, c in a.items()}
 
 
 def _norm1(a):
@@ -257,29 +402,43 @@ def p_mul_sliced(a, b, plane):
     return _unslice(_slice_mul(_slices(a, plane, B), _slices(b, plane, B)), plane, B)
 
 
-def p_pow_sliced(a, e, plane):
-    """a**e by the sliced product on plane = (u, v, lam); equal to p_pow(a, e).
+def p_pow_sum_sliced(terms, plane, divisor=1):
+    """The sum of c * a**e over terms (c, a, e), every coefficient divided by
+    divisor, 1 <= divisor < 2**31, by the sliced product on plane
+    = (u, v, lam).  A division that leaves a remainder raises
+    ArithmeticError.  One power a**e is p_pow_sum_sliced([(1, a, e)], plane),
+    equal to p_pow(a, e).
 
-    The square a**2 forms each product of two distinct slices once, and
-    every further power is one multiply by a, e - 1 steps in all.  Each
-    step pairs the growing power with the few slices of a, where binary
-    powering would pair two large powers: S_1**49 for p=7 takes 0.8 s this
-    way and 10 s that way.  The Witt tables raise to at most p**(n-1).
-    The powers stay packed from the one slicing of a to the one unpacking
-    of the result: no coefficient of any a**k with k <= e exceeds |a|_1**e,
-    so _slot_bits of it serves them all."""
-    if e < 0:
-        raise ValueError(f"negative exponent {e}")
+    The sum stays packed from the one slicing of each a to the one
+    unpacking of the sum, which also divides: every power is formed on the
+    slices (_slice_power) and added into the sum slice by slice.  No
+    coefficient of a partial sum, nor of any a**k with k <= e, exceeds the
+    sum of |c|*|a|_1**e, so _slot_bits of it serves them all.  The Witt
+    tables raise to at most p**(n-1)."""
     _plane_check(plane)
-    _exponent_check([(a, e)])
-    if e == 0:
-        return {0: 1}
-    B = _slot_bits(_norm1(a) ** e)
-    base = _slices(a, plane, B)
-    power = _slice_square(base) if e > 1 else base
-    for _ in range(e - 2):
-        power = _slice_mul(power, base)
-    return _unslice(power, plane, B)
+    if not 1 <= divisor < 2**31:
+        raise ValueError(f"divisor {divisor} outside 1..2**31-1")
+    for _c, a, e in terms:
+        if e < 0:
+            raise ValueError(f"negative exponent {e}")
+        _exponent_check([(a, e)])
+    B = _slot_bits(sum(abs(c) * _norm1(a) ** e for c, a, e in terms))
+    # on the plane of a swapped pair X_i, Y_i with lam = 1, the powers of a
+    # polynomial that the swap fixes are formed half and mirrored
+    u, v, lam = plane
+    even = None
+    if lam == 1 and u ^ v == 1:
+        top = max((max(a, default=0) for _c, a, _e in terms), default=0).bit_length()
+        even = sum(MASK << (2 * SHIFT * i) for i in range(top // (2 * SHIFT) + 1))
+    total = {}
+    get = total.get
+    for c, a, e in terms:
+        half = even if even is not None and _swap(a, even) == a else None
+        power = _slice_power(_slices(a, plane, B), e, half, B) if e else {0: 1}
+        while power:  # each slice of the power is dropped once it is added
+            k, x = power.popitem()
+            total[k] = get(k, 0) + c * x
+    return _unslice(total, plane, B, divisor)
 
 
 def p_divexact(a, d):
@@ -301,26 +460,6 @@ def p_mod(a, m):
         if c:
             out[k] = c
     return out
-
-
-def iso_weight(a, weights):
-    """Return the common weighted degree of all monomials, or None if mixed."""
-    w = None
-    for key in a:
-        total = 0
-        k = key
-        v = 0
-        while k:
-            e = k & MASK
-            if e:
-                total += e * weights[v]
-            k >>= SHIFT
-            v += 1
-        if w is None:
-            w = total
-        elif w != total:
-            return None
-    return w
 
 
 def degree_in(a, v):
@@ -360,13 +499,32 @@ def _power_table(vals, product):
     return pw
 
 
+def _degrees(a):
+    """The degree of a in each of its variables, variable 0 first."""
+    top = reduce(or_, a, 0).bit_length()
+    return [degree_in(a, v) for v in range(-(-top // SHIFT))]
+
+
 def p_subst(a, subs):
     """Substitute polynomials for variables: subs maps var index -> Poly.
 
-    Variables absent from subs are kept as themselves.
+    Variables absent from subs are kept as themselves.  The exponent check
+    runs once, on the degrees: no exponent of any product formed here
+    passes deg_w(a) (w kept) + sum over v in subs of deg_v(a)*deg_w(subs[v]),
+    and only when that passes MASK for some w is every product p_mul, with
+    its own check.  Each term's image is added into the sum in place.
     """
-    pw = _power_table(subs, p_mul)
+    deg = _degrees(a)
+    sub_deg = {v: _degrees(s) for v, s in subs.items() if v < len(deg)}
+    reach = [0 if v in subs else d for v, d in enumerate(deg)]
+    for v, ds in sub_deg.items():
+        reach += [0] * (len(ds) - len(reach))
+        for w, d in enumerate(ds):
+            reach[w] += deg[v] * d
+    product = p_mul if max(reach, default=0) > MASK else _mul
+    pw = _power_table(subs, product)
     total = {}
+    get = total.get
     for key, c in a.items():
         term = None
         kept = 0
@@ -377,13 +535,21 @@ def p_subst(a, subs):
             if e:
                 if v in subs:
                     piece = pw(v, e)
-                    term = piece if term is None else p_mul(term, piece)
+                    term = piece if term is None else product(term, piece)
                 else:
                     kept |= e << (SHIFT * v)
             k >>= SHIFT
             v += 1
-        term = {kept: c} if term is None else p_mul(term, {kept: c})
-        total = p_add(total, term)
+        if term is None:
+            term = {kept: 1}
+        elif kept:
+            term = product(term, {kept: 1})
+        for k, t in term.items():
+            t = c * t + get(k, 0)
+            if t:
+                total[k] = t
+            else:
+                total.pop(k, None)
     return total
 
 

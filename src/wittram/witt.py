@@ -2,9 +2,13 @@
 
 The tables are exact integer polynomials built from the ghost components
 by the standard recurrences, with every division by a power of p checked
-to be exact and every component certified isobaric at build time.  The
-vector operations evaluate those tables over any coefficient ring,
-including truncated Laurent series entries.
+to be exact and every component certified isobaric at build time.  A
+component is one pass over one numerator: its powers are summed packed and
+divided as the sum is unpacked (intpoly.p_pow_sum_sliced), and one numpy
+pass over its keys checks the weight of every monomial and, for S, that X_l
+and Y_l occur only as X_l + Y_l.  The vector operations evaluate those
+tables over any coefficient ring, including truncated Laurent series
+entries.
 """
 
 from __future__ import annotations
@@ -32,13 +36,6 @@ def _ghost_poly(p, j, side):
     return {ip.var(2 * i + side, p ** (j - i)): p**i for i in range(j + 1)}
 
 
-def _weights(p, upto):
-    w = []
-    for i in range(upto + 1):
-        w += [p**i, p**i]
-    return w
-
-
 # per-prime build state: families grow monotonically and are never mutated
 # after append, so cached polynomials can be shared freely
 _STATE = {}
@@ -63,7 +60,56 @@ def _plane(p, name):
     return xvar(0), yvar(0), 1
 
 
+# a pair (X_i, Y_i) of exponents spans 2*SHIFT = 40 bits, five whole bytes
+_PAIR_BYTES = 2 * ip.SHIFT // 8
+# keys per numpy pass of the certificate: its scratch memory, about 100 bytes
+# a key, stays near 2 MB however large the component
+_CERTIFY_KEYS = 2**14
+
+
+def _certify(comp, p, l, name):
+    """Raise WittTableError unless every monomial of component l of a family
+    has the weight p**l (2*p**l for P) in X_i, Y_i of weight p**i, and, for
+    S, unless X_l and Y_l occur only as the terms X_l + Y_l.
+
+    The keys are read by numpy, _CERTIFY_KEYS at a time: each is written in
+    5*(l + 1) bytes, which fails for a key in a variable past Y_l, and every
+    pair's exponent sum e(X_i) + e(Y_i) is read off its 5 bytes.  The weight
+    is exact in int64: p**l <= MASK, or the exponent check of the powers had
+    raised, so it is at most 2*MASK*(p**(l+1) - 1)/(p - 1) < 2**43."""
+    keys = list(comp)
+    want = (2 if name == "P" else 1) * p**l
+    weights = p ** np.arange(l + 1)
+    own = []
+    for at in range(0, len(keys), _CERTIFY_KEYS):
+        block = keys[at : at + _CERTIFY_KEYS]
+        try:
+            raw = b"".join([k.to_bytes(_PAIR_BYTES * (l + 1), "little") for k in block])
+        except OverflowError:
+            raise WittTableError(f"{name}_{l} for p={p} involves a variable past Y_{l}") from None
+        raw = np.frombuffer(raw, dtype=np.uint8).reshape(len(block), l + 1, _PAIR_BYTES)
+        pairs = np.zeros((len(block), l + 1, 8), dtype=np.uint8)
+        pairs[:, :, :_PAIR_BYTES] = raw
+        pairs = pairs.view("<i8")[:, :, 0]
+        degree = (pairs & ip.MASK) + (pairs >> ip.SHIFT)
+        off = (degree @ weights != want).nonzero()[0]
+        if len(off):
+            raise WittTableError(
+                f"{name}_{l} for p={p} not isobaric: key {block[off[0]]:#x} is off weight {want}"
+            )
+        if name == "S":
+            own += [block[i] for i in degree[:, l].nonzero()[0]]
+    if name == "S":
+        own.sort()
+        if own != [ip.var(xvar(l)), ip.var(yvar(l))] or comp[own[0]] != 1 or comp[own[1]] != 1:
+            raise WittTableError(f"c_{l} for p={p} involves its own slot")
+
+
 def _extend_family(p, name, j):
+    """Build components up to j of a family: component l is the numerator
+    target_l - sum_(i<l) p**i * fam[i]**(p**(l-i)), formed packed and
+    divided by p**l as it is unpacked (intpoly.p_pow_sum_sliced), where
+    target_l is the ghost sum, minus the Y ghost, or the ghost product."""
     st = _state(p)
     fam = st[name]
     plane = _plane(p, name)
@@ -72,29 +118,23 @@ def _extend_family(p, name, j):
         gx = _ghost_poly(p, l, 0)
         gy = _ghost_poly(p, l, 1)
         if name == "S":
-            target = ip.p_add(gx, gy)
+            target = {**gx, **gy}
         elif name == "I":
             target = ip.p_neg(gy)
         else:
             target = ip.p_mul_sliced(gx, gy, plane)
-        num = target
-        for i in range(l):
-            num = ip.p_add(num, ip.p_pow_sliced(fam[i], p ** (l - i), plane), -(p**i))
+        terms = [(1, target, 1)] + [(-(p**i), fam[i], p ** (l - i)) for i in range(l)]
         try:
-            comp = ip.p_divexact(num, p**l)
+            comp = ip.p_pow_sum_sliced(terms, plane, p**l)
         except ArithmeticError as exc:
             raise WittTableError(
                 f"integrality failure building {name}_{l} for p={p}"
             ) from exc
-        want = (2 if name == "P" else 1) * p**l
-        wt = ip.iso_weight(comp, _weights(p, l))
-        if comp and wt != want:
-            raise WittTableError(f"{name}_{l} for p={p} not isobaric: {wt} != {want}")
+        _certify(comp, p, l, name)
         fam.append(comp)
         if name == "S":
-            carry = ip.p_sub(comp, {ip.var(xvar(l)): 1, ip.var(yvar(l)): 1})
-            if ip.involves(carry, xvar(l)) or ip.involves(carry, yvar(l)):
-                raise WittTableError(f"c_{l} for p={p} involves its own slot")
+            carry = dict(comp)
+            del carry[ip.var(xvar(l))], carry[ip.var(yvar(l))]
             st["c"].append(carry)
 
 

@@ -73,6 +73,27 @@ def carry_pole_substituted_scan(p, n, weights):
 # ---------- Witt tables ----------
 
 
+def iso_weight(a, weights):
+    """The common weighted degree of all monomials of a, exponent by
+    exponent, or None if mixed: the reference for the build's certificate."""
+    w = None
+    for key in a:
+        total = 0
+        k = key
+        v = 0
+        while k:
+            e = k & ip.MASK
+            if e:
+                total += e * weights[v]
+            k >>= ip.SHIFT
+            v += 1
+        if w is None:
+            w = total
+        elif w != total:
+            return None
+    return w
+
+
 def coeff_of(a, v, e):
     """The coefficient of (variable v)**e, as a polynomial in the others."""
     sh = ip.SHIFT * v

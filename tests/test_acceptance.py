@@ -64,7 +64,7 @@ from wittram.witt import (
     yvar,
 )
 
-from oracles import coeff_of, section_monomials
+from oracles import coeff_of, iso_weight, section_monomials
 from randoms import perturbed_lift, random_unit, random_unit_series
 
 # ---------- the acceptance grid: 82 cases, both regimes ----------
@@ -229,11 +229,11 @@ def test_criterion_05_witt_layer():
         t = build_table(p, 4)
         for j in range(4):
             w = [p**i for i in range(j + 1) for _ in (0, 1)]
-            assert ip.iso_weight(t.S[j], w) == p**j
-            assert ip.iso_weight(t.I[j], w) == p**j
-            assert ip.iso_weight(t.P[j], w) == 2 * p**j
+            assert iso_weight(t.S[j], w) == p**j
+            assert iso_weight(t.I[j], w) == p**j
+            assert iso_weight(t.P[j], w) == 2 * p**j
             if j:
-                assert ip.iso_weight(t.c[j], w) == p**j
+                assert iso_weight(t.c[j], w) == p**j
 
     # carry leading terms: degree p^(n-i) - 1 in X_i and in Y_i, leading
     # coefficient alive mod p, and every monomial mixes X and Y

@@ -1,6 +1,6 @@
 """The array and bigint kernels against their references: p_eval_batch_mod,
 the graded bilinear block kernel, against p_eval over the integers at every
-point, reduced afterwards; p_mul_sliced and p_pow_sliced, the sliced
+point, reduced afterwards; p_mul_sliced and p_pow_sum_sliced, the sliced
 Kronecker product, against the term-by-term p_mul and p_pow."""
 
 import math
@@ -148,7 +148,63 @@ def test_sliced_power_matches_p_pow(plane):
     cases += [_sparse(rng, 3, 3, 2**70)]
     for a in cases:
         for e in range(6):
-            assert ip.p_pow_sliced(a, e, plane) == ip.p_pow(a, e), (a, e)
+            assert ip.p_pow_sum_sliced([(1, a, e)], plane) == ip.p_pow(a, e), (a, e)
+
+
+def _swapped(a, nv):
+    # X_i <-> Y_i: variables 2i and 2i + 1 trade exponents
+    out = {}
+    for k, c in a.items():
+        e = ip.unpack(k, nv)
+        out[ip.mono(*(e[v ^ 1] for v in range(nv)))] = c
+    return out
+
+
+@pytest.mark.parametrize("plane", [(0, 1, 1), (1, 0, 1), (2, 3, 1)])
+def test_swap_fixed_powers_match_p_pow(plane):
+    # on the plane of a pair X_i, Y_i with lam = 1 the powers of a polynomial
+    # that the swap fixes are formed half and mirrored; the rests of these
+    # slices have X- minus Y-exponents of both signs and zero
+    rng = random.Random(sum(plane))
+    for nv, cmax in ((4, 5), (4, 2**70), (6, 9)):
+        a = _sparse(rng, nv, 6, cmax)
+        a = ip.p_add(a, _swapped(a, nv))
+        for e in range(1, 6):
+            assert ip.p_pow_sum_sliced([(1, a, e)], plane) == ip.p_pow(a, e), (nv, cmax, e)
+
+
+@pytest.mark.parametrize("d", [7, 2**31 - 1])
+@pytest.mark.parametrize("cmax", [9, 2**70])
+def test_sliced_power_sums_divide_exactly(cmax, d):
+    # slots of one 64-bit limb and of several, by a small divisor and the
+    # largest admitted one
+    rng = random.Random(cmax)
+    a, b = _sparse(rng, 4, 8, cmax), _sparse(rng, 4, 8, cmax)
+    terms = [(3, ip.p_add(a, _swapped(a, 4)), 3), (-2, b, 2), (5, a, 0), (1, {}, 2)]
+    want = {}
+    for c, x, e in terms:
+        want = ip.p_add(want, ip.p_pow(x, e), c)
+    scaled = [(d * c, x, e) for c, x, e in terms]
+    for plane in PLANES:
+        assert ip.p_pow_sum_sliced(scaled, plane, d) == want, plane
+        with pytest.raises(ArithmeticError):
+            ip.p_pow_sum_sliced(scaled + [(1, {ip.var(3): 1}, 1)], plane, d)
+    assert ip.p_pow_sum_sliced([], (0, 1, 1)) == {}
+
+
+def test_subst_agrees_with_evaluation():
+    # a with polynomials put in for variables 0, 2 and 3 (3 by zero), at a
+    # point, is a at their values there
+    rng = random.Random(11)
+    a = _sparse(rng, 4, 30, 9)
+    subs = {0: _sparse(rng, 4, 4, 5), 2: _sparse(rng, 3, 5, 5), 3: {}}
+    got = ip.p_subst(a, subs)
+    for _ in range(5):
+        point = {v: rng.randrange(-9, 10) for v in range(4)}
+        at = {v: ip.p_eval(subs[v], point, 1) if v in subs else point[v] for v in range(4)}
+        assert ip.p_eval(got, point, 1) == ip.p_eval(a, at, 1)
+    # cancelling terms leave no zero coefficient behind
+    assert ip.p_subst({ip.var(0): 1, ip.var(1): -1}, {0: {ip.var(1): 1}}) == {}
 
 
 def _sliced_mul_at(a, b, plane, B):
@@ -182,7 +238,8 @@ def test_exponents_up_to_mask():
     top = {ip.var(0, ip.MASK): 1}
     assert ip.p_mul(top, {y: 2}) == {ip.var(0, ip.MASK) + y: 2}
     assert ip.p_pow({x: 1}, ip.MASK) == top
-    assert ip.p_pow_sliced({ip.var(0, 1025): 1}, 1023, (0, 1, 1)) == top  # MASK = 1025*1023
+    # MASK = 1025*1023
+    assert ip.p_pow_sum_sliced([(1, {ip.var(0, 1025): 1}, 1023)], (0, 1, 1)) == top
     assert ip.p_mul_sliced(top, {y: 2}, (0, 1, 1)) == {ip.var(0, ip.MASK) + y: 2}
     # the OR of the keys over-estimates a degree; the exact degrees then pass
     a = {ip.var(0, 2**18): 1, ip.var(0, 2**18 - 1): 1}

@@ -29,7 +29,7 @@ from wittram.witt import (
     yvar,
 )
 
-from oracles import cn_leading_term_check, witt_smul
+from oracles import cn_leading_term_check, iso_weight, witt_smul
 from randoms import random_series
 
 
@@ -97,11 +97,11 @@ def test_isobaric_weights():
         for i in range(3):
             wl += [p**i, p**i]
         for i in range(3):
-            assert ip.iso_weight(t.S[i], wl) == p**i
-            assert ip.iso_weight(t.I[i], wl) == p**i
-            assert ip.iso_weight(t.P[i], wl) == 2 * p**i
+            assert iso_weight(t.S[i], wl) == p**i
+            assert iso_weight(t.I[i], wl) == p**i
+            assert iso_weight(t.P[i], wl) == 2 * p**i
             if t.c[i]:
-                assert ip.iso_weight(t.c[i], wl) == p**i
+                assert iso_weight(t.c[i], wl) == p**i
 
 
 # SHA-256 of every S/c/I/P component, each as its sorted (exponents,
@@ -354,6 +354,41 @@ def test_asw_on_series_entries():
     assert image[1].valuation() == -3
 
 
+# one term added to the X ghost of component 1 of a cold build for p = 3,
+# and what the build must then refuse.  Each test fails on a scratch copy
+# with the check named in its comment taken out.
+CERTIFICATE_BREAKS = {
+    # X_1 gets 1, not 3, so S_1 has X_1/3: the remainder check of
+    # intpoly._quotients, on slots of one 64-bit limb
+    "integrality-one-limb": ("S", {ip.var(2): -2}, "integrality"),
+    # the same on slots of two limbs, where the remainder is carried from
+    # the top limb down
+    "integrality-wide-slots": ("S", {ip.var(2): 2**70 + 1}, "integrality"),
+    # 3*X_0 divides into X_0, of weight 1, not 3: the weight test of _certify
+    "off-weight": ("S", {ip.var(0): 3}, "not isobaric"),
+    # 3*X_2 divides into X_2, past Y_1: the fixed key width of _certify
+    "past-the-slots": ("P", {ip.var(4): 3}, "past Y_1"),
+    # 6*X_1 divides into 2*X_1, of the right weight, so the carry keeps
+    # X_1: the coefficient test of the own-slot check of _certify
+    "carry-own-slot": ("S", {ip.var(2): 3}, "own slot"),
+}
+
+
+@pytest.mark.parametrize(
+    "name, extra, message", CERTIFICATE_BREAKS.values(), ids=CERTIFICATE_BREAKS.keys()
+)
+def test_build_certificates_fire(monkeypatch, name, extra, message):
+    ghost = witt_mod._ghost_poly
+
+    def broken(p, j, side):
+        return ip.p_add(ghost(p, j, side), extra) if (j, side) == (1, 0) else ghost(p, j, side)
+
+    monkeypatch.setattr(witt_mod, "_STATE", {})
+    monkeypatch.setattr(witt_mod, "_ghost_poly", broken)
+    with pytest.raises(WittTableError, match=message):
+        getattr(build_table(3, 2), name)[1]
+
+
 def test_table_errors():
     with pytest.raises(WittTableError):
         build_table(4, 2)
@@ -400,9 +435,15 @@ PRECONDITIONS = {
     "sliced-mul-exponent-past-mask": (
         "ip.p_mul_sliced({ip.var(2, ip.MASK): 1}, {ip.var(2): 1}, (0, 2, 3))"
     ),
-    "sliced-pow-exponent-past-mask": "ip.p_pow_sliced({ip.var(1): 1}, 1 << 20, (0, 1, 1))",
-    "sliced-pow-negative-exponent": "ip.p_pow_sliced({0: 1}, -1, (0, 1, 1))",
+    "sliced-pow-exponent-past-mask": (
+        "ip.p_pow_sum_sliced([(1, {ip.var(1): 1}, 1 << 20)], (0, 1, 1))"
+    ),
+    "sliced-pow-negative-exponent": "ip.p_pow_sum_sliced([(1, {0: 1}, -1)], (0, 1, 1))",
     "sliced-plane-one-variable": "ip.p_mul_sliced({0: 1}, {0: 1}, (1, 1, 1))",
+    "sliced-sum-divisor-zero": "ip.p_pow_sum_sliced([(1, {0: 1}, 1)], (0, 1, 1), 0)",
+    "sliced-sum-divisor-past-31-bits": "ip.p_pow_sum_sliced([(1, {0: 1}, 1)], (0, 1, 1), 2**31)",
+    "subst-power-past-mask": "ip.p_subst({ip.var(0, 2): 1}, {0: {ip.var(1, 1 << 19): 1}})",
+    "subst-kept-past-mask": "ip.p_subst({ip.var(0) + ip.var(1, ip.MASK): 1}, {0: {ip.var(1): 1}})",
     "eval-values-as-list": "ip.p_eval({ip.var(0): 1}, [5], 1)",
     "eval-variable-missing": "ip.p_eval({ip.var(1): 1}, {0: 5}, 1)",
     "lift-level-zero": "lift_ring(3, 0)",
