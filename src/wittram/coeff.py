@@ -211,25 +211,27 @@ class _Element:
         self.ring = ring
         self.coords = coords
 
+    def _operand(self, other):
+        """other as an element of this ring: an int is read into it, an
+        element of another ring raises ValueError, and anything else is
+        NotImplemented, so that Python tries the other operand's method."""
+        if isinstance(other, (int, _Element)):
+            return self.ring.element(other)
+        return NotImplemented
+
     def __add__(self, other):
-        try:
-            other = self.ring.element(other)
-        except ValueError:
-            if isinstance(other, _Element):
-                raise
-            return NotImplemented
+        other = self._operand(other)
+        if other is NotImplemented:
+            return other
         mod = self.ring.modulus
         return _Element(self.ring, tuple((a + b) % mod for a, b in zip(self.coords, other.coords)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        try:
-            other = self.ring.element(other)
-        except ValueError:
-            if isinstance(other, _Element):
-                raise
-            return NotImplemented
+        other = self._operand(other)
+        if other is NotImplemented:
+            return other
         mod = self.ring.modulus
         return _Element(self.ring, tuple((a - b) % mod for a, b in zip(self.coords, other.coords)))
 
@@ -244,12 +246,9 @@ class _Element:
         if isinstance(other, int):
             mod = self.ring.modulus
             return _Element(self.ring, tuple((a * other) % mod for a in self.coords))
-        try:
-            other = self.ring.element(other)
-        except ValueError:
-            if isinstance(other, _Element):
-                raise
-            return NotImplemented
+        other = self._operand(other)
+        if other is NotImplemented:
+            return other
         return _Element(self.ring, self.ring.cmul(self.coords, other.coords))
 
     __rmul__ = __mul__
@@ -258,12 +257,9 @@ class _Element:
         return _Element(self.ring, self.ring.cinv(self.coords))
 
     def __truediv__(self, other):
-        try:
-            other = self.ring.element(other)
-        except ValueError:
-            if isinstance(other, _Element):
-                raise
-            return NotImplemented
+        other = self._operand(other)
+        if other is NotImplemented:
+            return other
         return self * other.inv()
 
     def __pow__(self, e):

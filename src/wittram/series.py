@@ -605,12 +605,6 @@ def compose(f, g):
     return result
 
 
-def compose_with_derivative(f, g):
-    """(f(g), f'(g)) for v(g) >= 1, as two compositions; the second reads
-    the powers and pole powers of g that the first one kept."""
-    return compose(f, g), compose(f.derivative(), g)
-
-
 def _compose_fast(f, g, cap):
     """The composite f(g) cut at cap, built on raw windows.  g's window is
     taken as exact; the caller's cap is the honest precision.

@@ -27,7 +27,7 @@ from .errors import (
     NonTotallyRamified,
 )
 from .series import (DIRECT_CONV_ROWS, TruncatedLaurentSeries, compose,
-                     compose_with_derivative, power_precision)
+                     power_precision)
 from .witt import invert_ghosts, witt_sum_component
 
 INF = math.inf
@@ -138,10 +138,10 @@ def _solve_stage(z_std, ring, window):
     on the full window is the relation certificate.  Each iterate T =
     c^(-a) tau^p U forms one inverse root w = U^(-1/a), started from the
     rows of the last one below the first row of U that moved, and reads
-    Y = c^b tau^(-e) w^b, T^(-1) and T^(-e) off it, kept on T.  z(T) and
-    z'(T) come from one composition, and the inverse of each Newton
-    denominator starts from the last one's.  Only raw rows are carried
-    from one iterate to the next.
+    Y = c^b tau^(-e) w^b, T^(-1) and T^(-e) off it, kept on T.  z'(T) is
+    composed only for a step, on the rows that the step reads, and
+    the inverse of each Newton denominator starts from the last one's.
+    Only raw rows are carried from one iterate to the next.
     """
     p = ring.p
     e = -z_std.valuation()
@@ -174,9 +174,13 @@ def _solve_stage(z_std, ring, window):
         elif rho is not None:
             continue  # the residual on the short window vanished
         root, Y, lhs = unit_side(T, root)
-        zT, dzT = compose_with_derivative(z_std, T)
-        rho = lhs - zT
+        rho = lhs - compose(z_std, T)
         if len(rho.coeffs):
+            # z'(T) on the len(rho) rows of the denominator that the step
+            # reads, from t^(-p(e + 1)): z' cut at t^k composes to t^(pk).
+            # T stays whole, so the composition reads the powers kept on it
+            rows = -(-len(rho.coeffs) // p)
+            dzT = compose(z_std.derivative().truncate(rows - e - 1), T)
             denom = b_over_a * Y * T.inv() - dzT
             inverse = denom.inv(n_terms=len(rho.coeffs), start=dinv)
             step = rho * inverse

@@ -20,13 +20,16 @@ bookkept against both shadows.
 
 from __future__ import annotations
 
+from operator import mul
+
 from . import intpoly as ip
-from .coeff import binary_power, finite_field
+from .coeff import finite_field
 from .errors import ConsistencyFailure
 from .witt import (
     WittVector,
     build_table,
     nth_component_identity_check,
+    xvar,
     yvar,
 )
 
@@ -37,35 +40,46 @@ from .witt import (
 class GradedPolynomial:
     """Homogeneous element of F_q[T, Y_0..Y_{k-1}] with deg T=1, deg Y_i=p^i.
 
-    Terms map monomial keys (t, e_0, ..., e_{k-1}) to nonzero field
-    elements; every monomial must have total weight equal to the declared
-    one, so homogeneity is a construction invariant, not an afterthought.
+    A checked view of one intpoly polynomial: T is variable 0, Y_i is
+    variable i + 1, and the coefficients are nonzero elements of F_q.  The
+    ring operations are intpoly's, and every result passes one weight check:
+    each monomial must have the declared weight, so homogeneity is a
+    construction invariant, not an afterthought.  The constructor takes
+    tuple keys (t, e_0, ..., e_{k-1}), and `terms` gives them back.
     """
 
-    __slots__ = ("field", "nvars", "weight", "terms")
+    __slots__ = ("field", "nvars", "weight", "poly")
 
     def __init__(self, field, nvars, weight, terms):
-        self.field = field
-        self.nvars = nvars
-        self.weight = weight
-        clean = {}
-        p = field.p
+        poly = {}
         for key, c in terms.items():
             if len(key) != nvars + 1 or any(e < 0 for e in key):
                 raise ValueError(f"bad monomial key {key} for {nvars} variables")
-            if c.is_zero():
-                continue
-            w = key[0] + sum(e * p**i for i, e in enumerate(key[1:]))
+            if not c.is_zero():
+                poly[ip.mono(*key)] = c
+        self._set(field, nvars, weight, poly)
+
+    def _set(self, field, nvars, weight, poly):
+        # the one weight check: a monomial in a variable past Y_{nvars-1}
+        # raises ValueError in unpack, one of another weight raises here
+        weights = [1] + [field.p**i for i in range(nvars)]
+        for key in poly:
+            exps = ip.unpack(key, nvars + 1)
+            w = sum(map(mul, exps, weights))
             if w != weight:
                 raise ConsistencyFailure(
-                    f"monomial {key} has weight {w}, declared {weight}"
+                    f"monomial {exps} has weight {w}, declared {weight}"
                 )
-            clean[tuple(key)] = c
-        self.terms = clean
+        self.field = field
+        self.nvars = nvars
+        self.weight = weight
+        self.poly = poly
 
     @classmethod
-    def zero(cls, field, nvars, weight):
-        return cls(field, nvars, weight, {})
+    def _of(cls, field, nvars, weight, poly):
+        out = cls.__new__(cls)
+        out._set(field, nvars, weight, poly)
+        return out
 
     @classmethod
     def monomial(cls, field, nvars, coeff, t, yexps):
@@ -84,102 +98,83 @@ class GradedPolynomial:
             raise ValueError(f"no variable Y_{i} among {nvars}")
         return cls.monomial(field, nvars, field.one(), 0, (0,) * i + (1,))
 
+    @property
+    def terms(self):
+        """The monomials as (t, e_0, ..., e_{k-1}) keys to coefficients."""
+        return {ip.unpack(k, self.nvars + 1): c for k, c in self.poly.items()}
+
     def is_zero(self):
-        return not self.terms
+        return not self.poly
+
+    def _like(self, weight, poly):
+        return GradedPolynomial._of(self.field, self.nvars, weight, poly)
 
     def _check(self, other):
         if self.field != other.field or self.nvars != other.nvars:
             raise ValueError("mixed graded rings")
 
-    def __add__(self, other):
+    def _sum(self, other, sign):
         self._check(other)
-        if self.weight != other.weight and self.terms and other.terms:
-            raise ConsistencyFailure(
-                f"adding weights {self.weight} and {other.weight}"
-            )
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            s = terms.get(key)
-            terms[key] = c if s is None else s + c
-        w = self.weight if self.terms or not other.terms else other.weight
-        return GradedPolynomial(self.field, self.nvars, w, terms)
+        w = self.weight if self.poly or not other.poly else other.weight
+        return self._like(w, ip.p_add(self.poly, other.poly, sign))
 
-    def __neg__(self):
-        return GradedPolynomial(
-            self.field, self.nvars, self.weight,
-            {k: -c for k, c in self.terms.items()},
-        )
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._sum(other, -1)
+
+    def __neg__(self):
+        return self._like(self.weight, ip.p_neg(self.poly))
 
     def __mul__(self, other):
         self._check(other)
-        terms = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                key = tuple(ea + eb for ea, eb in zip(ka, kb))
-                c = ca * cb
-                s = terms.get(key)
-                terms[key] = c if s is None else s + c
-        return GradedPolynomial(
-            self.field, self.nvars, self.weight + other.weight, terms
-        )
+        return self._like(self.weight + other.weight, ip.p_mul(self.poly, other.poly))
 
     def scale(self, c):
-        return GradedPolynomial(
-            self.field, self.nvars, self.weight,
-            {k: c * v for k, v in self.terms.items()},
-        )
+        return self._like(self.weight, ip.p_scale(self.poly, self.field.element(c)))
 
     def __pow__(self, e):
         if e < 0:
             raise ValueError("negative power")
         if e == 0:
-            return GradedPolynomial(
-                self.field, self.nvars, 0, {(0,) * (self.nvars + 1): self.field.one()}
-            )
-        return binary_power(self, e, GradedPolynomial.__mul__)
+            return self._like(0, {0: self.field.one()})
+        return self._like(self.weight * e, ip.p_pow(self.poly, e))
 
     def __eq__(self, other):
         return (
             isinstance(other, GradedPolynomial)
             and self.field == other.field
             and self.nvars == other.nvars
-            and self.terms == other.terms
+            and self.poly == other.poly
         )
 
     def __hash__(self):
         raise TypeError("unhashable")
-
-    def with_nvars(self, nvars):
-        """The same element viewed inside a polynomial ring with nvars >=
-        self.nvars variables."""
-        pad = (0,) * (nvars - self.nvars)
-        terms = {k + pad: c for k, c in self.terms.items()}
-        return GradedPolynomial(self.field, nvars, self.weight, terms)
 
     def set_t_one(self):
         """Dehomogenize to a packed integer polynomial in the Y-slots.
 
         Only meaningful over a prime field, where coefficients are plain
         residues; the packing matches the Witt-table convention so results
-        compare directly against table-derived component polynomials."""
+        compare directly against table-derived component polynomials.  The
+        weight fixes the T-exponent, so no two monomials meet."""
         if self.field.f != 1:
             raise ValueError("dehomogenization target is a prime-field table")
         out = {}
-        for key, c in self.terms.items():
-            packed = sum(ip.var(yvar(i), e) for i, e in enumerate(key[1:]))
-            out[packed] = (out.get(packed, 0) + c.coords[0]) % self.field.p
-        return {k: v for k, v in out.items() if v}
+        for key, c in self.poly.items():
+            yexps = ip.unpack(key >> ip.SHIFT, self.nvars)
+            out[sum(ip.var(yvar(i), e) for i, e in enumerate(yexps))] = c.coords[0]
+        return out
 
     def __repr__(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         one = self.field.one()
         bits = []
-        for key in sorted(self.terms, reverse=True):
-            c = self.terms[key]
+        for key in sorted(terms, reverse=True):
+            c = terms[key]
             factors = [] if c == one else [repr(c)]
             if key[0]:
                 factors.append("T" if key[0] == 1 else f"T^{key[0]}")
@@ -265,60 +260,35 @@ def _translation_entries(a, field, count):
     return entries
 
 
-def _variable_image(table, field, nvars, j, a):
-    """Image of Y_j under translation by a, with denominators cleared.
-
-    Y_j picks up a_j T^(p^j) plus the carry of the lower coordinates with
-    the constant vector, each carry monomial weighted back to p^j by T."""
+def _variable_image(table, field, j, a):
+    """Image of Y_j under translation by a: the Witt sum S_j mod p with the
+    live coordinates Y_i in its X-slots and the constants a_i T^(p^i) in
+    its Y-slots.  S_j is isobaric, so the image is homogeneous of weight
+    p^j.  A zero a_i substitutes the zero polynomial: no coefficient of an
+    intpoly polynomial may be zero."""
     p = table.p
-    terms = {(0,) + tuple(0 if i != j else 1 for i in range(nvars)): field.one()}
-    key_t = (p**j,) + (0,) * nvars
-    if not a[j].is_zero():
-        terms[key_t] = a[j]
-    for packed, c in ip.p_mod(table.c[j], p).items():
-        slots = ip.unpack(packed, 2 * nvars)
-        # X-slot: the live coordinate Y_i / T^(p^i); Y-slot: the constant a_i
-        yexps = slots[0::2]
-        coeff = field.from_int(c)
-        for i, e in enumerate(slots[1::2]):
-            if e:
-                coeff = coeff * a[i] ** e
-        if coeff.is_zero():
-            continue
-        t_exp = p**j - sum(e * p**i for i, e in enumerate(yexps))
-        key = (t_exp,) + tuple(yexps)
-        s = terms.get(key)
-        terms[key] = coeff if s is None else s + coeff
-    return GradedPolynomial(field, nvars, p**j, terms)
+    subs = {}
+    for i in range(j + 1):
+        subs[xvar(i)] = {ip.var(i + 1): field.one()}
+        subs[yvar(i)] = {ip.mono(p**i): a[i]} if a[i] else {}
+    return ip.p_subst(ip.p_mod(table.S[j], p), subs)
 
 
 def group_action_on_sections(p, n, a, f):
     """Pull back a graded element along translation by the constant vector a.
 
-    The substitution sends Y_j to its translated image for every j <= n and
-    fixes T; the result has the same weight, which the graded constructor
-    re-certifies monomial by monomial."""
+    One substitution sends Y_j to its translated image for every j <= n and
+    fixes T and the Y_j above n; the graded ring's weight check certifies
+    that the result keeps f's weight."""
     field = f.field
     if field.p != p:
         raise ValueError("field characteristic and p disagree")
     a = _translation_entries(a, field, n + 1)
-    nvars = max(f.nvars, n + 1)
-    f = f.with_nvars(nvars)
     table = build_table(p, n + 1)
-    images = [_variable_image(table, field, nvars, j, a) for j in range(n + 1)]
-    for j in range(n + 1, nvars):
-        images.append(GradedPolynomial.y_var(field, nvars, j))
-    out = GradedPolynomial.zero(field, nvars, f.weight)
-    t = GradedPolynomial.t_var(field, nvars)
-    for key, c in f.terms.items():
-        term = t ** key[0]
-        for j, e in enumerate(key[1:]):
-            if e:
-                term = term * images[j] ** e
-        out = out + term.scale(c)
-    if out.weight != f.weight and not out.is_zero():
-        raise ConsistencyFailure("translation action changed the weight")
-    return out
+    images = {j + 1: _variable_image(table, field, j, a) for j in range(n + 1)}
+    return GradedPolynomial._of(
+        field, max(f.nvars, n + 1), f.weight, ip.p_subst(f.poly, images)
+    )
 
 
 def psi_on_sections(p, n):

@@ -18,7 +18,6 @@ from wittram.series import (
     _conv,
     _int_conv,
     compose,
-    compose_with_derivative,
     nth_root,
 )
 
@@ -337,27 +336,6 @@ def test_short_composition_reads_kept_powers(monkeypatch, R):
         assert np.array_equal(x.coeffs, want.coeffs)
 
 
-def test_compose_with_derivative_matches_two_compositions():
-    # (f(g), f'(g)) equals the two compositions, poles and exact monomial g
-    # included, when g already keeps the powers the first pair formed
-    rng = random.Random(29)
-    for R in (F2, F3, F4, F7, F25, lift_ring(3, 2)):
-        for k in range(12):
-            v = rng.choice([-7, -5, -3, -2, -1, 1, 2])
-            f = random_series(R, v, rng.choice([3, 9, 40, 90]), rng)
-            g = random_series(R, rng.randrange(1, 3), rng.choice([6, 40, 120]), rng)
-            if k % 3 == 1 and f.v > 0:  # exact f and g
-                f = TLS(R, f.v, f.coeffs, INF)
-                g = TLS(R, g.v, g.coeffs[:2], INF)
-            elif k % 3 == 2:  # exact monomial g
-                g = TLS.monomial(R, g.v, g.leading_coeff())
-            want = (compose(f, g), compose(f.derivative(), g))
-            got = compose_with_derivative(f, g)
-            for a, b in zip(got, want):
-                assert (a.v, a.prec) == (b.v, b.prec)
-                assert np.array_equal(a.coeffs, b.coeffs)
-
-
 @pytest.mark.parametrize("R", [F2, F3, F7, F4, F9], ids=str)
 def test_deep_split_matches_horner(R, monkeypatch):
     # f of split depth >= 3 (more than L p^2 coefficients, L = max(4, p)),
@@ -381,10 +359,10 @@ def test_deep_split_matches_horner(R, monkeypatch):
             calls = []
             with monkeypatch.context() as m:
                 m.setattr(series_mod, "_mul_trunc", lambda *a: calls.append(1) or mul_trunc(*a))
-                got = compose(f, g), compose_with_derivative(f, g)
+                got = compose(f, g), compose(f.derivative(), g)
             products.append(len(calls))
             want = _compose_by_horner(f, g), _compose_by_horner(f.derivative(), g)
-            for x, y in zip((got[0],) + got[1], (want[0],) + want):
+            for x, y in zip(got, want):
                 assert (x.v, x.prec) == (y.v, y.prec)
                 assert np.array_equal(x.coeffs, y.coeffs)
         assert products[1] < products[0]

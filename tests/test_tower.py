@@ -714,16 +714,16 @@ def test_wrong_derivative_is_refused(monkeypatch):
     # a z'(T) off by a unit factor makes every step gain nothing; the
     # schedule still ends, and the certificate refuses the last T.  The
     # datum's window of 12 needs at least one Newton step; over F_4 the
-    # factor can be a unit other than 1
-    pair = tower_mod.compose_with_derivative
+    # factor can be a unit other than 1.  build_tower differentiates only
+    # z_std, for the Newton steps
+    derivative = TLS.derivative
     d = CoverDatum.from_orders(2, 1, 2, (9,))
     omega = d.ring.from_coords([0, 1])
 
-    def scaled(f, g):
-        zg, dzg = pair(f, g)
-        return zg, dzg.scalar_mul(omega)
+    def scaled(self):
+        return derivative(self).scalar_mul(omega)
 
-    monkeypatch.setattr(tower_mod, "compose_with_derivative", scaled)
+    monkeypatch.setattr(TLS, "derivative", scaled)
     calls = _count_residuals(monkeypatch)
     (window,) = tower_mod._stage_budgets(d)
     assert window == 12

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from wittram import intpoly as ip
 from wittram.coeff import finite_field
 from wittram.errors import ConsistencyFailure
 from wittram.wbar import (
@@ -255,6 +256,83 @@ def test_psi_extension_translation_moves():
     )
     a = (F4.gen(), F4.zero())
     assert group_action_on_sections(2, 1, a, lifted) != lifted
+
+
+# ---------- the graded ring on intpoly ----------
+
+
+@pytest.mark.parametrize("p, n", [(2, 5), (5, 3)])
+def test_psi_dehomogenization_contract_deep(p, n):
+    # the translation check runs on 4,030 terms at (2, 5) and 18,433 at
+    # (5, 3).  Mutation check: leaving a zero a_i in the substitution of
+    # _variable_image (as {T^(p^i): 0}) fails both with a KeyError in
+    # intpoly's product
+    from wittram.witt import asw_component_poly
+
+    psi = psi_on_sections(p, n)
+    assert psi.weight == p ** (n + 1)
+    assert psi.set_t_one() == ip.p_mod(asw_component_poly(build_table(p, n + 1), n), p)
+
+
+def test_action_is_group_action_over_f4_with_zero_entries():
+    # a zero entry of a or b substitutes the zero polynomial for its
+    # constant.  Mutation check: leaving a zero a_i in the substitution (as
+    # {T^(p^i): 0}) fails this with a KeyError in intpoly's product
+    rng = random.Random(43)
+    F4 = finite_field(2, 2)
+    table = build_table(2, 3)
+    zeros = 0
+    for _ in range(12):
+        a, b = (
+            WittVector(tuple(F4.random(rng) if rng.random() < 0.6 else F4.zero() for _ in range(3)))
+            for _ in range(2)
+        )
+        zeros += sum(x.is_zero() for x in a.entries + b.entries)
+        f = GradedPolynomial(
+            F4, 3, 4, {k: F4.random(rng) for k in section_monomials(2, 3, 1)}
+        )
+        lhs = group_action_on_sections(2, 2, witt_add(a, b, table), f)
+        rhs = group_action_on_sections(2, 2, a, group_action_on_sections(2, 2, b, f))
+        assert lhs == rhs
+        assert lhs.weight == f.weight
+    assert zeros >= 12
+
+
+def test_off_weight_image_is_refused(monkeypatch):
+    # the weight check is an explicit raise, so python -O keeps it.
+    # Mutation check: dropping the raise from the graded ring's weight check
+    # fails this
+    from wittram import wbar
+
+    image = wbar._variable_image
+
+    def off_weight(table, field, j, a):
+        moved = dict(image(table, field, j, a))
+        moved[ip.var(0, table.p**j + 1)] = field.one()
+        return moved
+
+    monkeypatch.setattr(wbar, "_variable_image", off_weight)
+    F3 = finite_field(3)
+    f = GradedPolynomial.y_var(F3, 2, 1)
+    with pytest.raises(ConsistencyFailure, match="weight"):
+        group_action_on_sections(3, 1, (F3.one(), F3.zero()), f)
+
+
+def test_graded_exponent_bound():
+    # an exponent lives in 20 bits of an intpoly key.  Mutation check:
+    # packing the constructor's keys without intpoly.mono's range check
+    # fails this: T^(2^20) carries into Y_0 and raises ConsistencyFailure
+    F2 = finite_field(2)
+    top = (1 << ip.SHIFT) - 1
+    assert GradedPolynomial(F2, 1, top, {(top, 0): F2.one()}).weight == top
+    with pytest.raises(ValueError):
+        GradedPolynomial(F2, 1, top + 1, {(top + 1, 0): F2.one()})
+    t = GradedPolynomial.t_var(F2, 1)
+    assert (t**top).terms == {(top, 0): F2.one()}
+    with pytest.raises(ValueError):
+        t ** (top + 1)
+    with pytest.raises(ValueError):
+        t ** (top // 2 + 1) * t ** (top // 2 + 1)
 
 
 # ---------- intersection classes ----------
