@@ -17,6 +17,9 @@ import json
 import random
 import re
 import sys
+from itertools import islice
+
+import numpy as np
 
 from . import intpoly as ip
 from .coeff import finite_field, is_prime, lift_ring
@@ -164,30 +167,32 @@ def _var_name(v):
 
 
 def format_packed_poly(poly, nvars):
-    """Deterministic human form of a packed integer polynomial."""
+    """Deterministic human form of a packed integer polynomial: its terms by
+    descending exponent tuple.  The exponents are read at once
+    (intpoly.exponent_rows) and sorted by numpy, and each nonzero exponent
+    is named once."""
     if not poly:
         return "0"
-    rows = []
-    for key, coeff in poly.items():
-        exps = ip.unpack(key, nvars)
-        rows.append((tuple(exps), coeff))
-    rows.sort(reverse=True)
+    rows = ip.exponent_rows(poly, nvars)
+    order = np.lexsort(rows.T[::-1])[::-1]
+    rows = rows[order]
+    coeffs = list(poly.values())
+    names = [_var_name(v) for v in range(nvars)]
+    at, col = rows.nonzero()
+    exps = rows[at, col].tolist()
+    factors = iter([names[v] if e == 1 else f"{names[v]}^{e}" for v, e in zip(col.tolist(), exps)])
     parts = []
-    for exps, coeff in rows:
-        factors = [
-            f"{_var_name(v)}^{e}" if e > 1 else _var_name(v)
-            for v, e in enumerate(exps)
-            if e
-        ]
-        body = "*".join(factors) if factors else "1"
-        if coeff == 1 and factors:
+    for i, n in zip(order.tolist(), np.count_nonzero(rows, axis=1).tolist()):
+        body, coeff = "*".join(islice(factors, n)), coeffs[i]
+        if not n:
+            parts.append(str(coeff))
+        elif coeff == 1:
             parts.append(body)
-        elif coeff == -1 and factors:
+        elif coeff == -1:
             parts.append(f"-{body}")
         else:
-            parts.append(f"{coeff}*{body}" if factors else str(coeff))
-    text = " + ".join(parts)
-    return text.replace("+ -", "- ")
+            parts.append(f"{coeff}*{body}")
+    return " + ".join(parts).replace("+ -", "- ")
 
 
 # ---------- subcommands ----------

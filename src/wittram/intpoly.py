@@ -7,9 +7,9 @@ exponent must stay at most MASK = 2**SHIFT - 1: the products check this once
 per call from their operands' degrees and raise ValueError, rather than let
 an exponent carry into the next variable.
 
-p_mul multiplies term by term and is the reference.  The Witt tables are
-built with the sliced Kronecker product (p_mul_sliced, p_pow_sum_sliced) on
-a plane (u, v, lam): a term goes to the slice of (its key without u and v,
+p_mul and p_pow multiply term by term and are the reference.  The Witt
+tables are built with the sliced Kronecker product, p_pow_sum_sliced, on a
+plane (u, v, lam): a term goes to the slice of (its key without u and v,
 e_u + lam*e_v) at slot e_v, which is exact for any polynomial.  Each slice
 is packed into one Python int of B bits per slot and keyed by one int, so
 the key of a product of two slices is the sum of theirs, and slice pairs
@@ -88,6 +88,28 @@ def unpack(key, nvars):
     return tuple((key >> (SHIFT * v)) & MASK for v in range(nvars))
 
 
+# a pair of variables spans 2*SHIFT = 40 bits, five whole bytes
+_PAIR_BYTES = 2 * SHIFT // 8
+
+
+def exponent_rows(keys, nvars):
+    """The exponent tuples of keys in variables 0..nvars-1, as the rows of
+    an int64 array; a key that uses a later variable raises ValueError.
+    Each key is written in five bytes per pair of variables, and numpy reads
+    every pair off its bytes at once."""
+    if keys and max(keys) >> (SHIFT * nvars):
+        raise ValueError(f"monomial uses a variable beyond number {nvars - 1}")
+    pairs = -(-nvars // 2)
+    raw = b"".join([k.to_bytes(_PAIR_BYTES * pairs, "little") for k in keys])
+    wide = np.zeros((len(keys), pairs, 8), dtype=np.uint8)
+    wide[:, :, :_PAIR_BYTES] = np.frombuffer(raw, np.uint8).reshape(len(keys), pairs, _PAIR_BYTES)
+    wide = wide.view("<i8")[:, :, 0]
+    rows = np.empty((len(keys), pairs, 2), dtype=np.int64)
+    np.bitwise_and(wide, MASK, out=rows[:, :, 0])
+    np.right_shift(wide, SHIFT, out=rows[:, :, 1])
+    return rows.reshape(len(keys), 2 * pairs)[:, :nvars]
+
+
 def p_add(a, b, scale=1):
     """a + scale*b."""
     out = dict(a)
@@ -143,18 +165,19 @@ def _mul(a, b):
             if s:
                 out[k] = s
             else:
-                del out[k]
+                out.pop(k, None)
     return out
 
 
 def p_mul(a, b):
-    """The product a*b, term by term: the reference for p_mul_sliced."""
+    """The product a*b, term by term."""
     _exponent_check([(a, 1), (b, 1)])
     return _mul(a, b)
 
 
 def p_pow(a, e):
-    """a**e by binary powering with the term-by-term product."""
+    """a**e by binary powering with the term-by-term product: the reference
+    for p_pow_sum_sliced."""
     if e < 0:
         raise ValueError(f"negative exponent {e}")
     _exponent_check([(a, e)])
@@ -249,11 +272,6 @@ def _ints(limbs):
     for limb in reversed(limbs[:-1]):
         digits = list(map(add, map(lshift, digits, repeat(64)), limb.tolist()))
     return digits
-
-
-def _unpack(x, B):
-    """The base-2**B digits of x, lowest first, each in +-(2**(B-1) - 1)."""
-    return _ints(_unpack_all([x], B)[0])
 
 
 def _unslice(slices, plane, B, divisor=1):
@@ -387,21 +405,6 @@ def _swap(a, even):
     return {((k & even) << SHIFT) | ((k >> SHIFT) & even): c for k, c in a.items()}
 
 
-def _norm1(a):
-    return sum(map(abs, a.values()))
-
-
-def p_mul_sliced(a, b, plane):
-    """The product a*b by the sliced Kronecker product on plane = (u, v, lam).
-
-    Equal to p_mul(a, b) for any a and b.  No coefficient of the product
-    exceeds |a|_1*|b|_1, so _slot_bits of it holds each as one digit."""
-    _plane_check(plane)
-    _exponent_check([(a, 1), (b, 1)])
-    B = _slot_bits(_norm1(a) * _norm1(b))
-    return _unslice(_slice_mul(_slices(a, plane, B), _slices(b, plane, B)), plane, B)
-
-
 def p_pow_sum_sliced(terms, plane, divisor=1):
     """The sum of c * a**e over terms (c, a, e), every coefficient divided by
     divisor, 1 <= divisor < 2**31, by the sliced product on plane
@@ -422,7 +425,7 @@ def p_pow_sum_sliced(terms, plane, divisor=1):
         if e < 0:
             raise ValueError(f"negative exponent {e}")
         _exponent_check([(a, e)])
-    B = _slot_bits(sum(abs(c) * _norm1(a) ** e for c, a, e in terms))
+    B = _slot_bits(sum(abs(c) * sum(map(abs, a.values())) ** e for c, a, e in terms))
     # on the plane of a swapped pair X_i, Y_i with lam = 1, the powers of a
     # polynomial that the swap fixes are formed half and mirrored
     u, v, lam = plane
@@ -439,18 +442,6 @@ def p_pow_sum_sliced(terms, plane, divisor=1):
             k, x = power.popitem()
             total[k] = get(k, 0) + c * x
     return _unslice(total, plane, B, divisor)
-
-
-def p_divexact(a, d):
-    """Divide every coefficient by the integer d; a remainder raises
-    ArithmeticError."""
-    out = {}
-    for k, c in a.items():
-        q, r = divmod(c, d)
-        if r:
-            raise ArithmeticError(f"non-exact division by {d}")
-        out[k] = q
-    return out
 
 
 def p_mod(a, m):

@@ -163,7 +163,7 @@ class GradedPolynomial:
             raise ValueError("dehomogenization target is a prime-field table")
         out = {}
         for key, c in self.poly.items():
-            yexps = ip.unpack(key >> ip.SHIFT, self.nvars)
+            yexps = ip.unpack(key, self.nvars + 1)[1:]
             out[sum(ip.var(yvar(i), e) for i, e in enumerate(yexps))] = c.coords[0]
         return out
 
@@ -264,13 +264,12 @@ def _variable_image(table, field, j, a):
     """Image of Y_j under translation by a: the Witt sum S_j mod p with the
     live coordinates Y_i in its X-slots and the constants a_i T^(p^i) in
     its Y-slots.  S_j is isobaric, so the image is homogeneous of weight
-    p^j.  A zero a_i substitutes the zero polynomial: no coefficient of an
-    intpoly polynomial may be zero."""
+    p^j."""
     p = table.p
     subs = {}
     for i in range(j + 1):
         subs[xvar(i)] = {ip.var(i + 1): field.one()}
-        subs[yvar(i)] = {ip.mono(p**i): a[i]} if a[i] else {}
+        subs[yvar(i)] = {ip.mono(p**i): a[i]}
     return ip.p_subst(ip.p_mod(table.S[j], p), subs)
 
 

@@ -60,10 +60,8 @@ def _plane(p, name):
     return xvar(0), yvar(0), 1
 
 
-# a pair (X_i, Y_i) of exponents spans 2*SHIFT = 40 bits, five whole bytes
-_PAIR_BYTES = 2 * ip.SHIFT // 8
-# keys per numpy pass of the certificate: its scratch memory, about 100 bytes
-# a key, stays near 2 MB however large the component
+# keys per numpy pass of the certificate: its scratch memory, about 160 bytes
+# a key at l = 3, stays near 3 MB however large the component
 _CERTIFY_KEYS = 2**14
 
 
@@ -72,11 +70,11 @@ def _certify(comp, p, l, name):
     has the weight p**l (2*p**l for P) in X_i, Y_i of weight p**i, and, for
     S, unless X_l and Y_l occur only as the terms X_l + Y_l.
 
-    The keys are read by numpy, _CERTIFY_KEYS at a time: each is written in
-    5*(l + 1) bytes, which fails for a key in a variable past Y_l, and every
-    pair's exponent sum e(X_i) + e(Y_i) is read off its 5 bytes.  The weight
-    is exact in int64: p**l <= MASK, or the exponent check of the powers had
-    raised, so it is at most 2*MASK*(p**(l+1) - 1)/(p - 1) < 2**43."""
+    The keys are read _CERTIFY_KEYS at a time by intpoly.exponent_rows,
+    which fails for a key in a variable past Y_l, and every monomial's
+    weight is its pair sums e(X_i) + e(Y_i) against the p**i.  The weight
+    is exact in int64: p**l < 2**20, or the exponent check of the powers had
+    raised, so it is below 2*2**20*(p**(l+1) - 1)/(p - 1) < 2**43."""
     keys = list(comp)
     want = (2 if name == "P" else 1) * p**l
     weights = p ** np.arange(l + 1)
@@ -84,14 +82,10 @@ def _certify(comp, p, l, name):
     for at in range(0, len(keys), _CERTIFY_KEYS):
         block = keys[at : at + _CERTIFY_KEYS]
         try:
-            raw = b"".join([k.to_bytes(_PAIR_BYTES * (l + 1), "little") for k in block])
-        except OverflowError:
+            rows = ip.exponent_rows(block, 2 * (l + 1))
+        except ValueError:
             raise WittTableError(f"{name}_{l} for p={p} involves a variable past Y_{l}") from None
-        raw = np.frombuffer(raw, dtype=np.uint8).reshape(len(block), l + 1, _PAIR_BYTES)
-        pairs = np.zeros((len(block), l + 1, 8), dtype=np.uint8)
-        pairs[:, :, :_PAIR_BYTES] = raw
-        pairs = pairs.view("<i8")[:, :, 0]
-        degree = (pairs & ip.MASK) + (pairs >> ip.SHIFT)
+        degree = rows[:, 0::2] + rows[:, 1::2]
         off = (degree @ weights != want).nonzero()[0]
         if len(off):
             raise WittTableError(
@@ -105,11 +99,23 @@ def _certify(comp, p, l, name):
             raise WittTableError(f"c_{l} for p={p} involves its own slot")
 
 
+def _ghost_step(ghost, xs, p, plane, what):
+    """The next Witt component x_l, l = len(xs), of integer polynomials with
+    ghost component l `ghost`: (ghost - sum_(i<l) p**i * xs[i]**(p**(l-i)))
+    / p**l, formed packed on plane and divided as it is unpacked
+    (intpoly.p_pow_sum_sliced).  A remainder raises WittTableError."""
+    l = len(xs)
+    terms = [(1, ghost, 1)] + [(-(p**i), x, p ** (l - i)) for i, x in enumerate(xs)]
+    try:
+        return ip.p_pow_sum_sliced(terms, plane, p**l)
+    except ArithmeticError as exc:
+        raise WittTableError(f"integrality failure {what}") from exc
+
+
 def _extend_family(p, name, j):
-    """Build components up to j of a family: component l is the numerator
-    target_l - sum_(i<l) p**i * fam[i]**(p**(l-i)), formed packed and
-    divided by p**l as it is unpacked (intpoly.p_pow_sum_sliced), where
-    target_l is the ghost sum, minus the Y ghost, or the ghost product."""
+    """Build components up to j of a family by the ghost-inversion step, on
+    the ghost sum, minus the Y ghost, or the ghost product, and certify
+    each."""
     st = _state(p)
     fam = st[name]
     plane = _plane(p, name)
@@ -122,14 +128,8 @@ def _extend_family(p, name, j):
         elif name == "I":
             target = ip.p_neg(gy)
         else:
-            target = ip.p_mul_sliced(gx, gy, plane)
-        terms = [(1, target, 1)] + [(-(p**i), fam[i], p ** (l - i)) for i in range(l)]
-        try:
-            comp = ip.p_pow_sum_sliced(terms, plane, p**l)
-        except ArithmeticError as exc:
-            raise WittTableError(
-                f"integrality failure building {name}_{l} for p={p}"
-            ) from exc
+            target = ip.p_mul(gx, gy)
+        comp = _ghost_step(target, fam, p, plane, f"building {name}_{l} for p={p}")
         _certify(comp, p, l, name)
         fam.append(comp)
         if name == "S":
@@ -460,6 +460,25 @@ def _principal_part(p, n):
     return {ip.var(yvar(n), p): 1, ip.var(yvar(n)): p - 1}
 
 
+def _asw_ghost(p, l):
+    """Phi_l(F(Y) - Y) = sum_i p^i (Y_i^(p^(l-i+1)) - Y_i^(p^(l-i))) over Z;
+    no two of these monomials coincide."""
+    w = {}
+    for i in range(l + 1):
+        w[ip.var(yvar(i), p ** (l - i + 1))] = p**i
+        w[ip.var(yvar(i), p ** (l - i))] = -(p**i)
+    return w
+
+
+def _ghost_route(p, n):
+    """Component n of F(Y) - Y over Z, by inverting its ghost components
+    with the ghost-inversion step of the tables, on the plane (Y_0, Y_1, p)."""
+    comps, plane = [], (yvar(0), yvar(1), p)
+    for l in range(n + 1):
+        comps.append(_ghost_step(_asw_ghost(p, l), comps, p, plane, f"inverting Phi_{l}(F(Y) - Y)"))
+    return comps[n]
+
+
 def nth_component_identity_check(table, n):
     """Certify the n-th component of a -> F(a) - a two independent ways.
 
@@ -474,29 +493,7 @@ def nth_component_identity_check(table, n):
         raise IndexError(f"component {n} outside table of length {table.n}")
 
     comp_a = asw_component_poly(table, n)
-
-    # route B: ghost components of F(Y) - Y, inverted over Z[Y]
-    # Phi_l(F(Y) - Y) = sum_i p^i (Y_i^(p^(l-i+1)) - Y_i^(p^(l-i))); no two
-    # of these monomials coincide
-    ghost_vals = []
-    for l in range(n + 1):
-        w = {}
-        for i in range(l + 1):
-            w[ip.var(yvar(i), p ** (l - i + 1))] = p**i
-            w[ip.var(yvar(i), p ** (l - i))] = -(p**i)
-        ghost_vals.append(w)
-    comps = []
-    for l in range(n + 1):
-        num = ghost_vals[l]
-        for i in range(l):
-            num = ip.p_sub(num, ip.p_scale(ip.p_pow(comps[i], p ** (l - i)), p**i))
-        try:
-            comps.append(ip.p_divexact(num, p**l))
-        except ArithmeticError as exc:
-            raise WittTableError(
-                f"ghost inversion not integral at component {l}"
-            ) from exc
-    comp_b = ip.p_mod(comps[n], p)
+    comp_b = ip.p_mod(_ghost_route(p, n), p)
 
     if comp_a != comp_b:
         raise ConsistencyFailure(

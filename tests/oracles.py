@@ -122,6 +122,25 @@ def cn_leading_term_check(table, n, i):
     return {"holds": lead == expected and rest_deg < e, "extracted": lead, "degree_bound": e}
 
 
+def asw_ghost_inversion(p, n):
+    """Component n of F(Y) - Y over Z, by inverting its ghost components
+    Phi_l(F(Y) - Y) = sum_i p^i (Y_i^(p^(l-i+1)) - Y_i^(p^(l-i))) term by
+    term, with p_pow and a division checked coefficient by coefficient: the
+    reference for route B of witt.nth_component_identity_check."""
+    comps = []
+    for l in range(n + 1):
+        num = {}
+        for i in range(l + 1):
+            num[ip.var(yvar(i), p ** (l - i + 1))] = p**i
+            num[ip.var(yvar(i), p ** (l - i))] = -(p**i)
+        for i in range(l):
+            num = ip.p_sub(num, ip.p_scale(ip.p_pow(comps[i], p ** (l - i)), p**i))
+        if any(c % p**l for c in num.values()):
+            raise ConsistencyFailure(f"ghost inversion not integral at component {l}")
+        comps.append({k: c // p**l for k, c in num.items()})
+    return comps[n]
+
+
 def witt_smul(k, a, table):
     """Integer multiple of a Witt vector by double-and-add."""
     if k < 0:

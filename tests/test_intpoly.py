@@ -1,7 +1,7 @@
 """The array and bigint kernels against their references: p_eval_batch_mod,
 the graded bilinear block kernel, against p_eval over the integers at every
-point, reduced afterwards; p_mul_sliced and p_pow_sum_sliced, the sliced
-Kronecker product, against the term-by-term p_mul and p_pow."""
+point, reduced afterwards; p_pow_sum_sliced, the sliced Kronecker product,
+against the term-by-term p_mul and p_pow; exponent_rows against unpack."""
 
 import math
 import random
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from wittram import intpoly as ip
+from wittram.coeff import finite_field
 from wittram.witt import build_table
 
 EDGE = 3037000499  # the largest modulus the int64 guard admits
@@ -134,10 +135,14 @@ def _operands():
 
 @pytest.mark.parametrize("plane", PLANES)
 def test_sliced_product_matches_p_mul(plane):
+    # a*b as the sum of powers ((a + b)**2 - a**2 - b**2)/2, and a sum of
+    # cubes of distinct operands, whose powers past the square multiply by
+    # the base slices in _slice_mul
     for name, a, b in _operands():
-        want = ip.p_mul(a, b)
-        assert ip.p_mul_sliced(a, b, plane) == want, name
-        assert ip.p_mul_sliced(b, a, plane) == want, name
+        squares = [(1, ip.p_add(a, b), 2), (-1, a, 2), (-1, b, 2)]
+        assert ip.p_pow_sum_sliced(squares, plane, 2) == ip.p_mul(a, b), name
+        cubes = ip.p_add(ip.p_pow(a, 3), ip.p_pow(b, 3), -2)
+        assert ip.p_pow_sum_sliced([(1, a, 3), (-2, b, 3)], plane) == cubes, name
 
 
 @pytest.mark.parametrize("plane", PLANES)
@@ -207,6 +212,35 @@ def test_subst_agrees_with_evaluation():
     assert ip.p_subst({ip.var(0): 1, ip.var(1): -1}, {0: {ip.var(1): 1}}) == {}
 
 
+def test_subst_of_a_stored_zero_is_the_zero_polynomial():
+    # a substitution value that stores a zero coefficient, as a translation
+    # by a zero entry does, gives what the empty polynomial gives
+    rng = random.Random(12)
+    a = _sparse(rng, 3, 20, 9)
+    for v in (0, 2):
+        got = ip.p_subst(a, {v: {ip.var(1, 2): 0}, 1: {ip.var(0): 3}})
+        assert got == ip.p_subst(a, {v: {}, 1: {ip.var(0): 3}}) != {}
+    F4 = finite_field(2, 2)
+    g = F4.gen()
+    b = {k: F4.from_int(c % 2) + g for k, c in a.items()}
+    zero = {v: {ip.var(1): F4.zero()} for v in (0, 2)}
+    assert ip.p_subst(b, zero) == ip.p_subst(b, {0: {}, 2: {}}) != {}
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 6])
+def test_exponent_rows_match_unpack(nvars):
+    rng = random.Random(nvars)
+    keys = list(_sparse(rng, nvars, 30, 5)) + [0, ip.var(nvars - 1, ip.MASK)]
+    rows = ip.exponent_rows(keys, nvars)
+    assert rows.dtype == np.int64 and rows.shape == (len(keys), nvars)
+    assert [tuple(r) for r in rows.tolist()] == [ip.unpack(k, nvars) for k in keys]
+    assert ip.exponent_rows([], nvars).shape == (0, nvars)
+    # a key in variable nvars, inside or past the bytes of the last pair
+    for past in (ip.var(nvars), ip.var(nvars + 1, ip.MASK)):
+        with pytest.raises(ValueError, match="beyond"):
+            ip.exponent_rows(keys + [past], nvars)
+
+
 def _sliced_mul_at(a, b, plane, B):
     # the kernel's product at a chosen number of bits per slot
     return ip._unslice(ip._slice_mul(ip._slices(a, plane, B), ip._slices(b, plane, B)), plane, B)
@@ -228,7 +262,8 @@ def test_slot_at_the_balanced_digit_edge():
     for B in (8, 64, 128):
         edge = 2 ** (B - 1) - 1
         digits = [edge, -edge, -edge, edge, 0, edge, 1]
-        assert ip._unpack(sum(d << (B * j) for j, d in enumerate(digits)), B) == digits
+        packed = sum(d << (B * j) for j, d in enumerate(digits))
+        assert ip._ints(ip._unpack_all([packed], B)[0]) == digits
     # the kernel's own slots leave a factor 2 of room: |a|_1*|b|_1 = 254 -> B = 16
     assert ip._slot_bits(254) == 16 and ip._slot_bits(2**62 - 1) == 64
 
@@ -240,7 +275,9 @@ def test_exponents_up_to_mask():
     assert ip.p_pow({x: 1}, ip.MASK) == top
     # MASK = 1025*1023
     assert ip.p_pow_sum_sliced([(1, {ip.var(0, 1025): 1}, 1023)], (0, 1, 1)) == top
-    assert ip.p_mul_sliced(top, {y: 2}, (0, 1, 1)) == {ip.var(0, ip.MASK) + y: 2}
+    terms = [(1, {ip.var(0, 1025) + y: 1}, 1023), (2, top, 1)]
+    want = {ip.var(0, ip.MASK) + ip.var(1, 1023): 1, ip.var(0, ip.MASK): 2}
+    assert ip.p_pow_sum_sliced(terms, (0, 1, 1)) == want
     # the OR of the keys over-estimates a degree; the exact degrees then pass
     a = {ip.var(0, 2**18): 1, ip.var(0, 2**18 - 1): 1}
     b = {ip.var(0, ip.MASK - 2**18): 1}

@@ -29,7 +29,7 @@ from wittram.witt import (
     yvar,
 )
 
-from oracles import cn_leading_term_check, iso_weight, witt_smul
+from oracles import asw_ghost_inversion, cn_leading_term_check, iso_weight, witt_smul
 from randoms import random_series
 
 
@@ -301,6 +301,30 @@ def test_component_identity_check_routes_must_agree(monkeypatch):
         nth_component_identity_check(build_table(3, 2), 1)
 
 
+@pytest.mark.parametrize("p, n", [(2, 4), (3, 3), (5, 2), (7, 2)])
+def test_ghost_route_matches_term_by_term_inversion(p, n):
+    # route B's packed ghost-inversion step against p_pow and a division
+    # checked coefficient by coefficient, over Z, at every component up to n
+    for l in range(n + 1):
+        assert witt_mod._ghost_route(p, l) == asw_ghost_inversion(p, l), (p, l)
+
+
+def test_ghost_route_refuses_a_ghost_component_off_by_one(monkeypatch):
+    # Y_1^3 gets 4, not 3, in Phi_1(F(Y) - Y) for p = 3: its component 1
+    # has Y_1^3/3, which the exact division of the step refuses
+    ghost = witt_mod._asw_ghost
+
+    def broken(p, l):
+        w = ghost(p, l)
+        if l == 1:
+            w[ip.var(yvar(1), p)] += 1
+        return w
+
+    monkeypatch.setattr(witt_mod, "_asw_ghost", broken)
+    with pytest.raises(WittTableError, match="integrality"):
+        nth_component_identity_check(build_table(3, 2), 1)
+
+
 def test_component_identity_check_deeper_odd_p():
     rep = nth_component_identity_check(build_table(3, 3), 2)
     assert rep["holds"] and rep["literal_matches"]
@@ -366,7 +390,7 @@ CERTIFICATE_BREAKS = {
     "integrality-wide-slots": ("S", {ip.var(2): 2**70 + 1}, "integrality"),
     # 3*X_0 divides into X_0, of weight 1, not 3: the weight test of _certify
     "off-weight": ("S", {ip.var(0): 3}, "not isobaric"),
-    # 3*X_2 divides into X_2, past Y_1: the fixed key width of _certify
+    # 3*X_2 divides into X_2, past Y_1: the key check of intpoly.exponent_rows
     "past-the-slots": ("P", {ip.var(4): 3}, "past Y_1"),
     # 6*X_1 divides into 2*X_1, of the right weight, so the carry keeps
     # X_1: the coefficient test of the own-slot check of _certify
@@ -433,13 +457,13 @@ PRECONDITIONS = {
     "mul-exponent-past-mask": "ip.p_mul({ip.var(0, ip.MASK): 1}, {ip.var(0): 1})",
     "pow-exponent-past-mask": "ip.p_pow({ip.var(0): 1}, 1 << 20)",
     "sliced-mul-exponent-past-mask": (
-        "ip.p_mul_sliced({ip.var(2, ip.MASK): 1}, {ip.var(2): 1}, (0, 2, 3))"
+        "ip.p_pow_sum_sliced([(1, {ip.var(2, ip.MASK): 1, ip.var(2): 1}, 2)], (0, 2, 3))"
     ),
     "sliced-pow-exponent-past-mask": (
         "ip.p_pow_sum_sliced([(1, {ip.var(1): 1}, 1 << 20)], (0, 1, 1))"
     ),
     "sliced-pow-negative-exponent": "ip.p_pow_sum_sliced([(1, {0: 1}, -1)], (0, 1, 1))",
-    "sliced-plane-one-variable": "ip.p_mul_sliced({0: 1}, {0: 1}, (1, 1, 1))",
+    "sliced-plane-one-variable": "ip.p_pow_sum_sliced([(1, {0: 1}, 2)], (1, 1, 1))",
     "sliced-sum-divisor-zero": "ip.p_pow_sum_sliced([(1, {0: 1}, 1)], (0, 1, 1), 0)",
     "sliced-sum-divisor-past-31-bits": "ip.p_pow_sum_sliced([(1, {0: 1}, 1)], (0, 1, 1), 2**31)",
     "subst-power-past-mask": "ip.p_subst({ip.var(0, 2): 1}, {0: {ip.var(1, 1 << 19): 1}})",
