@@ -10,6 +10,7 @@ reduction mod p is literally coordinate-wise.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -202,6 +203,13 @@ def lift_ring(p, m, f=1):
 
 def finite_field(p, f=1):
     return lift_ring(p, 1, f)
+
+
+@lru_cache(maxsize=None)
+def nonzero_elements(field):
+    """All q - 1 nonzero elements of F_q, in a fixed coordinate order: one
+    tuple per field, like the field itself."""
+    return tuple(field.from_coords(c) for c in product(range(field.p), repeat=field.f) if any(c))
 
 
 class _Element:

@@ -80,14 +80,6 @@ def mono(*exps):
     return key
 
 
-def unpack(key, nvars):
-    """The exponent tuple of a key in variables 0..nvars-1; a key that uses
-    a later variable raises ValueError."""
-    if key >> (SHIFT * nvars):
-        raise ValueError(f"monomial uses a variable beyond number {nvars - 1}")
-    return tuple((key >> (SHIFT * v)) & MASK for v in range(nvars))
-
-
 # a pair of variables spans 2*SHIFT = 40 bits, five whole bytes
 _PAIR_BYTES = 2 * SHIFT // 8
 
@@ -108,6 +100,34 @@ def exponent_rows(keys, nvars):
     np.bitwise_and(wide, MASK, out=rows[:, :, 0])
     np.right_shift(wide, SHIFT, out=rows[:, :, 1])
     return rows.reshape(len(keys), 2 * pairs)[:, :nvars]
+
+
+# keys per exponent_rows call of row_blocks: its scratch memory, about 200
+# bytes a key for eight variables with the caller's own arrays, stays under
+# 1 MB however large the polynomial
+_ROW_KEYS = 2**12
+
+
+def row_blocks(a, nvars=None):
+    """The exponents of a polynomial (or of any collection of keys),
+    _ROW_KEYS keys at a time: yields (keys, exponent_rows(keys, nvars)), keys a list
+    in a's order.  Without nvars the rows run up to the last variable that
+    a key uses, which the largest key shows."""
+    if nvars is None:
+        nvars = -(-max(a, default=0).bit_length() // SHIFT)
+    keys = iter(a)
+    while block := list(islice(keys, _ROW_KEYS)):
+        yield block, exponent_rows(block, nvars)
+
+
+def degrees(a):
+    """The degree of a in each variable up to the last it uses, variable 0
+    first, in one pass over its keys."""
+    deg = None
+    for _keys, rows in row_blocks(a):
+        top = rows.max(axis=0)
+        deg = top if deg is None else np.maximum(deg, top)
+    return [] if deg is None else deg.tolist()
 
 
 def p_add(a, b, scale=1):
@@ -141,14 +161,18 @@ def _exponent_check(factors):
 
     factors lists (poly, count): the product takes count terms of each poly.
     The check runs once per call, not per term: the OR of a poly's keys bounds
-    each of its exponents below twice their maximum, and only a variable whose
-    bounds could pass MASK has its exact degrees read term by term."""
+    each of its exponents below twice their maximum, and only when a
+    variable's bounds could pass MASK are the exact degrees read, once per
+    poly."""
     bounds = [(reduce(or_, a, 0), count) for a, count in factors]
     top = max(o.bit_length() for o, _ in bounds)
+    exact = None
     for v in range(-(-top // SHIFT)):
         sh = SHIFT * v
         if sum(count * ((o >> sh) & MASK) for o, count in bounds) > MASK:
-            deg = sum(count * degree_in(a, v) for a, count in factors)
+            if exact is None:
+                exact = [(degrees(a), count) for a, count in factors]
+            deg = sum(count * d[v] for d, count in exact if v < len(d))
             if deg > MASK:
                 raise ValueError(f"exponent {deg} of variable {v} would pass {MASK}")
 
@@ -453,19 +477,6 @@ def p_mod(a, m):
     return out
 
 
-def degree_in(a, v):
-    sh = SHIFT * v
-    d = 0
-    for key in a:
-        d = max(d, (key >> sh) & MASK)
-    return d
-
-
-def involves(a, v):
-    sh = SHIFT * v
-    return any((key >> sh) & MASK for key in a)
-
-
 def _power_table(vals, product):
     """pw(v, e) = vals[v]^e, e >= 1, memoized: pw(v, e >> 1) squared, times
     vals[v] for an odd e, so the powers of one variable share their halves.
@@ -490,12 +501,6 @@ def _power_table(vals, product):
     return pw
 
 
-def _degrees(a):
-    """The degree of a in each of its variables, variable 0 first."""
-    top = reduce(or_, a, 0).bit_length()
-    return [degree_in(a, v) for v in range(-(-top // SHIFT))]
-
-
 def p_subst(a, subs):
     """Substitute polynomials for variables: subs maps var index -> Poly.
 
@@ -505,8 +510,8 @@ def p_subst(a, subs):
     and only when that passes MASK for some w is every product p_mul, with
     its own check.  Each term's image is added into the sum in place.
     """
-    deg = _degrees(a)
-    sub_deg = {v: _degrees(s) for v, s in subs.items() if v < len(deg)}
+    deg = degrees(a)
+    sub_deg = {v: degrees(s) for v, s in subs.items() if v < len(deg)}
     reach = [0 if v in subs else d for v, d in enumerate(deg)]
     for v, ds in sub_deg.items():
         reach += [0] * (len(ds) - len(reach))
@@ -636,19 +641,15 @@ def _block_plan(a, nv, mod):
     block shape the triple (xrows, yrows, C): the last trie level's rows of
     each block's X and Y monomials, shapes (nb, r) and (nb, k), and its
     coefficients mod `mod`, shape (nb, r, k)."""
-    if max(a) >> (SHIFT * nv):
-        raise ValueError(f"monomial uses a variable beyond number {nv - 1}")
     even = sum(MASK << (SHIFT * v) for v in range(0, nv, 2))
 
     def split(part, first):
         # each term's part number, numbering the distinct parts in order of
-        # appearance, then the parts' trie
+        # appearance, then the parts' trie; a key past variable nv - 1 keeps
+        # its high bits in its odd part, where exponent_rows refuses it
         keys = {}
         index = np.array([keys.setdefault(k & part, len(keys)) for k in a], dtype=np.intp)
-        vs = range(first, nv, 2)
-        exps = np.zeros((len(keys), len(vs)), dtype=np.intp)
-        for j, v in enumerate(vs):
-            exps[:, j] = np.fromiter(((k >> (SHIFT * v)) & MASK for k in keys), np.intp)
+        exps = np.concatenate([block[:, first::2] for _, block in row_blocks(keys, nv)])
         steps, rows = _trie(exps)
         steps = [(first + 2 * j, parent, e) for j, parent, e in steps]
         return index, steps, rows

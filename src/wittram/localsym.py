@@ -20,12 +20,11 @@ trials as (K, D + 1, f) stacks, only rows with v' < D through the residues.
 
 from __future__ import annotations
 
-import itertools
 import random
 
 import numpy as np
 
-from .coeff import finite_field, lift_ring, reduce_mod_p
+from .coeff import finite_field, lift_ring, nonzero_elements, reduce_mod_p
 from .errors import GhostInversionFailure, InsufficientPrecision, VanishingFailure
 from .series import TruncatedLaurentSeries, _conv, _inv_rows, _mul_trunc
 from .witt import WittVector, canonical_lift, ghost_eval, invert_ghosts
@@ -173,15 +172,6 @@ def residue_vector(inp, with_certificate=False):
     return (symbol, cert) if with_certificate else symbol
 
 
-def nonzero_elements(field):
-    """All q - 1 nonzero elements, in a fixed coordinate order."""
-    out = []
-    for coords in itertools.product(range(field.p), repeat=field.f):
-        if any(coords):
-            out.append(field.from_coords(coords))
-    return out
-
-
 def modulus_vanishing_test(u, bound, trials=50, rng=None):
     """Certify symbol vanishing above a conductor bound, and probe below it.
 
@@ -204,7 +194,8 @@ def modulus_vanishing_test(u, bound, trials=50, rng=None):
     lift = lift_ring(field.p, default_lift_precision(u.n), field.f)
     depth, pair = _pairing([canonical_lift(s, lift) for s in u], field)
     window = pole_depth(u) + bound + 4
-    units = np.array([c for c in itertools.product(range(field.p), repeat=field.f) if any(c)])
+    elements = nonzero_elements(field)
+    units = np.array([c.coords for c in elements])
     q = len(units)
     one = np.eye(1, (depth + 1) * field.f, dtype=np.int64).reshape(1, depth + 1, field.f)
     # 1 + c t^k, M <= k <= D, c over the units: witness candidates, then generators
@@ -222,7 +213,7 @@ def modulus_vanishing_test(u, bound, trials=50, rng=None):
 
     i = first_nonzero(S[q:])[0]
     if i is not None:
-        c, k = nonzero_elements(field)[i % q], bound + 1 + i // q
+        c, k = elements[i % q], bound + 1 + i // q
         raise VanishingFailure(f"nonzero symbol for 1 + ({c}) t^{k} above {bound}")
     T = one.repeat(trials, axis=0)
     for row in T:

@@ -20,7 +20,7 @@ import operator
 
 import numpy as np
 
-from .coeff import binary_power
+from .coeff import binary_power, nonzero_elements
 from .errors import ConsistencyFailure, InsufficientPrecision
 
 INF = math.inf
@@ -743,14 +743,9 @@ def nth_root(f, r, leading_root=None):
 
 
 def _find_root(c, r):
+    """An r-th root of the unit c of a finite field, or None: the field is
+    tiny, and a search of its units is the simplest certified route."""
     ring = c.ring
     if not ring.is_field:
         raise ValueError(f"leading roots are searched in a finite field, not {ring}")
-    # fields here are tiny; exhaustive search is the simplest certified route
-    from itertools import product as iproduct
-
-    for coords in iproduct(range(ring.p), repeat=ring.f):
-        x = ring.from_coords(coords)
-        if x**r == c:
-            return x
-    return None
+    return next((x for x in nonzero_elements(ring) if x**r == c), None)

@@ -733,17 +733,13 @@ class HerbrandPhi:
         return y_last + self.tail_slope * (u - x_last)
 
 
-def herbrand_phi(filtration):
-    return HerbrandPhi(filtration)
-
-
 def conductor_exponent(filtration):
     """phi(last break) + 1, checking integrality of phi at every break.
 
     Non-integral values raise HasseArfViolation (they cannot occur for an
     abelian group; hitting one means the filtration itself is wrong).
     """
-    phi = herbrand_phi(filtration)
+    phi = HerbrandPhi(filtration)
     for br in filtration.breaks:
         val = phi(br)
         if val.denominator != 1:
@@ -814,7 +810,7 @@ def tower_invariants(tower, filtration=None):
             raise ConsistencyFailure(
                 f"filtration different {filtration.different} != {report['different']}"
             )
-        phi = herbrand_phi(filtration)
+        phi = HerbrandPhi(filtration)
         for k in range(1, n + 1):
             val = phi(e[k])
             if val.denominator != 1 or int(val) != m[k]:

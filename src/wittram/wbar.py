@@ -20,7 +20,7 @@ bookkept against both shadows.
 
 from __future__ import annotations
 
-from operator import mul
+import numpy as np
 
 from . import intpoly as ip
 from .coeff import finite_field
@@ -61,15 +61,15 @@ class GradedPolynomial:
 
     def _set(self, field, nvars, weight, poly):
         # the one weight check: a monomial in a variable past Y_{nvars-1}
-        # raises ValueError in unpack, one of another weight raises here
-        weights = [1] + [field.p**i for i in range(nvars)]
-        for key in poly:
-            exps = ip.unpack(key, nvars + 1)
-            w = sum(map(mul, exps, weights))
-            if w != weight:
-                raise ConsistencyFailure(
-                    f"monomial {exps} has weight {w}, declared {weight}"
-                )
+        # raises ValueError in intpoly.exponent_rows, one of another weight
+        # raises here; the weights are Python ints, so the sums are exact
+        weights = np.array([1] + [field.p**i for i in range(nvars)], dtype=object)
+        for _keys, rows in ip.row_blocks(poly, nvars + 1):
+            w = rows @ weights
+            off = (w != weight).nonzero()[0]
+            if len(off):
+                exps, w = tuple(rows[off[0]].tolist()), w[off[0]]
+                raise ConsistencyFailure(f"monomial {exps} has weight {w}, declared {weight}")
         self.field = field
         self.nvars = nvars
         self.weight = weight
@@ -101,7 +101,10 @@ class GradedPolynomial:
     @property
     def terms(self):
         """The monomials as (t, e_0, ..., e_{k-1}) keys to coefficients."""
-        return {ip.unpack(k, self.nvars + 1): c for k, c in self.poly.items()}
+        out = {}
+        for keys, rows in ip.row_blocks(self.poly, self.nvars + 1):
+            out.update(zip(map(tuple, rows.tolist()), map(self.poly.__getitem__, keys)))
+        return out
 
     def is_zero(self):
         return not self.poly
@@ -161,10 +164,11 @@ class GradedPolynomial:
         weight fixes the T-exponent, so no two monomials meet."""
         if self.field.f != 1:
             raise ValueError("dehomogenization target is a prime-field table")
+        yvars = [yvar(i) for i in range(self.nvars)]
         out = {}
-        for key, c in self.poly.items():
-            yexps = ip.unpack(key, self.nvars + 1)[1:]
-            out[sum(ip.var(yvar(i), e) for i, e in enumerate(yexps))] = c.coords[0]
+        for keys, rows in ip.row_blocks(self.poly, self.nvars + 1):
+            for key, yexps in zip(keys, rows[:, 1:].tolist()):
+                out[sum(map(ip.var, yvars, yexps))] = self.poly[key].coords[0]
         return out
 
     def __repr__(self):
@@ -189,20 +193,21 @@ def homogenize_component(field, nvars, poly, weight):
     """Lift a packed Y-slot polynomial to the graded ring, filling with T.
 
     Every monomial must have ghost weight at most the target; the deficit
-    becomes the T-exponent, which is what makes the output homogeneous."""
-    p = field.p
+    becomes the T-exponent, which is what makes the output homogeneous, and
+    the graded ring's weight check certifies it."""
+    weights = np.array([field.p**i for i in range(nvars)], dtype=object)
     terms = {}
-    for packed, c in poly.items():
-        slots = ip.unpack(packed, 2 * nvars)
-        if any(slots[0::2]):
-            raise ValueError(f"X-slot in a Y-slot polynomial: {slots}")
-        exps = slots[1::2]
-        w = sum(e * p**i for i, e in enumerate(exps))
-        if w > weight:
-            raise ConsistencyFailure(f"monomial weight {w} exceeds target {weight}")
-        key = (weight - w,) + exps
-        terms[key] = field.from_int(c)
-    return GradedPolynomial(field, nvars, weight, terms)
+    for keys, rows in ip.row_blocks(poly, 2 * nvars):
+        if rows[:, 0::2].any():
+            raise ValueError(f"X-slot in a Y-slot polynomial: {rows[rows[:, 0::2].any(axis=1)][0]}")
+        exps = rows[:, 1::2]
+        w = exps @ weights
+        if w.max() > weight:
+            raise ConsistencyFailure(f"monomial weight {w.max()} exceeds target {weight}")
+        for key, e, wk in zip(keys, exps.tolist(), w):
+            if poly[key] % field.p:
+                terms[ip.mono(weight - wk, *e)] = field.from_int(poly[key])
+    return GradedPolynomial._of(field, nvars, weight, terms)
 
 
 # ---------- section spaces ----------

@@ -60,39 +60,31 @@ def _plane(p, name):
     return xvar(0), yvar(0), 1
 
 
-# keys per numpy pass of the certificate: its scratch memory, about 160 bytes
-# a key at l = 3, stays near 3 MB however large the component
-_CERTIFY_KEYS = 2**14
-
-
 def _certify(comp, p, l, name):
     """Raise WittTableError unless every monomial of component l of a family
     has the weight p**l (2*p**l for P) in X_i, Y_i of weight p**i, and, for
     S, unless X_l and Y_l occur only as the terms X_l + Y_l.
 
-    The keys are read _CERTIFY_KEYS at a time by intpoly.exponent_rows,
-    which fails for a key in a variable past Y_l, and every monomial's
-    weight is its pair sums e(X_i) + e(Y_i) against the p**i.  The weight
-    is exact in int64: p**l < 2**20, or the exponent check of the powers had
-    raised, so it is below 2*2**20*(p**(l+1) - 1)/(p - 1) < 2**43."""
-    keys = list(comp)
+    The keys are read in blocks by intpoly.row_blocks, whose exponent_rows
+    fails for a key in a variable past Y_l, and every monomial's weight is
+    its pair sums e(X_i) + e(Y_i) against the p**i.  The weight is exact in
+    int64: p**l < 2**20, or the exponent check of the powers had raised, so
+    it is below 2*2**20*(p**(l+1) - 1)/(p - 1) < 2**43."""
     want = (2 if name == "P" else 1) * p**l
     weights = p ** np.arange(l + 1)
     own = []
-    for at in range(0, len(keys), _CERTIFY_KEYS):
-        block = keys[at : at + _CERTIFY_KEYS]
-        try:
-            rows = ip.exponent_rows(block, 2 * (l + 1))
-        except ValueError:
-            raise WittTableError(f"{name}_{l} for p={p} involves a variable past Y_{l}") from None
-        degree = rows[:, 0::2] + rows[:, 1::2]
-        off = (degree @ weights != want).nonzero()[0]
-        if len(off):
-            raise WittTableError(
-                f"{name}_{l} for p={p} not isobaric: key {block[off[0]]:#x} is off weight {want}"
-            )
-        if name == "S":
-            own += [block[i] for i in degree[:, l].nonzero()[0]]
+    try:
+        for keys, rows in ip.row_blocks(comp, 2 * (l + 1)):
+            degree = rows[:, 0::2] + rows[:, 1::2]
+            off = (degree @ weights != want).nonzero()[0]
+            if len(off):
+                raise WittTableError(
+                    f"{name}_{l} for p={p} not isobaric: key {keys[off[0]]:#x} is off weight {want}"
+                )
+            if name == "S":
+                own += [keys[i] for i in degree[:, l].nonzero()[0]]
+    except ValueError:
+        raise WittTableError(f"{name}_{l} for p={p} involves a variable past Y_{l}") from None
     if name == "S":
         own.sort()
         if own != [ip.var(xvar(l)), ip.var(yvar(l))] or comp[own[0]] != 1 or comp[own[1]] != 1:
@@ -484,9 +476,9 @@ def nth_component_identity_check(table, n):
 
     Route A composes the cached negation and sum tables symbolically over
     F_p.  Route B inverts the ghost map over the integers (every division
-    checked exact) and reduces mod p.  The certificate also records whether
-    the literal closed form Y_n^p - Y_n + carry_n(Y^p, -Y) matches: it does
-    for odd p, and fails for p = 2 where negation is not entry-wise minus.
+    checked exact) and reduces mod p.  They must agree, and the correction,
+    the component minus its principal part Y_n^p - Y_n, must be free of
+    Y_n; either failure raises ConsistencyFailure.
     """
     p = table.p
     if not 0 <= n < table.n:
@@ -500,24 +492,8 @@ def nth_component_identity_check(table, n):
             f"table route and ghost route disagree at component {n}, p={p}"
         )
 
-    yn_p_yn = _principal_part(p, n)
-    correction = ip.p_mod(ip.p_sub(comp_a, yn_p_yn), p)
+    correction = ip.p_mod(ip.p_sub(comp_a, _principal_part(p, n)), p)
+    if any(ip.degrees(correction)[yvar(n) :]):
+        raise ConsistencyFailure(f"the correction at component {n}, p={p} involves Y_{n}")
 
-    # literal closed form: carry_n evaluated at (Y^p, -Y)
-    lit_subs = {}
-    for i in range(n + 1):
-        lit_subs[xvar(i)] = {ip.var(yvar(i), p): 1}
-        lit_subs[yvar(i)] = {ip.var(yvar(i)): p - 1}  # -Y_i mod p
-    literal = ip.p_mod(
-        ip.p_add(yn_p_yn, ip.p_subst(ip.p_mod(table.c[n], p), lit_subs)), p
-    )
-
-    return {
-        "p": p,
-        "component": n,
-        "holds": not ip.involves(correction, yvar(n)),
-        "component_poly": comp_a,
-        "correction_poly": correction,
-        "literal_poly": literal,
-        "literal_matches": literal == comp_a,
-    }
+    return {"p": p, "component": n, "component_poly": comp_a, "correction_poly": correction}

@@ -24,6 +24,28 @@ from wittram.witt import (
 )
 
 
+# ---------- packed keys, read key by key ----------
+
+
+def unpack(key, nvars):
+    """The exponent tuple of a key in variables 0..nvars-1, read field by
+    field; a key that uses a later variable raises ValueError.  The
+    reference for intpoly.exponent_rows."""
+    if key >> (ip.SHIFT * nvars):
+        raise ValueError(f"monomial uses a variable beyond number {nvars - 1}")
+    return tuple((key >> (ip.SHIFT * v)) & ip.MASK for v in range(nvars))
+
+
+def degree_in(a, v):
+    """The degree of a in variable v, key by key: the reference for
+    intpoly.degrees."""
+    return max(((key >> (ip.SHIFT * v)) & ip.MASK for key in a), default=0)
+
+
+def involves(a, v):
+    return degree_in(a, v) > 0
+
+
 # ---------- conductor ----------
 
 
@@ -118,7 +140,7 @@ def cn_leading_term_check(table, n, i):
     expected = ip.p_neg(ip.p_add({ip.var(yvar(i)): 1}, table.c[i]))
     top = {ip.var(xvar(i), e): 1}
     rest = ip.p_sub(cn, ip.p_mul(top, lead))
-    rest_deg = ip.degree_in(rest, xvar(i))
+    rest_deg = degree_in(rest, xvar(i))
     return {"holds": lead == expected and rest_deg < e, "extracted": lead, "degree_bound": e}
 
 
@@ -139,6 +161,20 @@ def asw_ghost_inversion(p, n):
             raise ConsistencyFailure(f"ghost inversion not integral at component {l}")
         comps.append({k: c // p**l for k, c in num.items()})
     return comps[n]
+
+
+def asw_literal_form(table, n):
+    """The literal closed form Y_n^p - Y_n + c_n(Y^p, -Y) mod p of component
+    n of a -> F(a) - a: c_n, the carry of the sum table, at X_i = Y_i^p and
+    Y_i = -Y_i.  It is the component for odd p; for p = 2 negation is not
+    entry-wise minus, and the two differ by the negation carry."""
+    p = table.p
+    subs = {}
+    for i in range(n + 1):
+        subs[xvar(i)] = {ip.var(yvar(i), p): 1}
+        subs[yvar(i)] = {ip.var(yvar(i)): p - 1}  # -Y_i mod p
+    carry = ip.p_subst(ip.p_mod(table.c[n], p), subs)
+    return ip.p_mod(ip.p_add(_principal_part(p, n), carry), p)
 
 
 def witt_smul(k, a, table):
@@ -168,7 +204,7 @@ def asw_correction_poly(table, n):
     a length-(n+1) generator datum to the solutions below it."""
     p = table.p
     corr = ip.p_mod(ip.p_sub(asw_component_poly(table, n), _principal_part(p, n)), p)
-    if ip.involves(corr, yvar(n)):
+    if involves(corr, yvar(n)):
         raise ConsistencyFailure(f"correction at component {n} involves its own slot")
     return corr
 

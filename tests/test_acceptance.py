@@ -14,7 +14,6 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from wittram import intpoly as ip
 from wittram import tower as tower_mod
 from wittram.coeff import finite_field, lift_ring
 from wittram.conductor import (
@@ -34,11 +33,11 @@ from wittram.series import TruncatedLaurentSeries as TLS
 from wittram.series import compose
 from wittram.tower import (
     CoverDatum,
+    HerbrandPhi,
     TowerStage,
     analyze_tower,
     extend_stage,
     galois_conjugate,
-    herbrand_phi,
     predicted_invariants,
     ramification_filtration,
     tower_invariants,
@@ -64,7 +63,7 @@ from wittram.witt import (
     yvar,
 )
 
-from oracles import coeff_of, iso_weight, section_monomials
+from oracles import coeff_of, degree_in, iso_weight, section_monomials, unpack
 from randoms import perturbed_lift, random_unit, random_unit_series
 
 # ---------- the acceptance grid: 82 cases, both regimes ----------
@@ -150,7 +149,7 @@ def test_criterion_02_lattice_identity():
 
 def test_criterion_03_hasse_arf_integral_upper_breaks(grid):
     for row in grid:
-        phi = herbrand_phi(row["filtration"])
+        phi = HerbrandPhi(row["filtration"])
         m = row["report"]["m"]
         for k, br in enumerate(row["filtration"].breaks):
             val = phi(br)
@@ -242,19 +241,19 @@ def test_criterion_05_witt_layer():
             t = build_table(p, n + 1)
             c = t.c[n]
             for key in c:
-                exps = ip.unpack(key, 2 * (n + 1))
+                exps = unpack(key, 2 * (n + 1))
                 assert any(e and v % 2 == 0 for v, e in enumerate(exps))
                 assert any(e and v % 2 == 1 for v, e in enumerate(exps))
             for i in range(n):
                 d = p ** (n - i) - 1
-                assert ip.degree_in(c, xvar(i)) == d, (p, n, i)
-                assert ip.degree_in(c, yvar(i)) == d, (p, n, i)
+                assert degree_in(c, xvar(i)) == d, (p, n, i)
+                assert degree_in(c, yvar(i)) == d, (p, n, i)
                 lead = coeff_of(c, xvar(i), d)
                 assert any(v % p for v in lead.values()), (p, n, i)
             # isobarity pins the X_0-leading coefficient to a multiple of Y_0
             lead0 = coeff_of(c, xvar(0), p**n - 1)
             (key0,) = lead0
-            assert ip.unpack(key0, 2 * (n + 1)) == (0, 1) + (0,) * (2 * n)
+            assert unpack(key0, 2 * (n + 1)) == (0, 1) + (0,) * (2 * n)
 
 
 def test_criterion_06_standard_form_and_pole_claim(grid):

@@ -1,7 +1,8 @@
 """The array and bigint kernels against their references: p_eval_batch_mod,
 the graded bilinear block kernel, against p_eval over the integers at every
 point, reduced afterwards; p_pow_sum_sliced, the sliced Kronecker product,
-against the term-by-term p_mul and p_pow; exponent_rows against unpack."""
+against the term-by-term p_mul and p_pow; exponent_rows, row_blocks and
+the readers on them against the key-by-key oracles.unpack."""
 
 import math
 import random
@@ -11,7 +12,11 @@ import pytest
 
 from wittram import intpoly as ip
 from wittram.coeff import finite_field
+from wittram.errors import ConsistencyFailure
+from wittram.wbar import GradedPolynomial
 from wittram.witt import build_table
+
+from oracles import degree_in, unpack
 
 EDGE = 3037000499  # the largest modulus the int64 guard admits
 
@@ -160,7 +165,7 @@ def _swapped(a, nv):
     # X_i <-> Y_i: variables 2i and 2i + 1 trade exponents
     out = {}
     for k, c in a.items():
-        e = ip.unpack(k, nv)
+        e = unpack(k, nv)
         out[ip.mono(*(e[v ^ 1] for v in range(nv)))] = c
     return out
 
@@ -227,18 +232,68 @@ def test_subst_of_a_stored_zero_is_the_zero_polynomial():
     assert ip.p_subst(b, zero) == ip.p_subst(b, {0: {}, 2: {}}) != {}
 
 
-@pytest.mark.parametrize("nvars", [1, 2, 3, 6])
+@pytest.mark.parametrize("nvars", [1, 2, 3, 5, 6])
 def test_exponent_rows_match_unpack(nvars):
+    # against the key-by-key reader, with MASK in the top variable and the
+    # key 0; nvars odd leaves half of the last pair's bytes unread
     rng = random.Random(nvars)
     keys = list(_sparse(rng, nvars, 30, 5)) + [0, ip.var(nvars - 1, ip.MASK)]
     rows = ip.exponent_rows(keys, nvars)
     assert rows.dtype == np.int64 and rows.shape == (len(keys), nvars)
-    assert [tuple(r) for r in rows.tolist()] == [ip.unpack(k, nvars) for k in keys]
+    assert [tuple(r) for r in rows.tolist()] == [unpack(k, nvars) for k in keys]
     assert ip.exponent_rows([], nvars).shape == (0, nvars)
     # a key in variable nvars, inside or past the bytes of the last pair
     for past in (ip.var(nvars), ip.var(nvars + 1, ip.MASK)):
         with pytest.raises(ValueError, match="beyond"):
             ip.exponent_rows(keys + [past], nvars)
+
+
+def test_row_blocks_across_a_block_boundary():
+    # _ROW_KEYS + 1 terms put the last key alone in a second block: the
+    # rows, the degrees, a substitution and the graded ring's weight check,
+    # terms and dehomogenization against their key-by-key references
+    a = {ip.mono(i % 97, i // 97, 0, 1 + i % 2): i % 5 + 1 for i in range(ip._ROW_KEYS)}
+    a[ip.var(0) + ip.var(2, ip.MASK)] = 7
+    blocks = list(ip.row_blocks(a))
+    assert [len(keys) for keys, _ in blocks] == [ip._ROW_KEYS, 1]
+    assert [k for keys, _ in blocks for k in keys] == list(a)
+    rows = np.concatenate([r for _, r in blocks])
+    assert [tuple(r) for r in rows.tolist()] == [unpack(k, 4) for k in a]
+    top = (ip._ROW_KEYS - 1) // 97
+    assert ip.degrees(a) == [degree_in(a, v) for v in range(4)] == [96, top, ip.MASK, 2]
+    assert ip.degrees({}) == [] and ip.degrees({0: 3}) == []
+    # only the last key's X_2**MASK makes the degree bound of p_subst pass
+    # MASK, so that every product takes p_mul's check
+    with pytest.raises(ValueError, match="would pass"):
+        ip.p_subst(a, {0: {ip.var(2): 1}})
+    subs = {0: {ip.var(1): 3}, 3: {ip.var(0, 2): -1, ip.var(1): 1}}
+    got = ip.p_subst(a, subs)
+    rng = random.Random(13)
+    for _ in range(2):
+        point = {v: rng.randrange(-3, 4) for v in range(4)}
+        at = {v: ip.p_eval(subs[v], point, 1) if v in subs else point[v] for v in range(4)}
+        assert ip.p_eval(got, point, 1) == ip.p_eval(a, at, 1)
+    # T, Y_0, Y_1 of weight 1, 1, 2: T tops every Y-monomial of weight at
+    # most 260 up to 260, in 17,161 terms
+    F2 = finite_field(2)
+    terms = {(260 - i - 2 * j, i, j): F2.one() for j in range(131) for i in range(261 - 2 * j)}
+    graded = GradedPolynomial(F2, 2, 260, terms)
+    assert len(graded.poly) > ip._ROW_KEYS
+    assert graded.terms == {unpack(k, 3): c for k, c in graded.poly.items()} == terms
+    assert graded.set_t_one() == {ip.mono(0, i, 0, j): 1 for _t, i, j in terms}
+    off = dict(graded.poly)
+    last = next(reversed(off))
+    off[last + ip.var(0)] = off.pop(last)
+    with pytest.raises(ConsistencyFailure, match="has weight 261"):
+        GradedPolynomial._of(F2, 2, 260, off)
+
+
+def test_batch_refuses_a_key_past_its_rows():
+    # the block plan's variable guard is exponent_rows', on the odd parts
+    vals = np.ones((2, 3), dtype=np.int64)
+    for key in (ip.var(2), ip.var(3, 5) + ip.var(0)):
+        with pytest.raises(ValueError, match="monomial uses a variable beyond number 1"):
+            ip.p_eval_batch_mod({key: 1, ip.var(1): 2}, vals, 27)
 
 
 def _sliced_mul_at(a, b, plane, B):

@@ -29,7 +29,6 @@ from wittram.tower import (
     extend_stage,
     galois_conjugate,
     group_element_coordinates,
-    herbrand_phi,
     predicted_invariants,
     ramification_filtration,
     standard_form_reduce,
@@ -168,7 +167,7 @@ def test_filtration_frozen(tower_31):
 
 def test_transition_function_frozen(tower_31):
     filt = ramification_filtration(tower_31)
-    phi = herbrand_phi(filt)
+    phi = HerbrandPhi(filt)
     assert phi(3) == 3
     assert phi(9) == 6
     assert phi(4) == 3.5

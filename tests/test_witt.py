@@ -29,7 +29,15 @@ from wittram.witt import (
     yvar,
 )
 
-from oracles import asw_ghost_inversion, cn_leading_term_check, iso_weight, witt_smul
+from oracles import (
+    asw_ghost_inversion,
+    asw_literal_form,
+    cn_leading_term_check,
+    involves,
+    iso_weight,
+    unpack,
+    witt_smul,
+)
 from randoms import random_series
 
 
@@ -119,7 +127,7 @@ def test_tables_match_pinned_digest(p, n):
     h = hashlib.sha256()
     for name in "ScIP":
         for i in range(n):
-            terms = sorted((ip.unpack(k, 2 * n), c) for k, c in getattr(t, name)[i].items())
+            terms = sorted((unpack(k, 2 * n), c) for k, c in getattr(t, name)[i].items())
             h.update(repr((name, i, terms)).encode())
     assert h.hexdigest() == TABLE_DIGESTS[p, n]
 
@@ -273,22 +281,24 @@ def test_asw_on_w2_f4():
 def test_component_identity_check():
     t2 = build_table(2, 3)
     rep = nth_component_identity_check(t2, 1)
-    assert rep["holds"]
+    assert not involves(rep["correction_poly"], yvar(1))
     # frozen: the first nontrivial component of F(Y)-Y over F_2
     want = ip.p_add(ip.p_add(Y(1, 2), Y(1)), ip.p_add(Y(0, 2), Y(0, 3)))
     assert rep["component_poly"] == want
     # p=2 negation is irregular, so the odd-p closed form must NOT match
-    assert not rep["literal_matches"]
+    assert asw_literal_form(t2, 1) != rep["component_poly"]
 
-    assert nth_component_identity_check(t2, 2)["holds"]
+    assert not involves(nth_component_identity_check(t2, 2)["correction_poly"], yvar(2))
 
     t3 = build_table(3, 2)
     rep3 = nth_component_identity_check(t3, 1)
-    assert rep3["holds"] and rep3["literal_matches"]
+    assert not involves(rep3["correction_poly"], yvar(1))
+    assert asw_literal_form(t3, 1) == rep3["component_poly"]
 
     t5 = build_table(5, 2)
     rep5 = nth_component_identity_check(t5, 1)
-    assert rep5["holds"] and rep5["literal_matches"]
+    assert not involves(rep5["correction_poly"], yvar(1))
+    assert asw_literal_form(t5, 1) == rep5["component_poly"]
 
 
 def test_component_identity_check_routes_must_agree(monkeypatch):
@@ -299,6 +309,20 @@ def test_component_identity_check_routes_must_agree(monkeypatch):
     )
     with pytest.raises(ConsistencyFailure, match="disagree"):
         nth_component_identity_check(build_table(3, 2), 1)
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (3, 1)])
+def test_component_identity_check_refuses_a_correction_in_its_own_slot(monkeypatch, p, n):
+    # both routes give the component plus Y_n*Y_0 mod p: they agree, and the
+    # correction then involves Y_n
+    table_route, ghost_route = witt_mod.asw_component_poly, witt_mod._ghost_route
+    extra = {ip.var(yvar(n)) + ip.var(yvar(0)): 1}
+    monkeypatch.setattr(
+        witt_mod, "asw_component_poly", lambda table, k: ip.p_add(table_route(table, k), extra)
+    )
+    monkeypatch.setattr(witt_mod, "_ghost_route", lambda q, k: ip.p_add(ghost_route(q, k), extra))
+    with pytest.raises(ConsistencyFailure, match=f"involves Y_{n}"):
+        nth_component_identity_check(build_table(p, n + 1), n)
 
 
 @pytest.mark.parametrize("p, n", [(2, 4), (3, 3), (5, 2), (7, 2)])
@@ -326,8 +350,10 @@ def test_ghost_route_refuses_a_ghost_component_off_by_one(monkeypatch):
 
 
 def test_component_identity_check_deeper_odd_p():
-    rep = nth_component_identity_check(build_table(3, 3), 2)
-    assert rep["holds"] and rep["literal_matches"]
+    t3 = build_table(3, 3)
+    rep = nth_component_identity_check(t3, 2)
+    assert not involves(rep["correction_poly"], yvar(2))
+    assert asw_literal_form(t3, 2) == rep["component_poly"]
 
 
 def test_carry_leading_term():
