@@ -17,9 +17,6 @@ import json
 import random
 import re
 import sys
-from itertools import islice
-
-import numpy as np
 
 from . import intpoly as ip
 from .coeff import finite_field, is_prime, lift_ring
@@ -162,37 +159,11 @@ def _human(v):
 # ---------- polynomial pretty-printing for `witt table` ----------
 
 
-def _var_name(v):
-    return f"{'XY'[v % 2]}{v // 2}"
-
-
 def format_packed_poly(poly, nvars):
-    """Deterministic human form of a packed integer polynomial: its terms by
-    descending exponent tuple.  The exponents are read at once
-    (intpoly.exponent_rows) and sorted by numpy, and each nonzero exponent
-    is named once."""
-    if not poly:
-        return "0"
-    rows = ip.exponent_rows(poly, nvars)
-    order = np.lexsort(rows.T[::-1])[::-1]
-    rows = rows[order]
-    coeffs = list(poly.values())
-    names = [_var_name(v) for v in range(nvars)]
-    at, col = rows.nonzero()
-    exps = rows[at, col].tolist()
-    factors = iter([names[v] if e == 1 else f"{names[v]}^{e}" for v, e in zip(col.tolist(), exps)])
-    parts = []
-    for i, n in zip(order.tolist(), np.count_nonzero(rows, axis=1).tolist()):
-        body, coeff = "*".join(islice(factors, n)), coeffs[i]
-        if not n:
-            parts.append(str(coeff))
-        elif coeff == 1:
-            parts.append(body)
-        elif coeff == -1:
-            parts.append(f"-{body}")
-        else:
-            parts.append(f"{coeff}*{body}")
-    return " + ".join(parts).replace("+ -", "- ")
+    """A packed integer polynomial in X_0, Y_0, X_1, ..., printed by
+    intpoly.format_rows from one read of all its exponents."""
+    names = [f"{'XY'[v % 2]}{v // 2}" for v in range(nvars)]
+    return ip.format_rows(ip.exponent_rows(list(poly), nvars), names, list(map(str, poly.values())))
 
 
 # ---------- subcommands ----------

@@ -130,6 +130,32 @@ def degrees(a):
     return [] if deg is None else deg.tolist()
 
 
+def format_rows(rows, names, coeffs):
+    """The human form of a polynomial given as exponent rows: term i has the
+    exponents rows[i] of the variables `names` and the printed coefficient
+    coeffs[i], a string.  The terms run by descending exponent row, sorted
+    by numpy, and each nonzero exponent is named once; a coefficient "1" is
+    left out and "-1" is written as a sign, as strings, so a field element
+    that equals -1 prints as itself."""
+    if not len(rows):
+        return "0"
+    order = np.lexsort(rows.T[::-1])[::-1]
+    parts = []
+    for start in range(0, len(order), _ROW_KEYS):  # the factors of a block at a time
+        block = order[start : start + _ROW_KEYS]
+        sub = rows[block]
+        at, col = sub.nonzero()
+        exps = sub[at, col].tolist()
+        factors = iter([names[v] if e == 1 else f"{names[v]}^{e}" for v, e in zip(col.tolist(), exps)])
+        for i, n in zip(block.tolist(), np.count_nonzero(sub, axis=1).tolist()):
+            body, coeff = "*".join(islice(factors, n)), coeffs[i]
+            if n and coeff in ("1", "-1"):
+                parts.append(coeff[:-1] + body)  # the coefficient's sign alone
+            else:
+                parts.append(f"{coeff}*{body}" if n else coeff)
+    return " + ".join(parts).replace("+ -", "- ")
+
+
 def p_add(a, b, scale=1):
     """a + scale*b."""
     out = dict(a)
@@ -248,23 +274,31 @@ def _slices(a, plane, B):
     return {k: sum(terms) for k, terms in slots.items()}
 
 
+def _end_to_end(xs, counts, m):
+    """Every x in xs as counts[i] slots of m bytes, laid end to end in one
+    buffer, with 2**(8*m - 1) added to every slot, which makes balanced
+    digits positive with no carry between slots: (buffer, offset), offset[n]
+    the int that adds it to n slots."""
+    offset = {n: int.from_bytes((bytes(m - 1) + b"\x80") * n, "little") for n in set(counts)}
+    buf = b"".join([(x + offset[n]).to_bytes(n * m, "little") for x, n in zip(xs, counts)])
+    return buf, offset
+
+
 def _unpack_all(xs, B):
     """The base-2**B digits of every x in xs, x after x, lowest first, each
     in +-(2**(B-1) - 1), as 64-bit limbs: (limbs, counts), with limbs[i] the
     int64 array of every digit's i-th limb, the top one signed, and counts
     the number of slots of each x.
 
-    B is a multiple of 8, and each x must have such digits.  Adding 2**(B-1)
-    to every digit makes them all positive with no carry between slots, so
-    the sums are laid end to end in one buffer and numpy reads each slot off
+    B is a multiple of 8, and each x must have such digits.  They are laid
+    end to end in one buffer (_end_to_end), and numpy reads each slot off
     its B/8 bytes, widened to whole limbs; the top limb is then taken back by
     its share of 2**(B-1), mod 2**64, which is the signed limb in two's
     complement."""
     m = B // 8
     nl = -(-m // 8)
     counts = [x.bit_length() // B + 1 for x in xs]
-    offset = {n: int.from_bytes((bytes(m - 1) + b"\x80") * n, "little") for n in set(counts)}
-    buf = b"".join([(x + offset[n]).to_bytes(n * m, "little") for x, n in zip(xs, counts)])
+    buf, _ = _end_to_end(xs, counts, m)
     wide = np.zeros((len(buf) // m, 8 * nl), dtype=np.uint8)
     wide[:, :m] = np.frombuffer(buf, dtype=np.uint8).reshape(-1, m)
     limbs = list(wide.view("<u8").T)
@@ -379,8 +413,8 @@ def _mirror(half, even, B):
     with u, v a swapped pair, from those with phi >= 0: the swap takes the
     slice of (rest, s) to that of (swap(rest), s), and its slot j, of
     e_v = j and e_u = s - j, to slot s - j.  The s + 1 slots of every slice
-    to mirror are laid end to end as in _unpack_all, and numpy reverses
-    them in one gather."""
+    to mirror are laid end to end (_end_to_end), and numpy reverses them in
+    one gather."""
     m = B // 8
     twins, xs, ns = [], [], []
     for k, x in half.items():
@@ -392,8 +426,7 @@ def _mirror(half, even, B):
             ns.append(s + 1)
     if not twins:
         return half
-    offset = {n: int.from_bytes((bytes(m - 1) + b"\x80") * n, "little") for n in set(ns)}
-    buf = b"".join([(x + offset[n]).to_bytes(n * m, "little") for x, n in zip(xs, ns)])
+    buf, offset = _end_to_end(xs, ns, m)
     slots = np.frombuffer(buf, dtype=np.uint8).reshape(-1, m)
     # slot i of a slice of n slots ending at `end` goes to 2*end - n - 1 - i
     sizes = np.array(ns, dtype=np.intp)

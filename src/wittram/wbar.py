@@ -8,7 +8,8 @@ in two computable shadows:
 * the graded ring F_p[T, Y_0, Y_1, ...] with deg T = 1 and deg Y_i = p^i,
   whose graded pieces are the section spaces of the tautological bundles,
   carrying the translation action of constant vectors and the isogeny
-  substitution; and
+  substitution; an element is its weight and its value at T = 1 in the
+  Witt tables' Y-slots, T's exponent implied; and
 
 * the intersection ring Z[x_1..x_n] / (x_1^2, x_i^2 - p x_i x_{i-1}) on the
   square-free monomial basis, where x_i is the hyperplane class pulled back
@@ -29,7 +30,7 @@ from .witt import (
     WittVector,
     build_table,
     nth_component_identity_check,
-    xvar,
+    sum_mod_p_at,
     yvar,
 )
 
@@ -40,12 +41,14 @@ from .witt import (
 class GradedPolynomial:
     """Homogeneous element of F_q[T, Y_0..Y_{k-1}] with deg T=1, deg Y_i=p^i.
 
-    A checked view of one intpoly polynomial: T is variable 0, Y_i is
-    variable i + 1, and the coefficients are nonzero elements of F_q.  The
-    ring operations are intpoly's, and every result passes one weight check:
-    each monomial must have the declared weight, so homogeneity is a
-    construction invariant, not an afterthought.  The constructor takes
-    tuple keys (t, e_0, ..., e_{k-1}), and `terms` gives them back.
+    Its weight and its value at T = 1: one intpoly polynomial in the Witt
+    tables' Y-slots (Y_i is variable witt.yvar(i)) with nonzero F_q
+    coefficients, T's exponent implied as the weight minus the Y-weight.
+    The ring operations are intpoly's, and every result passes one check:
+    no X-slot, no variable past Y_{k-1}, no Y-weight above the weight.  A
+    sum of nonzero elements of unequal weights raises, and such elements are
+    never equal.  The constructor takes tuple keys (t, e_0, ..., e_{k-1}),
+    and `terms` gives them back.
     """
 
     __slots__ = ("field", "nvars", "weight", "poly")
@@ -56,20 +59,31 @@ class GradedPolynomial:
             if len(key) != nvars + 1 or any(e < 0 for e in key):
                 raise ValueError(f"bad monomial key {key} for {nvars} variables")
             if not c.is_zero():
-                poly[ip.mono(*key)] = c
+                w = key[0] + sum(e * field.p**i for i, e in enumerate(key[1:]))
+                if w != weight:
+                    raise ConsistencyFailure(f"monomial {key} has weight {w}, declared {weight}")
+                slots = [0] * (2 * nvars)
+                slots[1::2] = key[1:]
+                poly[ip.mono(*slots)] = c
         self._set(field, nvars, weight, poly)
 
     def _set(self, field, nvars, weight, poly):
-        # the one weight check: a monomial in a variable past Y_{nvars-1}
-        # raises ValueError in intpoly.exponent_rows, one of another weight
-        # raises here; the weights are Python ints, so the sums are exact
-        weights = np.array([1] + [field.p**i for i in range(nvars)], dtype=object)
-        for _keys, rows in ip.row_blocks(poly, nvars + 1):
-            w = rows @ weights
-            off = (w != weight).nonzero()[0]
-            if len(off):
-                exps, w = tuple(rows[off[0]].tolist()), w[off[0]]
-                raise ConsistencyFailure(f"monomial {exps} has weight {w}, declared {weight}")
+        # the one check: a monomial in a variable past Y_{nvars-1} raises
+        # ValueError in intpoly.exponent_rows, one in an X-slot here, and one
+        # whose Y-weight passes the weight, which would leave T a negative
+        # exponent, raises ConsistencyFailure; the weights are Python ints,
+        # so the sums are exact
+        weights = _y_weights(field.p, nvars)
+        for _keys, rows in ip.row_blocks(poly, 2 * nvars):
+            if rows[:, 0::2].any():
+                raise ValueError(f"X-slot in a graded polynomial: {rows[rows[:, 0::2].any(axis=1)][0]}")
+            ys = rows[:, 1::2]
+            w = ys @ weights
+            top = w.argmax()
+            if w[top] > weight:
+                raise ConsistencyFailure(
+                    f"monomial {tuple(ys[top].tolist())} has Y-weight {w[top]}, above the weight {weight}"
+                )
         self.field = field
         self.nvars = nvars
         self.weight = weight
@@ -84,9 +98,7 @@ class GradedPolynomial:
     @classmethod
     def monomial(cls, field, nvars, coeff, t, yexps):
         key = (t,) + tuple(yexps) + (0,) * (nvars - len(yexps))
-        return cls(field, nvars, key[0] + sum(
-            e * field.p**i for i, e in enumerate(key[1:])
-        ), {key: coeff})
+        return cls(field, nvars, t + sum(e * field.p**i for i, e in enumerate(yexps)), {key: coeff})
 
     @classmethod
     def t_var(cls, field, nvars):
@@ -98,11 +110,21 @@ class GradedPolynomial:
             raise ValueError(f"no variable Y_{i} among {nvars}")
         return cls.monomial(field, nvars, field.one(), 0, (0,) * i + (1,))
 
+    def _rows(self):
+        """(keys, rows) block by block, rows the (t, e_0, ..., e_{k-1}) of
+        each key: int64 when the weight fits, as 0 <= t <= weight, else
+        Python ints."""
+        weights = _y_weights(self.field.p, self.nvars)
+        for keys, rows in ip.row_blocks(self.poly, 2 * self.nvars):
+            ys = rows[:, 1::2]
+            t = self.weight - ys @ weights
+            yield keys, np.column_stack([t.astype(np.int64) if self.weight < 2**63 else t, ys])
+
     @property
     def terms(self):
         """The monomials as (t, e_0, ..., e_{k-1}) keys to coefficients."""
         out = {}
-        for keys, rows in ip.row_blocks(self.poly, self.nvars + 1):
+        for keys, rows in self._rows():
             out.update(zip(map(tuple, rows.tolist()), map(self.poly.__getitem__, keys)))
         return out
 
@@ -118,6 +140,8 @@ class GradedPolynomial:
 
     def _sum(self, other, sign):
         self._check(other)
+        if self.poly and other.poly and self.weight != other.weight:
+            raise ConsistencyFailure(f"sum of elements of weights {self.weight} and {other.weight}")
         w = self.weight if self.poly or not other.poly else other.weight
         return self._like(w, ip.p_add(self.poly, other.poly, sign))
 
@@ -150,63 +174,41 @@ class GradedPolynomial:
             and self.field == other.field
             and self.nvars == other.nvars
             and self.poly == other.poly
+            and (self.weight == other.weight or not self.poly)
         )
 
     def __hash__(self):
         raise TypeError("unhashable")
 
     def set_t_one(self):
-        """Dehomogenize to a packed integer polynomial in the Y-slots.
-
-        Only meaningful over a prime field, where coefficients are plain
-        residues; the packing matches the Witt-table convention so results
-        compare directly against table-derived component polynomials.  The
-        weight fixes the T-exponent, so no two monomials meet."""
+        """The value at T = 1 as a packed integer polynomial in the Witt
+        tables' Y-slots: the stored keys, each with its residue.  Only over
+        a prime field, whose elements are plain residues."""
         if self.field.f != 1:
             raise ValueError("dehomogenization target is a prime-field table")
-        yvars = [yvar(i) for i in range(self.nvars)]
-        out = {}
-        for keys, rows in ip.row_blocks(self.poly, self.nvars + 1):
-            for key, yexps in zip(keys, rows[:, 1:].tolist()):
-                out[sum(map(ip.var, yvars, yexps))] = self.poly[key].coords[0]
-        return out
+        return {k: c.coords[0] for k, c in self.poly.items()}
 
     def __repr__(self):
-        terms = self.terms
-        if not terms:
+        if not self.poly:
             return "0"
-        one = self.field.one()
-        bits = []
-        for key in sorted(terms, reverse=True):
-            c = terms[key]
-            factors = [] if c == one else [repr(c)]
-            if key[0]:
-                factors.append("T" if key[0] == 1 else f"T^{key[0]}")
-            for i, e in enumerate(key[1:]):
-                if e:
-                    factors.append(f"Y_{i}" if e == 1 else f"Y_{i}^{e}")
-            bits.append("*".join(factors) or repr(c))
-        return " + ".join(bits)
+        rows = np.concatenate([r for _keys, r in self._rows()])
+        names = ["T"] + [f"Y_{i}" for i in range(self.nvars)]
+        return ip.format_rows(rows, names, list(map(str, self.poly.values())))
+
+
+def _y_weights(p, nvars):
+    """The weights p**i of Y_0..Y_{nvars-1}, as Python ints."""
+    return np.array([p**i for i in range(nvars)], dtype=object)
 
 
 def homogenize_component(field, nvars, poly, weight):
-    """Lift a packed Y-slot polynomial to the graded ring, filling with T.
-
-    Every monomial must have ghost weight at most the target; the deficit
-    becomes the T-exponent, which is what makes the output homogeneous, and
-    the graded ring's weight check certifies it."""
-    weights = np.array([field.p**i for i in range(nvars)], dtype=object)
-    terms = {}
-    for keys, rows in ip.row_blocks(poly, 2 * nvars):
-        if rows[:, 0::2].any():
-            raise ValueError(f"X-slot in a Y-slot polynomial: {rows[rows[:, 0::2].any(axis=1)][0]}")
-        exps = rows[:, 1::2]
-        w = exps @ weights
-        if w.max() > weight:
-            raise ConsistencyFailure(f"monomial weight {w.max()} exceeds target {weight}")
-        for key, e, wk in zip(keys, exps.tolist(), w):
-            if poly[key] % field.p:
-                terms[ip.mono(weight - wk, *e)] = field.from_int(poly[key])
+    """Lift a packed Y-slot polynomial over Z to the graded ring at the
+    given weight: the keys stay, T's exponent being implied, and each
+    coefficient is read mod p into the field.  The graded ring's check
+    refuses an X-slot, a variable past Y_{nvars-1} and a monomial of
+    Y-weight above the target."""
+    p = field.p
+    terms = {k: field.from_int(c) for k, c in poly.items() if c % p}
     return GradedPolynomial._of(field, nvars, weight, terms)
 
 
@@ -265,49 +267,40 @@ def _translation_entries(a, field, count):
     return entries
 
 
-def _variable_image(table, field, j, a):
-    """Image of Y_j under translation by a: the Witt sum S_j mod p with the
-    live coordinates Y_i in its X-slots and the constants a_i T^(p^i) in
-    its Y-slots.  S_j is isobaric, so the image is homogeneous of weight
-    p^j."""
-    p = table.p
-    subs = {}
-    for i in range(j + 1):
-        subs[xvar(i)] = {ip.var(i + 1): field.one()}
-        subs[yvar(i)] = {ip.mono(p**i): a[i]}
-    return ip.p_subst(ip.p_mod(table.S[j], p), subs)
-
-
 def group_action_on_sections(p, n, a, f):
     """Pull back a graded element along translation by the constant vector a.
 
-    One substitution sends Y_j to its translated image for every j <= n and
-    fixes T and the Y_j above n; the graded ring's weight check certifies
-    that the result keeps f's weight."""
+    Y_j goes to S_j mod p at (Y, a), the a_i constants, for every j <= n,
+    and T and the Y_j above n stay: S_j is isobaric, so T tops the image up
+    to weight p^j.  One substitution moves every Y_j whose image is not
+    itself, and the graded ring's check certifies that the result keeps f's
+    weight."""
     field = f.field
     if field.p != p:
         raise ValueError("field characteristic and p disagree")
     a = _translation_entries(a, field, n + 1)
     table = build_table(p, n + 1)
-    images = {j + 1: _variable_image(table, field, j, a) for j in range(n + 1)}
-    return GradedPolynomial._of(
-        field, max(f.nvars, n + 1), f.weight, ip.p_subst(f.poly, images)
-    )
+    ys = [{ip.var(yvar(i)): field.one()} for i in range(n + 1)]
+    consts = [{0: x} if x else {} for x in a]
+    images = {}
+    for j in range(n + 1):
+        image = sum_mod_p_at(table, j, ys, consts)
+        if image != ys[j]:
+            images[yvar(j)] = image
+    return GradedPolynomial._of(field, max(f.nvars, n + 1), f.weight, ip.p_subst(f.poly, images))
 
 
 def psi_on_sections(p, n):
     """Homogeneous substitution rule of the isogeny on the top variable.
 
-    The weight-p^(n+1) element whose dehomogenization at T = 1 is the n-th
-    coordinate of a -> F(a) - a.  The coordinate polynomial is certified by
-    its two independent routes first, then lifted; invariance under the
-    order-p translation (0,..,0,1) is checked symbolically, since that
-    translation generates the covering group of the substitution."""
+    The weight-p^(n+1) element whose value at T = 1 is the n-th coordinate
+    of a -> F(a) - a.  The coordinate polynomial is certified by its two
+    independent routes first, then lifted; invariance under the order-p
+    translation (0,..,0,1) is checked symbolically, since that translation
+    generates the covering group of the substitution."""
     comp = nth_component_identity_check(build_table(p, n + 1), n)["component_poly"]
     field = finite_field(p)
     poly = homogenize_component(field, n + 1, comp, p ** (n + 1))
-    if poly.set_t_one() != comp:
-        raise ConsistencyFailure("dehomogenization does not invert the lift")
     translation = (field.zero(),) * n + (field.one(),)
     moved = group_action_on_sections(p, n, translation, poly)
     if moved != poly:

@@ -44,7 +44,7 @@ _STATE = {}
 def _state(p):
     st = _STATE.get(p)
     if st is None:
-        st = {"S": [], "c": [], "I": [], "P": []}
+        st = {"S": [], "I": [], "P": []}
         _STATE[p] = st
     return st
 
@@ -108,8 +108,7 @@ def _extend_family(p, name, j):
     """Build components up to j of a family by the ghost-inversion step, on
     the ghost sum, minus the Y ghost, or the ghost product, and certify
     each."""
-    st = _state(p)
-    fam = st[name]
+    fam = _state(p)[name]
     plane = _plane(p, name)
     while len(fam) <= j:
         l = len(fam)
@@ -124,14 +123,12 @@ def _extend_family(p, name, j):
         comp = _ghost_step(target, fam, p, plane, f"building {name}_{l} for p={p}")
         _certify(comp, p, l, name)
         fam.append(comp)
-        if name == "S":
-            carry = dict(comp)
-            del carry[ip.var(xvar(l))], carry[ip.var(yvar(l))]
-            st["c"].append(carry)
 
 
 class _Family:
-    """Lazy, bounds-checked view onto one cached polynomial family."""
+    """Lazy, bounds-checked view onto one cached polynomial family.  The
+    carries c are not kept: c_i is S_i without its terms X_i + Y_i, copied
+    on every read."""
 
     __slots__ = ("p", "name", "n")
 
@@ -145,7 +142,11 @@ class _Family:
         if not 0 <= i < self.n:
             raise IndexError(f"component {i} outside table of length {self.n}")
         _extend_family(self.p, "S" if self.name == "c" else self.name, i)
-        return _state(self.p)[self.name][i]
+        if self.name != "c":
+            return _state(self.p)[self.name][i]
+        carry = dict(_state(self.p)["S"][i])
+        del carry[ip.var(xvar(i))], carry[ip.var(yvar(i))]
+        return carry
 
 
 class WittPolynomialTable:
@@ -424,27 +425,26 @@ def ghost_batch(X, p, j, mod):
 
 # ---------- symbolic certificates ----------
 
-_ASW_POLY_CACHE = {}
+def sum_mod_p_at(table, j, xs, ys):
+    """S_j mod p at the polynomial vectors X = xs and Y = ys, each of at
+    least j + 1 packed polynomials: one intpoly.p_subst, in which {} is
+    zero.  The coefficients are those of the values: over F_q the result is
+    exact, over Z it is congruent to S_j(xs, ys) mod p."""
+    subs = {xvar(i): xs[i] for i in range(j + 1)} | {yvar(i): ys[i] for i in range(j + 1)}
+    return ip.p_subst(ip.p_mod(table.S[j], table.p), subs)
 
 
 def asw_component_poly(table, n):
     """n-th component of a -> F(a) - a as a mod-p polynomial in Y_0..Y_n.
 
-    Composes the cached negation and sum tables symbolically: the result is
-    S_n evaluated at (X-block, Y-block) = (Y^p entry-wise, I(Y)), reduced
-    mod p.  Cached per (p, n)."""
+    Composes the cached negation and sum tables symbolically: S_n mod p at
+    (X-block, Y-block) = (Y^p entry-wise, I(Y) mod p), reduced mod p."""
     p = table.p
     if not 0 <= n < table.n:
         raise IndexError(f"component {n} outside table of length {table.n}")
-    key = (p, n)
-    if key not in _ASW_POLY_CACHE:
-        subs = {}
-        for i in range(n + 1):
-            subs[xvar(i)] = {ip.var(yvar(i), p): 1}  # Y_i^p
-            subs[yvar(i)] = ip.p_mod(table.I[i], p)
-        comp = ip.p_mod(ip.p_subst(ip.p_mod(table.S[n], p), subs), p)
-        _ASW_POLY_CACHE[key] = comp
-    return _ASW_POLY_CACHE[key]
+    frob = [{ip.var(yvar(i), p): 1} for i in range(n + 1)]
+    neg = [ip.p_mod(table.I[i], p) for i in range(n + 1)]
+    return ip.p_mod(sum_mod_p_at(table, n, frob, neg), p)
 
 
 def _principal_part(p, n):

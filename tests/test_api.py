@@ -8,7 +8,7 @@ import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 # README documents these as API that nothing in the package calls
-DOCUMENTED = {"coeff.lift", "intpoly.mono", "witt.asw_map", "witt.verschiebung"}
+DOCUMENTED = {"coeff.lift", "witt.asw_map", "witt.verschiebung"}
 SCOPES = (ast.FunctionDef, ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 

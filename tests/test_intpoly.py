@@ -274,17 +274,26 @@ def test_row_blocks_across_a_block_boundary():
         at = {v: ip.p_eval(subs[v], point, 1) if v in subs else point[v] for v in range(4)}
         assert ip.p_eval(got, point, 1) == ip.p_eval(a, at, 1)
     # T, Y_0, Y_1 of weight 1, 1, 2: T tops every Y-monomial of weight at
-    # most 260 up to 260, in 17,161 terms
+    # most 260 up to 260, in 17,161 terms, each stored as its Y-slots
+    # (variables 1 and 3) with T implied
     F2 = finite_field(2)
     terms = {(260 - i - 2 * j, i, j): F2.one() for j in range(131) for i in range(261 - 2 * j)}
     graded = GradedPolynomial(F2, 2, 260, terms)
     assert len(graded.poly) > ip._ROW_KEYS
-    assert graded.terms == {unpack(k, 3): c for k, c in graded.poly.items()} == terms
+    assert list(graded.poly) == [ip.mono(0, i, 0, j) for _t, i, j in terms]
+    ys = [unpack(k, 4)[1::2] for k in graded.poly]
+    assert graded.terms == {(260 - i - 2 * j, i, j): F2.one() for i, j in ys} == terms
     assert graded.set_t_one() == {ip.mono(0, i, 0, j): 1 for _t, i, j in terms}
+    # the printer names the factors of _ROW_KEYS rows at a time
+    names = ("T", "Y_0", "Y_1")
+    assert repr(graded) == " + ".join(
+        "*".join(f"{v}^{e}" if e > 1 else v for v, e in zip(names, key) if e)
+        for key in sorted(terms, reverse=True)
+    )
     off = dict(graded.poly)
     last = next(reversed(off))
-    off[last + ip.var(0)] = off.pop(last)
-    with pytest.raises(ConsistencyFailure, match="has weight 261"):
+    off[last + ip.var(1)] = off.pop(last)
+    with pytest.raises(ConsistencyFailure, match="has Y-weight 261"):
         GradedPolynomial._of(F2, 2, 260, off)
 
 

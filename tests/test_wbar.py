@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from wittram import intpoly as ip
@@ -19,7 +20,7 @@ from wittram.wbar import (
     pushforward_recursion_check,
     section_dim,
 )
-from wittram.witt import WittVector, build_table, witt_add
+from wittram.witt import WittVector, build_table, witt_add, yvar
 
 from oracles import asw_literal_form, inertia_subgroup_check, section_monomials
 
@@ -89,6 +90,11 @@ def test_homogeneity_enforced():
     y1 = GradedPolynomial.y_var(F2, 2, 1)
     with pytest.raises(ConsistencyFailure):
         t + y1
+    with pytest.raises(ConsistencyFailure):
+        y1 + t  # every monomial of t fits under y1's weight
+    one = t**0
+    assert t.poly == one.poly and t != one  # one value at T = 1, two weights
+    assert t - t == one - one  # zero has no weight
     assert (t * t).weight == 2
     assert (y1 + y1).is_zero()  # char 2
 
@@ -264,9 +270,7 @@ def test_psi_extension_translation_moves():
 @pytest.mark.parametrize("p, n", [(2, 5), (5, 3)])
 def test_psi_dehomogenization_contract_deep(p, n):
     # the translation check runs on 4,030 terms at (2, 5) and 18,433 at
-    # (5, 3).  Mutation check: leaving a zero a_i in the substitution of
-    # _variable_image (as {T^(p^i): 0}) fails both with a KeyError in
-    # intpoly's product
+    # (5, 3)
     from wittram.witt import asw_component_poly
 
     psi = psi_on_sections(p, n)
@@ -276,8 +280,7 @@ def test_psi_dehomogenization_contract_deep(p, n):
 
 def test_action_is_group_action_over_f4_with_zero_entries():
     # a zero entry of a or b substitutes the zero polynomial for its
-    # constant.  Mutation check: leaving a zero a_i in the substitution (as
-    # {T^(p^i): 0}) fails this with a KeyError in intpoly's product
+    # constant
     rng = random.Random(43)
     F4 = finite_field(2, 2)
     table = build_table(2, 3)
@@ -304,35 +307,83 @@ def test_off_weight_image_is_refused(monkeypatch):
     # fails this
     from wittram import wbar
 
-    image = wbar._variable_image
+    image = wbar.sum_mod_p_at
 
-    def off_weight(table, field, j, a):
-        moved = dict(image(table, field, j, a))
-        moved[ip.var(0, table.p**j + 1)] = field.one()
+    def off_weight(table, j, xs, ys):
+        # Y_0^(p^j + 1), a Y-monomial above the image's weight p^j
+        moved = dict(image(table, j, xs, ys))
+        moved[ip.var(yvar(0), table.p**j + 1)] = finite_field(table.p).one()
         return moved
 
-    monkeypatch.setattr(wbar, "_variable_image", off_weight)
+    monkeypatch.setattr(wbar, "sum_mod_p_at", off_weight)
     F3 = finite_field(3)
     f = GradedPolynomial.y_var(F3, 2, 1)
     with pytest.raises(ConsistencyFailure, match="weight"):
         group_action_on_sections(3, 1, (F3.one(), F3.zero()), f)
 
 
+def test_translation_substitutes_only_the_moving_coordinates(monkeypatch):
+    # a translation vector with k leading zeros fixes Y_0..Y_{k-1}, so the
+    # one substitution into f names Y_k..Y_n only; with no nonzero entry it
+    # names none.  A zero a_i substitutes {}, so that no substituted
+    # polynomial holds a zero coefficient.  Mutation check: substituting
+    # {0: a_i} for a zero a_i fails this
+    calls = []
+    subst = ip.p_subst
+
+    def spy(a, subs):
+        calls.append((a, set(subs)))
+        assert all(c for poly in subs.values() for c in poly.values())
+        return subst(a, subs)
+
+    monkeypatch.setattr(ip, "p_subst", spy)
+    rng = random.Random(29)
+    p, n = 3, 2
+    field = finite_field(p)
+    f = _random_section(rng, field, p, n + 1)
+    for k in range(n + 2):
+        a = (field.zero(),) * k + (field.one(),) * (n + 1 - k)
+        calls.clear()
+        moved = group_action_on_sections(p, n, a, f)
+        assert [keys for poly, keys in calls if poly is f.poly] == [
+            {yvar(j) for j in range(k, n + 1)}
+        ]
+        assert (moved == f) == (k == n + 1)
+
+
+def test_printer_keeps_a_field_coefficient_that_equals_minus_one():
+    # 2 == -1 in F_3, but the shared printer compares coefficient strings,
+    # so 2*Y_0 prints as itself and not as -Y_0
+    F3 = finite_field(3)
+    assert F3.from_int(2) == -1
+    t, y = GradedPolynomial.t_var(F3, 1), GradedPolynomial.y_var(F3, 1, 0)
+    assert repr(y.scale(2) + t) == "T + 2*Y_0"
+    assert repr((y.scale(2) + t) ** 2) == "T^2 + T*Y_0 + Y_0^2"
+    assert ip.format_rows(np.array([[0, 1], [1, 0]]), ["T", "Y_0"], ["2", "-1"]) == "-T + 2*Y_0"
+
+
 def test_graded_exponent_bound():
-    # an exponent lives in 20 bits of an intpoly key.  Mutation check:
-    # packing the constructor's keys without intpoly.mono's range check
-    # fails this: T^(2^20) carries into Y_0 and raises ConsistencyFailure
+    # a Y exponent lives in 20 bits of an intpoly key, and T's exponent is
+    # implied by the weight, so T^(2^20) is a valid monomial.  Mutation
+    # check: packing the constructor's keys without intpoly.mono's range
+    # check fails this: Y_0^(2^20) carries into X_1, and the graded ring's
+    # check raises another ValueError
     F2 = finite_field(2)
     top = (1 << ip.SHIFT) - 1
-    assert GradedPolynomial(F2, 1, top, {(top, 0): F2.one()}).weight == top
-    with pytest.raises(ValueError):
-        GradedPolynomial(F2, 1, top + 1, {(top + 1, 0): F2.one()})
+    assert GradedPolynomial(F2, 1, top, {(0, top): F2.one()}).weight == top
+    with pytest.raises(ValueError, match="outside"):
+        GradedPolynomial(F2, 1, top + 1, {(0, top + 1): F2.one()})
+    y = GradedPolynomial.y_var(F2, 1, 0)
+    assert (y**top).terms == {(0, top): F2.one()}
+    with pytest.raises(ValueError, match="would pass"):
+        y ** (top + 1)
+    with pytest.raises(ValueError, match="would pass"):
+        y ** (top // 2 + 1) * y ** (top // 2 + 1)
     t = GradedPolynomial.t_var(F2, 1)
-    assert (t**top).terms == {(top, 0): F2.one()}
-    with pytest.raises(ValueError):
-        t ** (top + 1)
-    with pytest.raises(ValueError):
-        t ** (top // 2 + 1) * t ** (top // 2 + 1)
+    big = GradedPolynomial(F2, 1, top + 1, {(top + 1, 0): F2.one()})
+    assert big == t ** (top + 1) and big.poly == {0: F2.one()}
+    assert (big * y).terms == {(top + 1, 1): F2.one()}
+    assert repr(big) == f"T^{top + 1}"
 
 
 # ---------- intersection classes ----------
