@@ -30,22 +30,30 @@ rest has X-exponents minus Y-exponents >= 0, and the others are theirs with
 the slots reversed.
 
 Batched evaluation mod m (p_eval_batch_mod) is one graded bilinear block
-kernel.  Each monomial splits into its even-variable part X and its
-odd-variable part Y, the two operand slots of the Witt polynomials, and the
-terms fall into blocks, the connected components of the X/Y incidence.  The
-Witt polynomials are isobaric, so a block is a weight class and nearly dense:
+kernel over a family of polynomials, the components of a Witt table.  Each
+monomial splits into its even-variable part X and its odd-variable part Y,
+the two operand slots of the Witt polynomials, and the terms fall into
+blocks, the connected components of the incidence of (component, X part)
+and (component, Y part), so that no block mixes two components.  The Witt
+polynomials are isobaric, so a block is a weight class and nearly dense:
 S_3 for p=5 is 37,760 terms in 126 blocks.  A block is a coefficient matrix
 C, and its value at the points is the column sum of (C @ MY) * MX over the
-values MX, MY of its distinct X and Y monomials: one matmul per block shape.
-Everything that does not depend on the points is made first, as a plan
-(_batch_plan).  It is exact: every entry is a residue below m and
-m**2 < 2**63, so each product fits int64.  The matmul runs in float64, on
-BLAS, when k*(m-1)**2 < 2**53 for the widest block of k columns, since every
-partial sum is then an integer below 2**53; otherwise it runs in int64.  An
-int64 sum of products runs in chunks of c terms with c*(m-1)**2 + m-1 < 2**63,
-reduced after each chunk.  The points run in tiles of 2**15 elements of the
-plan's widest array, at least 128 points, so a small polynomial takes a
-batch of 1000 points in one tile.
+values MX, MY of its distinct X and Y monomials.  The matmul runs over a
+block's longer side, and the blocks of one shorter side whose longer sides
+lie within 1.5 times the smallest of them are padded with zero coefficients
+to one shape and run as one stacked matmul.  Everything that does not depend
+on the points is made first, as one plan for the family (_batch_plan), and
+the points run in tiles of 2**15 elements of the plan's widest array, at
+least 128 points; the powers of the variables and the tries of X and Y
+monomials are formed once per tile for every component.  It is exact by its
+bounds: m**2 < 2**63, the powers and the tries' prefixes are residues below
+m, and every other intermediate carries an integer bound and is reduced mod
+m only when the next product or sum could leave its dtype's exact range,
+2**63 - 1 in int64 and below 2**53 in float64, where the matmul runs, on
+BLAS, when k*(m-1)**2 < 2**53 for a matmul over k monomials.  Evaluating the
+Witt tables mod p**(n+2), no block is reduced at (2, 6) and (3, 4), and each
+group once per tile at (5, 4), where t = 5**6 - 1 leaves room for four
+factors of t in int64.
 """
 
 from __future__ import annotations
@@ -54,6 +62,7 @@ from collections.abc import Mapping
 from functools import reduce
 from itertools import chain, compress, islice, repeat
 from operator import add, itemgetter, lshift, mul, or_
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -537,12 +546,17 @@ def _power_table(vals, product):
 def p_subst(a, subs):
     """Substitute polynomials for variables: subs maps var index -> Poly.
 
-    Variables absent from subs are kept as themselves.  The exponent check
-    runs once, on the degrees: no exponent of any product formed here
-    passes deg_w(a) (w kept) + sum over v in subs of deg_v(a)*deg_w(subs[v]),
-    and only when that passes MASK for some w is every product p_mul, with
-    its own check.  Each term's image is added into the sum in place.
+    Variables absent from subs are kept as themselves.  A term in a
+    variable that goes to the zero polynomial {} is dropped first, unread.
+    The exponent check runs once, on the degrees: no exponent of any product
+    formed here passes deg_w(a) (w kept) + sum over v in subs of
+    deg_v(a)*deg_w(subs[v]), and only when that passes MASK for some w is
+    every product p_mul, with its own check.  Each term's image is added
+    into the sum in place.
     """
+    dead = reduce(or_, [MASK << (SHIFT * v) for v, s in subs.items() if not s], 0)
+    if dead:
+        a = {k: c for k, c in a.items() if not k & dead}
     deg = degrees(a)
     sub_deg = {v: degrees(s) for v, s in subs.items() if v < len(deg)}
     reach = [0 if v in subs else d for v, d in enumerate(deg)]
@@ -615,7 +629,7 @@ def p_eval(a, vals, one):
 # ---------- batched evaluation over Z/mod: the graded bilinear block kernel ----------
 
 # a column tile holds this many elements of the plan's widest array, and at
-# least _MIN_COLS points: small components run in one tile, and the peak
+# least _MIN_COLS points: small families run in one tile, and the peak
 # memory of a large one stays flat
 _TILE_ELEMENTS = 2**15
 _MIN_COLS = 128
@@ -625,6 +639,10 @@ _MIN_COLS = 128
 # wake-up cost up to ten times the product on a 2-CPU x86 VM: a 202 x 202
 # block took 48 ms per 1000 points in one call and 4.7 ms in calls of 6
 _GEMM_TERMS = 2**18
+
+# the exact ranges: every integer up to 2**63 - 1 in int64, below 2**53 in float64
+_INT = 2**63 - 1
+_FLOAT = 2**53 - 1
 
 
 def _components(u, v, n):
@@ -664,74 +682,6 @@ def _trie(exps):
     return steps or [(0, np.zeros(1, np.intp), np.zeros(1, np.intp))], rows
 
 
-def _block_plan(a, nv, mod):
-    """Split every term into its even-variable part (X) and its odd-variable
-    part (Y), and group the terms into blocks, the connected components of
-    the X-part/Y-part incidence; blocks of one shape (r, k) are stacked.
-
-    Returns (xsteps, ysteps, groups): the _trie steps of the distinct X and
-    Y monomials, over variables 0, 2, 4, ... and 1, 3, 5, ...; and per
-    block shape the triple (xrows, yrows, C): the last trie level's rows of
-    each block's X and Y monomials, shapes (nb, r) and (nb, k), and its
-    coefficients mod `mod`, shape (nb, r, k)."""
-    even = sum(MASK << (SHIFT * v) for v in range(0, nv, 2))
-
-    def split(part, first):
-        # each term's part number, numbering the distinct parts in order of
-        # appearance, then the parts' trie; a key past variable nv - 1 keeps
-        # its high bits in its odd part, where exponent_rows refuses it
-        keys = {}
-        index = np.array([keys.setdefault(k & part, len(keys)) for k in a], dtype=np.intp)
-        exps = np.concatenate([block[:, first::2] for _, block in row_blocks(keys, nv)])
-        steps, rows = _trie(exps)
-        steps = [(first + 2 * j, parent, e) for j, parent, e in steps]
-        return index, steps, rows
-
-    xi, xsteps, xrow = split(even, 0)
-    yi, ysteps, yrow = split(~even, 1)
-    nx, ny = len(xrow), len(yrow)
-
-    # blocks, numbered in order of their shape (rows, cols)
-    _, block = np.unique(_components(xi, yi + nx, nx + ny), return_inverse=True)
-    rows, cols = np.bincount(block[:nx]), np.bincount(block[nx:])
-    order = np.lexsort((cols, rows))
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    rows, cols = rows[order], cols[order]
-    bx, by = rank[block[:nx]], rank[block[nx:]]
-
-    def lay_out(b, sizes, trie_rows):
-        # the monomials block after block, and each one's place in its block
-        order = np.argsort(b, kind="stable")
-        start = np.cumsum(sizes) - sizes
-        place = np.empty_like(order)
-        place[order] = np.arange(len(b)) - start[b[order]]
-        return trie_rows[order], start, place
-
-    xflat, xstart, lx = lay_out(bx, rows, xrow)
-    yflat, ystart, ly = lay_out(by, cols, yrow)
-    bt = bx[xi]
-    sizes = rows * cols
-    cstart = np.cumsum(sizes) - sizes
-    cflat = np.zeros(sizes.sum(), dtype=np.int64)
-    cflat[cstart[bt] + lx[xi] * cols[bt] + ly[yi]] = np.fromiter(
-        map(mod.__rmod__, a.values()), np.int64, len(a)
-    )
-    edges = [0, *(np.flatnonzero(np.diff(rows) | np.diff(cols)) + 1).tolist(), len(rows)]
-    groups = []
-    for b0, b1 in zip(edges, edges[1:]):
-        nb, r, k = b1 - b0, int(rows[b0]), int(cols[b0])
-        x0, y0, c0 = xstart[b0], ystart[b0], cstart[b0]
-        groups.append(
-            (
-                xflat[x0 : x0 + nb * r].reshape(nb, r),
-                yflat[y0 : y0 + nb * k].reshape(nb, k),
-                cflat[c0 : c0 + nb * r * k].reshape(nb, r, k),
-            )
-        )
-    return xsteps, ysteps, groups
-
-
 def _rem(x, mod):
     """x %= mod in place.  numpy divides by a scalar through a precomputed
     multiplier, which is about twice as fast as its remainder."""
@@ -756,101 +706,162 @@ def _powers(x, var, e, mod):
     return out
 
 
-class _BatchPlan:
-    """What p_eval_batch_mod does not need the points for, made by _batch_plan.
+def _batch_plan(polys, nv, mod):
+    """The plan of p_eval_batch_mod(polys, vals, mod) for vals of nv rows:
+    what it does not need the points for.
 
     var and exp list the powers a tile needs, one row each: the distinct
-    exponents of every trie level, level after level.  xlevels and ylevels
-    hold, per trie level but the last, (parent, where): the parent of each
-    prefix in the level before and the power row it is multiplied by.
-    groups holds, per block shape, (xp, xw, yp, yw, C, sub): the parent and
-    the power row of each block's X and Y monomials in the last levels, the
-    coefficients in `dtype`, and the points per matmul call.  A matmul sums
-    `step` products at a time, every other sum `chunk`, and the points run
-    in tiles of `cols`."""
-
-    __slots__ = ("var", "exp", "xlevels", "ylevels", "groups", "dtype", "step", "chunk", "cols")
-
-
-def _batch_plan(a, nv, mod):
-    """The plan of p_eval_batch_mod(a, vals, mod) for vals of nv rows."""
-    if mod * mod >= 2**63:
-        raise ValueError(f"int64 evaluation would overflow: modulus {mod}")
-    plan = _BatchPlan()
-    plan.chunk = (2**63 - mod) // max((mod - 1) ** 2, 1)
-    plan.groups = []
-    if not a:
+    exponents of every trie level, level after level.  levels holds, for
+    the X and the Y trie, per level but the last, (parent, where): the
+    parent of each prefix in the level before and its power row; a tile's
+    Y prefixes follow its X prefixes.  groups holds, per group of blocks,
+    (E, M, C, starts, comps, rows): the prefix and the power row of each
+    block's monomials on its summed side, shape (2, nb, r), and on its
+    matmul's side, (2, nb, k); the coefficients, (nb, r, k), in float64 when
+    k*(mod-1)**2 < 2**53; the first row of each component's run of blocks,
+    its component, and the rows of the longest run.  The points run in
+    tiles of `cols`."""
+    if mod < 1 or mod * mod >= 2**63:
+        raise ValueError(f"int64 evaluation would overflow: modulus {mod} outside 1..3037000499")
+    plan = SimpleNamespace(groups=[], levels=[], var=[], exp=[])
+    if not any(polys):
         return plan
-    xsteps, ysteps, groups = _block_plan(a, nv, mod)
-    var, exp = [], []
 
-    def levels(steps):
-        # each level's distinct exponents become power rows; the level of
-        # the monomial 1 (exponent 0) may name any variable
-        out = []
-        for v, parent, e in steps:
+    def split(part, first):
+        # the nodes are each component's distinct parts, component after
+        # component: returns each term's node, each node's prefix row (past
+        # those of the side before) and power row in the last trie level, and
+        # its component.  Each level's distinct exponents become power rows
+        # (the level of the monomial 1 may name any variable).  A key past
+        # variable nv - 1 keeps its high bits in its odd part, which
+        # exponent_rows refuses
+        node, nodes, comp = [], [], []
+        for c, a in enumerate(polys):
+            parts = {}
+            node.append(np.array([parts.setdefault(k & part, len(parts)) for k in a], np.intp) + len(nodes))
+            nodes += parts
+            comp += [c] * len(parts)
+        steps, rows = _trie(np.concatenate([b[:, first::2] for _, b in row_blocks(nodes, nv)]))
+        shift = sum(len(levels[-1][0]) if levels else 1 for levels in plan.levels)
+        levels = []
+        for j, parent, e in steps:
             used, where = np.unique(e, return_inverse=True)
-            out.append((parent, where + sum(map(len, exp))))
-            var.append(np.full(len(used), v if used[-1] else 0))
-            exp.append(used)
-        return out
+            levels.append((parent, where + sum(map(len, plan.exp))))
+            plan.var.append(np.full(len(used), first + 2 * j if used[-1] else 0))
+            plan.exp.append(used)
+        parent, where = levels.pop()
+        plan.levels.append(levels)
+        return np.concatenate(node), [parent[rows] + shift, where[rows]], comp
 
-    xlevels, ylevels = levels(xsteps), levels(ysteps)
-    (xpar, xwhere), (ypar, ywhere) = xlevels.pop(), ylevels.pop()
-    plan.xlevels, plan.ylevels = xlevels, ylevels
-    plan.var, plan.exp = np.concatenate(var), np.concatenate(exp)
-    # float64 when every matmul sum is exact in one step, else int64
-    widest_k = max(C.shape[2] for _, _, C in groups)
-    exact = widest_k * (mod - 1) ** 2 < 2**53
-    plan.dtype = np.float64 if exact else np.int64
-    plan.step = widest_k if exact else plan.chunk
-    # the widest array of a tile: a prefix level, the power rows, or a
-    # group's stacked X or Y monomials (the last levels are never whole)
-    widest = max(
-        [len(parent) for parent, _ in xlevels + ylevels]
-        + [len(plan.exp)]
-        + [C.shape[0] * max(C.shape[1:]) for _, _, C in groups]
+    even = sum(MASK << (SHIFT * v) for v in range(0, nv, 2))
+    (xi, yi), last, (xcomp, ycomp) = zip(split(even, 0), split(~even, 1))
+    plan.var, plan.exp = np.concatenate(plan.var), np.concatenate(plan.exp)
+    # the nodes, X then Y, each term's two, and the blocks; a block's matmul
+    # runs over its longer side, and its shorter is summed (X on a tie)
+    nx, last = len(xcomp), np.concatenate(last, axis=1)
+    ends = np.array([xi, yi + nx])
+    _, block = np.unique(_components(*ends, nx + len(ycomp)), return_inverse=True)
+    rows, cols = np.bincount(block[:nx]), np.bincount(block[nx:])
+    summed = (np.arange(len(block)) < nx) == (rows <= cols)[block]
+    short, wide = np.minimum(rows, cols), np.maximum(rows, cols)
+    # the shapes (short, wide) of one short side share a group while the
+    # wide side is at most 1.5 times the group's first, padded to the last
+    shapes, shape = np.unique(short * (wide.max() + 1) + wide, return_inverse=True)
+    group, width = [], []
+    for r, k in zip(*divmod(shapes, wide.max() + 1)):
+        if not width or r != first[0] or 2 * k > 3 * first[1]:
+            first = r, k
+            width.append(0)
+        width[-1] = k
+        group.append(len(width) - 1)
+    group = np.array(group)[shape]
+    wide = np.array(width)[group]
+
+    # the blocks in order of their group and component, and each node's
+    # place among its block's nodes on its side
+    bcomp = np.empty_like(rows)
+    bcomp[block[:nx]] = xcomp
+    order = np.lexsort((bcomp, group))
+    short, wide, bcomp, group = short[order], wide[order], bcomp[order], group[order]
+    b = np.argsort(order)[block]
+    key = 2 * b + ~summed
+    o = np.argsort(key, kind="stable")
+    count = np.bincount(key, minlength=2 * len(order))
+    place = np.empty_like(o)
+    place[o] = np.arange(len(o)) - (np.cumsum(count) - count)[key[o]]
+    estart, mstart = np.cumsum(short) - short, np.cumsum(wide) - wide
+    E, M = np.zeros((2, short.sum()), np.intp), np.zeros((2, wide.sum()), np.intp)
+    E[:, estart[b[summed]] + place[summed]] = last[:, summed]
+    M[:, mstart[b[~summed]] + place[~summed]] = last[:, ~summed]
+    e = np.where(summed[ends[0]], *ends)
+    size = short * wide
+    cstart = np.cumsum(size) - size
+    cflat = np.zeros(size.sum(), dtype=np.int64)
+    cflat[cstart[b[e]] + place[e] * wide[b[e]] + place[ends.sum(0) - e]] = np.fromiter(
+        map(mod.__rmod__, chain.from_iterable(a.values() for a in polys)), np.int64, len(xi)
     )
-    plan.cols = max(_MIN_COLS, _TILE_ELEMENTS // widest)
-    for xr, yr, C in groups:
-        sub = max(1, _GEMM_TERMS // (C.shape[1] * C.shape[2])) if exact else plan.cols
-        plan.groups.append((xpar[xr], xwhere[xr], ypar[yr], ywhere[yr], C.astype(plan.dtype), sub))
+    edges = [0, *(np.flatnonzero(np.diff(group)) + 1).tolist(), len(group)]
+    # the widest array of a tile: a prefix level, the power rows, or a
+    # group's stacked monomials on its matmul side (never the whole last level)
+    widest = [len(p) for p, _ in chain(*plan.levels)] + [len(plan.exp)]
+    widest += [(b1 - b0) * wide[b0] for b0, b1 in zip(edges, edges[1:])]
+    plan.cols = max(_MIN_COLS, _TILE_ELEMENTS // int(max(widest)))
+    for b0, b1 in zip(edges, edges[1:]):
+        nb, r, k = b1 - b0, int(short[b0]), int(wide[b0])
+        starts = np.flatnonzero(np.diff(bcomp[b0:b1], prepend=-1))
+        run = r * int(np.diff(starts, append=nb).max())
+        C = cflat[cstart[b0] : cstart[b0] + nb * r * k].reshape(nb, r, k)
+        C = C.astype(np.float64 if k * (mod - 1) ** 2 <= _FLOAT else np.int64)
+        Eg = E[:, estart[b0] : estart[b0] + nb * r].reshape(2, nb, r)
+        Mg = M[:, mstart[b0] : mstart[b0] + nb * k].reshape(2, nb, k)
+        plan.groups.append((Eg, Mg, C, starts * r, bcomp[b0:b1][starts], run))
     return plan
 
 
-def p_eval_batch_mod(a, vals, mod):
-    """Vectorized evaluation at many points of Z/mod at once.
+def p_eval_batch_mod(polys, vals, mod):
+    """Every polynomial of the family polys at many points of Z/mod at once.
 
     vals is an int64 array of shape (nvars, B), one column per point;
-    returns shape (B,).  What does not depend on the points is made first,
-    as a plan (_batch_plan).
+    returns shape (len(polys), B).  One plan serves the whole family
+    (_batch_plan), and the powers and the tries' prefixes are formed once
+    per tile of points for all its components.  Per block, with C its
+    coefficient matrix and MX, MY the values of its X and Y monomials, the
+    block's value is the column sum of (C @ MY) * MX, added to its
+    component.  The matmul runs over the longer side M (MY, or MX with C
+    transposed), and a group of blocks, padded to one shape, runs as one
+    stacked matmul.
 
-    The kernel is bilinear and graded.  Each monomial is (X-part)(Y-part),
-    its even and its odd variables, and the terms fall into blocks, the
-    connected components of the X/Y incidence; for the Witt polynomials
-    these are the weight classes, and they are nearly dense.  Per block, with
-    C its coefficient matrix and MX, MY the values of its distinct X and Y
-    monomials at the points, the block's value is the column sum of
-    (C @ MY) * MX.  Blocks of one shape run as one stacked matmul, and the
-    points run in tiles of _TILE_ELEMENTS over the plan's widest array, at
-    least _MIN_COLS points.
-
-    Exactness: every entry is reduced into 0..mod-1, and mod**2 < 2**63,
-    which the guard demands, so a product of two fits int64.  The matmul
-    runs in float64 (BLAS) when k*(mod-1)**2 < 2**53 for the widest inner
-    dimension k: every product and partial sum is then an integer below
-    2**53, exact in float64.  Otherwise it runs in int64, like every other
-    sum of products: `chunk` of them at a time are added to an accumulator
-    below mod, with chunk*(mod-1)**2 + mod-1 < 2**63, and reduced after
-    every chunk; at the edge modulus 3037000499 the chunk is 1.
+    Exactness: mod**2 < 2**63, which the guard demands, and every value is
+    >= 0, so no partial sum passes the bound of the whole.  The powers and
+    the prefixes are residues, at most t = mod - 1, so a monomial's value
+    is at most t**2.  Every other intermediate carries an integer bound and
+    is reduced mod `mod`, to at most t, only when the next product or sum
+    could leave the exact range of its dtype, up to 2**63 - 1 in int64 and
+    below 2**53 in float64: M before a matmul over k monomials if k*t*t**2
+    could (the matmul runs in float64 when k*t**2 < 2**53, else in int64,
+    `step` monomials at a time with step*t**2 + t < 2**63), the matmul's
+    sum Q before its next step and before each factor of the other side's
+    monomials, a component's running total and then that product before a
+    group's longest run of rows is added (a reduced total and product leave
+    room for 2**31 rows), and every total at the end of its tile.
     """
+    if isinstance(polys, Mapping):
+        raise ValueError("p_eval_batch_mod takes a sequence of polynomials, not one")
     vals = np.asarray(vals, dtype=np.int64)
     nv, B = vals.shape
-    plan = _batch_plan(a, nv, mod)
+    plan = _batch_plan(polys, nv, mod)
     vals = vals % mod
-    out = np.zeros(B, dtype=np.int64)
+    out = np.zeros((len(polys), B), dtype=np.int64)
     if not plan.groups:
         return out
+    t = max(mod - 1, 1)
+
+    def cap(x, bound, room):
+        # x's bound, after x is reduced in place if the bound passes room
+        if bound <= room or bound <= t:
+            return bound
+        _rem(x, mod)
+        return t
 
     def prefixes(levels, pw):
         m = np.ones((1, pw.shape[1]), dtype=np.int64)
@@ -861,36 +872,39 @@ def p_eval_batch_mod(a, vals, mod):
         return m
 
     # the last level of each side is formed block by block, never whole
-    step, chunk = plan.step, plan.chunk
     for c0 in range(0, B, plan.cols):
         c1 = min(c0 + plan.cols, B)
         w = c1 - c0
         pw = _powers(vals[:, c0:c1], plan.var, plan.exp, mod)
-        PX, PY = prefixes(plan.xlevels, pw), prefixes(plan.ylevels, pw)
-        total = np.zeros(w, dtype=np.int64)
-        for xp, xw, yp, yw, C, sub in plan.groups:
-            MY = PY[yp]
-            MY *= pw[yw]
-            _rem(MY, mod)
-            MY = MY.astype(plan.dtype, copy=False)
-            Q = None
-            for k0 in range(0, C.shape[2], step):
-                part = np.empty(C.shape[:2] + (w,), dtype=plan.dtype)
+        P = np.concatenate([prefixes(levels, pw) for levels in plan.levels])
+        total, tb = np.zeros((len(polys), w), dtype=np.int64), 0
+        for (ep, ew), (mp, mw), C, starts, comps, rows in plan.groups:
+            nb, r, k = C.shape
+            M = P[mp]
+            M *= pw[mw]
+            room = _FLOAT if C.dtype == np.float64 else _INT - t
+            m = cap(M, t * t, room // (k * t))
+            step = min(k, room // (t * m))
+            sub = max(1, _GEMM_TERMS // (r * k)) if C.dtype == np.float64 else w
+            M = M.astype(C.dtype, copy=False)
+            for k0 in range(0, k, step):
+                part = np.empty((nb, r, w), dtype=C.dtype)
                 for j0 in range(0, w, sub):
                     np.matmul(
                         C[:, :, k0 : k0 + step],
-                        MY[:, k0 : k0 + step, j0 : j0 + sub],
+                        M[:, k0 : k0 + step, j0 : j0 + sub],
                         out=part[:, :, j0 : j0 + sub],
                     )
                 part = part.astype(np.int64, copy=False)
-                Q = part if Q is None else Q + part
-                _rem(Q, mod)
-            Q *= PX[xp]
-            _rem(Q, mod)
-            Q = Q.reshape(-1, w)
-            MX = pw[xw.reshape(-1)]
-            for r0 in range(0, len(Q), chunk):
-                total += np.einsum("ij,ij->j", Q[r0 : r0 + chunk], MX[r0 : r0 + chunk])
-                _rem(total, mod)
-        out[c0:c1] = total
+                q = cap(Q, q, _INT - step * t * m) + step * t * m if k0 else step * t * m
+                Q = Q + part if k0 else part
+            for factor in (P[ep], pw[ew]):
+                q = cap(Q, q, _INT // t) * t
+                Q *= factor
+            tb = cap(total, tb, _INT - rows * q)
+            q = cap(Q, q, (_INT - tb) // rows)
+            total[comps] += np.add.reduceat(Q.reshape(-1, w), starts, axis=0)
+            tb += rows * q
+        _rem(total, mod)
+        out[:, c0:c1] = total
     return out

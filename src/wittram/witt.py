@@ -395,20 +395,21 @@ def witt_sum_component(ring, i, add, sub=()):
 
 
 def witt_batch_op(table, op, A, B, mod):
-    """Evaluate S/P/I tables on (n, B)-shaped int64 entry arrays mod `mod`."""
-    polys = {"add": table.S, "mul": table.P, "neg": table.I}[op]
-    n = A.shape[0]
-    nv = 2 * n
-    Bc = A.shape[1]
-    vals = np.zeros((nv, Bc), dtype=np.int64)
-    if op == "neg":
-        vals[1::2, :] = A
-    else:
-        if B is None or B.shape != A.shape:
-            raise ValueError(f"{op} needs a second operand shaped like A {A.shape}")
-        vals[0::2, :] = A
-        vals[1::2, :] = B
-    return np.stack([ip.p_eval_batch_mod(polys[i], vals, mod) for i in range(n)])
+    """The Witt sum, product or negation (op "add", "mul" or "neg") of the
+    integer entry arrays A and B, shape (n, points) with 1 <= n <= table.n,
+    mod `mod`: the first n components of S, P or I in one
+    intpoly.p_eval_batch_mod call.  Any other op or shape, or entries that
+    are not integers, raise ValueError."""
+    family = {"add": table.S, "mul": table.P, "neg": table.I}.get(op)
+    A = np.asarray(A)
+    if family is None or A.ndim != 2 or not 1 <= len(A) <= table.n:
+        raise ValueError(f"batch {op!r} of entries {A.shape}: needs add, mul or neg of 1 to {table.n} rows")
+    operands = [A] if op == "neg" else [A, np.asarray(B)]
+    if any(x.shape != A.shape or x.dtype.kind not in "iu" for x in operands):
+        raise ValueError(f"{op} needs integer operands shaped like A {A.shape}")
+    vals = np.zeros((2 * len(A), A.shape[1]), dtype=np.int64)
+    vals[0::2], vals[1::2] = (0, A) if op == "neg" else (A, B)
+    return ip.p_eval_batch_mod([family[i] for i in range(len(A))], vals, mod)
 
 
 def ghost_batch(X, p, j, mod):

@@ -33,10 +33,10 @@ def test_witt_tables_match_reference(p, n):
     for mod in (p ** (n + 2), EDGE):
         vals = rng.integers(0, mod, size=(2 * n, 4), dtype=np.int64)
         for name in "SPI":
-            for i in range(n):
-                a = getattr(table, name)[i]
-                got = ip.p_eval_batch_mod(a, vals, mod).tolist()
-                assert got == _reference(a, vals, mod), (name, i, mod)
+            family = [getattr(table, name)[i] for i in range(n)]
+            got = ip.p_eval_batch_mod(family, vals, mod).tolist()
+            for i, a in enumerate(family):
+                assert got[i] == _reference(a, vals, mod), (name, i, mod)
 
 
 def _random_poly(rng, nv, terms, parity=None, cmax=10):
@@ -71,7 +71,7 @@ def test_random_polynomials_match_reference(B):
     for name, nv, a in _polys():
         for mod in (7**5, 2**31 - 1, EDGE):
             vals = rng.integers(-mod, mod, size=(nv, B), dtype=np.int64)
-            got = ip.p_eval_batch_mod(a, vals, mod)
+            got = ip.p_eval_batch_mod([a], vals, mod)[0]
             assert got.shape == (B,) and got.dtype == np.int64
             assert got.tolist() == _reference(a, vals, mod), (name, mod)
 
@@ -85,15 +85,19 @@ def _block(k):
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
 def test_float_and_int_matmul_at_their_boundary(k):
     # the largest m with k*(m-1)**2 < 2**53 takes float64, the next int64;
-    # both are exact with every residue at its maximum
+    # both are exact with every residue at its maximum.  The matmul runs
+    # over the longer side: k Y monomials of the full block and of a row
+    # x0*y_j, k X monomials of a column x_i*y0
     top = math.isqrt((2**53 - 1) // k) + 1
-    for mod, dtype in ((top, np.float64), (top + 1, np.int64)):
-        a = _block(k)
-        assert ip._batch_plan(a, 2 * k, mod).dtype == dtype
-        vals = np.full((2 * k, 3), mod - 1, dtype=np.int64)
-        want = k * k * -((mod - 1) ** 2) % mod
-        assert ip.p_eval_batch_mod(a, vals, mod).tolist() == [want] * 3
-        assert _reference(a, vals, mod) == [want] * 3
+    row = {ip.var(0) + ip.var(2 * j + 1): -1 for j in range(k)}
+    column = {ip.var(2 * i) + ip.var(1): -1 for i in range(k)}
+    for a in (_block(k), row, column):
+        for mod, dtype in ((top, np.float64), (top + 1, np.int64)):
+            assert ip._batch_plan([a], 2 * k, mod).groups[0][2].dtype == dtype
+            vals = np.full((2 * k, 3), mod - 1, dtype=np.int64)
+            want = len(a) * -((mod - 1) ** 2) % mod
+            assert ip.p_eval_batch_mod([a], vals, mod)[0].tolist() == [want] * 3
+            assert _reference(a, vals, mod) == [want] * 3
 
 
 @pytest.mark.parametrize("r, cols", [(200, 161), (300, 128)])
@@ -102,14 +106,72 @@ def test_batch_widths_around_the_tile(r, cols):
     # 3, so a tile is 2**15 // (r + 3) points, never below 128; B one short
     # of, at, one past and past twice the tile
     a = {ip.mono(i, i % 3): i % 7 + 1 for i in range(r)}
-    assert ip._batch_plan(a, 2, 7**5).cols == cols
+    assert ip._batch_plan([a], 2, 7**5).cols == cols
     rng = np.random.default_rng(cols)
     for B in (cols - 1, cols, cols + 1, 2 * cols + 1):
         vals = rng.integers(0, 7**5, size=(2, B), dtype=np.int64)
         exact = [ip.p_eval(a, dict(enumerate(map(int, col))), 1) for col in vals.T]
         for mod in (7**5, EDGE):
             want = [x % mod for x in exact]
-            assert ip.p_eval_batch_mod(a, vals, mod).tolist() == want, (B, mod)
+            assert ip.p_eval_batch_mod([a], vals, mod)[0].tolist() == want, (B, mod)
+
+
+def _root(n, e):
+    # the largest integer t with t**e <= n
+    t = round(n ** (1 / e))
+    while t**e > n:
+        t -= 1
+    while (t + 1) ** e <= n:
+        t += 1
+    return t
+
+
+# x0*x1**i * y0*y1**j, coefficient -1, in the variables x0, y0, x1, y1
+# (i, j odd): at residues m - 1 every power, prefix and coefficient is
+# m - 1, so MX and MY, C @ MY and its products with the prefix and the
+# power of MX reach their bounds t**2, t**3, t**4 and t**5 for t = m - 1.
+# Five terms of one X part are a block of 1 x 5, whose float64 matmul sums
+# five odd products (m - 1 = 121677), so a sum past 2**53 would round; two
+# terms of other parts are two blocks of one group, and a third term (3, 5)
+# adds a group of shape (1, 2) in the same component
+def _xy(*pairs):
+    return {ip.mono(1, 1, i, j): -1 for i, j in pairs}
+
+
+_INT, _FLOAT = 2**63 - 1, 2**53 - 1
+# what is left out while c * t**e <= limit: (family, e, c, limit)
+LEFT_OUT = {
+    "MY-before-a-float-matmul": (_xy(*[(1, j) for j in (1, 3, 5, 7, 9)]), 3, 5, _FLOAT),
+    "Q-before-Q*PX": (_xy((1, 1)), 4, 1, _INT),
+    "Q-before-Q*MX": (_xy((1, 1)), 5, 1, _INT),
+    "Q*MX-before-the-sum": (_xy((1, 1), (3, 3)), 5, 2, _INT),
+    "total-before-the-sum": (_xy((1, 1), (3, 3), (3, 5)), 5, 3, _INT),
+}
+
+
+@pytest.mark.parametrize("a, e, c, limit", LEFT_OUT.values(), ids=LEFT_OUT.keys())
+def test_reductions_left_out_up_to_their_edge(a, e, c, limit):
+    # at the largest modulus that leaves the reduction out and at the next,
+    # which makes it, every residue at m - 1
+    t = _root(limit // c, e)
+    for mod in (t + 1, t + 2):
+        vals = np.full((4, 3), mod - 1, dtype=np.int64)
+        assert ip.p_eval_batch_mod([a], vals, mod)[0].tolist() == _reference(a, vals, mod), mod
+
+
+def test_family_with_an_empty_and_a_constant_component():
+    # one plan for the family: no block mixes components, and a component
+    # with no terms or only the monomial 1 comes out as itself
+    rng = random.Random(20261020)
+    a, b = _random_poly(rng, 4, 30), _random_poly(rng, 4, 30)
+    family = [a, {}, {0: -(2**70) - 5}, b, a]
+    vals = np.random.default_rng(5).integers(-(7**5), 7**5, size=(4, 200), dtype=np.int64)
+    for mod in (7**5, EDGE):
+        got = ip.p_eval_batch_mod(family, vals, mod)
+        assert got.shape == (5, 200)
+        assert got.tolist() == [_reference(x, vals, mod) for x in family], mod
+    assert ip.p_eval_batch_mod([{}, {}], vals, 27).tolist() == [[0] * 200] * 2
+    assert ip.p_eval_batch_mod([], vals, 27).shape == (0, 200)
 
 
 # ---------- the sliced Kronecker product against the term-by-term product ----------
@@ -232,6 +294,31 @@ def test_subst_of_a_stored_zero_is_the_zero_polynomial():
     assert ip.p_subst(b, zero) == ip.p_subst(b, {0: {}, 2: {}}) != {}
 
 
+def _subst_every_term(a, subs):
+    # the substitution term by term, every term walked and its image formed,
+    # a factor {} included
+    total = {}
+    for key, c in a.items():
+        term = {0: c}
+        for v, e in enumerate(unpack(key, 4)):
+            if e:
+                term = ip.p_mul(term, ip.p_pow(subs[v], e) if v in subs else {ip.var(v, e): 1})
+        total = ip.p_add(total, term)
+    return total
+
+
+def test_subst_drops_the_terms_of_a_zero_variable():
+    # the terms in a variable that goes to {} are dropped before the walk;
+    # the rest is what walking every term gives
+    rng = random.Random(13)
+    for _ in range(20):
+        a = _sparse(rng, 4, 25, 9)
+        dead = rng.sample(range(4), rng.randrange(1, 3))
+        subs = {v: _sparse(rng, 4, 3, 5) for v in range(4) if v not in dead and rng.randrange(2)}
+        subs |= {v: {} for v in dead}
+        assert ip.p_subst(a, subs) == _subst_every_term(a, subs)
+
+
 @pytest.mark.parametrize("nvars", [1, 2, 3, 5, 6])
 def test_exponent_rows_match_unpack(nvars):
     # against the key-by-key reader, with MASK in the top variable and the
@@ -302,7 +389,7 @@ def test_batch_refuses_a_key_past_its_rows():
     vals = np.ones((2, 3), dtype=np.int64)
     for key in (ip.var(2), ip.var(3, 5) + ip.var(0)):
         with pytest.raises(ValueError, match="monomial uses a variable beyond number 1"):
-            ip.p_eval_batch_mod({key: 1, ip.var(1): 2}, vals, 27)
+            ip.p_eval_batch_mod([{key: 1, ip.var(1): 2}], vals, 27)
 
 
 def _sliced_mul_at(a, b, plane, B):

@@ -946,13 +946,13 @@ def test_certificates_survive_optimized_python():
             print("broken root refused")
         from wittram.intpoly import p_eval_batch_mod, var
         try:
-            p_eval_batch_mod({0: 1}, [[1]], 3037000500)
+            p_eval_batch_mod([{0: 1}], [[1]], 3037000500)
         except ValueError:
             print("int64 guard refused")
         # a full 3x3 block at the edge modulus: its matmul runs in chunks of 1
         edge = 3037000499
         block = {var(2 * i) + var(2 * j + 1): -1 for i in range(3) for j in range(3)}
-        print(p_eval_batch_mod(block, [[edge - 1]] * 6, edge).tolist())
+        print(p_eval_batch_mod([block], [[edge - 1]] * 6, edge)[0].tolist())
         from wittram import tower
         tower.pow = lambda e, k, p: 1  # a wrong inverse of e mod p
         try:

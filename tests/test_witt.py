@@ -476,7 +476,12 @@ PRECONDITIONS = {
     "asw-table-of-another-prime": "asw_map(pair, build_table(2, 2))",
     "batch-missing-operand": "witt_batch_op(build_table(3, 2), 'add', A, None, 27)",
     "batch-shape-mismatch": "witt_batch_op(build_table(3, 2), 'mul', A, A[:, :3], 27)",
-    "batch-variable-beyond-values": "ip.p_eval_batch_mod({ip.var(2): 1}, A, 27)",
+    "batch-unknown-op": "witt_batch_op(build_table(3, 2), 'sub', A, A, 27)",
+    "batch-longer-than-table": "witt_batch_op(build_table(3, 2), 'neg', np.ones((3, 4), np.int64), None, 27)",
+    "batch-float-entries": "witt_batch_op(build_table(3, 2), 'add', A + 0.5, A, 27)",
+    "batch-one-polynomial-for-a-family": "ip.p_eval_batch_mod({ip.var(0): 1}, A, 27)",
+    "batch-modulus-zero": "ip.p_eval_batch_mod([{0: 1}], A, 0)",
+    "batch-variable-beyond-values": "ip.p_eval_batch_mod([{ip.var(2): 1}], A, 27)",
     "mono-negative-exponent": "ip.mono(1, -1)",
     "mono-exponent-past-mask": "ip.mono(ip.MASK + 1)",
     "pow-negative-exponent": "ip.p_pow({0: 1}, -1)",
@@ -545,7 +550,7 @@ def test_int64_guards_at_their_edge():
     top = np.full((2, 3), edge - 1, dtype=np.int64)
     poly = {ip.mono(1, 1): 1, 0: edge - 1}  # x0 x1 + (edge - 1)
     want = ((edge - 1) ** 2 + edge - 1) % edge
-    assert ip.p_eval_batch_mod(poly, top, edge).tolist() == [want] * 3
+    assert ip.p_eval_batch_mod([poly], top, edge)[0].tolist() == [want] * 3
     for p, j in ((2, 1), (3, 1)):
         want = sum(p**i * (edge - 1) ** (p ** (j - i)) for i in range(j + 1)) % edge
         assert ghost_batch(top, p, j, edge).tolist() == [want] * 3
@@ -553,8 +558,8 @@ def test_int64_guards_at_their_edge():
     # chunk, since two would pass 2**63
     block = {ip.var(2 * i) + ip.var(2 * j + 1): -1 for i in range(3) for j in range(3)}
     want = 9 * (edge - 1) ** 3 % edge
-    assert ip.p_eval_batch_mod(block, np.full((6, 3), edge - 1), edge).tolist() == [want] * 3
+    assert ip.p_eval_batch_mod([block], np.full((6, 3), edge - 1), edge)[0].tolist() == [want] * 3
     with pytest.raises(ValueError, match="overflow"):
-        ip.p_eval_batch_mod(poly, top, edge + 1)
+        ip.p_eval_batch_mod([poly], top, edge + 1)
     with pytest.raises(ValueError, match="overflow"):
         ghost_batch(top, 2, 1, edge + 1)
